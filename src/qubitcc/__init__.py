@@ -45,7 +45,6 @@ from .pauli import (
     conjugate_by_word,
     half_commutator,
     multiply,
-    phaseless_product,
 )
 from .qcc import (
     IqccState,
@@ -55,7 +54,7 @@ from .qcc import (
     qcc_energy_and_gradient,
     run_iqcc,
 )
-from .screen import RankedXWords, gradient_single, gradients, ising_decompose, recompose
+from .screen import RankedXWords, gradients, ising_decompose, recompose
 
 __version__ = "0.1.0"
 
@@ -85,7 +84,6 @@ __all__ = [
     "dress_with_combination",
     "en_correct",
     "fit_morse",
-    "gradient_single",
     "gradients",
     "half_commutator",
     "hf_reference",
@@ -96,7 +94,6 @@ __all__ = [
     "multiply",
     "optimize_amplitudes",
     "parse_fcidump",
-    "phaseless_product",
     "qcc_energy",
     "qcc_energy_and_gradient",
     "recompose",

@@ -12,10 +12,11 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
+from typing import Collection
 
 import numpy as np
 
-from .pauli import PauliSum, PauliWord, ReferenceState, multiply
+from .pauli import I_POWERS, PauliSum, PauliWord, ReferenceState, multiply
 
 __all__ = [
     "FcidumpData",
@@ -144,12 +145,9 @@ def _ladder(n_q: int, q: int, dagger: bool) -> tuple[tuple[PauliWord, complex], 
     return ((wx, 0.5 + 0j), (wy, 0.5 * sign))
 
 
-_I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
-
-
 def _accumulate_product(
     out: dict[PauliWord, complex],
-    factors: list[tuple[tuple[PauliWord, complex], ...]],
+    factors: list[Collection[tuple[PauliWord, complex]]],
     scale: complex,
 ) -> None:
     """out += scale * product(factors), expanding term by term."""
@@ -161,8 +159,8 @@ def _accumulate_product(
                 if word is None:
                     grown.append((w, coeff * c))
                 else:
-                    v, p = multiply(word, w)
-                    grown.append((v, coeff * c * _I_POWERS[p.k]))
+                    v, k = multiply(word, w)
+                    grown.append((v, coeff * c * I_POWERS[k]))
         partial = grown
     for word, coeff in partial:
         out[word] = out.get(word, 0j) + coeff
@@ -224,17 +222,6 @@ def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = 1e-12) -> Pauli
     return _fold_real(n_q, acc, drop_threshold)
 
 
-def _multiply_dicts(
-    a: dict[PauliWord, complex], b: dict[PauliWord, complex]
-) -> dict[PauliWord, complex]:
-    out: dict[PauliWord, complex] = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            v, p = multiply(wa, wb)
-            out[v] = out.get(v, 0j) + ca * cb * _I_POWERS[p.k]
-    return out
-
-
 def spin_penalty(n_orb: int, *, drop_threshold: float = 1e-12) -> PauliSum:
     """Singlet penalty operator W = S^2 - S_z = S_- S_+ + S_z^2.
 
@@ -259,8 +246,12 @@ def spin_penalty(n_orb: int, *, drop_threshold: float = 1e-12) -> PauliSum:
         sz[sz_word_b] = sz.get(sz_word_b, 0j) + 0.25
         sz[sz_word_a] = sz.get(sz_word_a, 0j) - 0.25
 
-    acc = _multiply_dicts(s_minus, s_plus)
-    for w, v in _multiply_dicts(sz, sz).items():
+    acc: dict[PauliWord, complex] = {}
+    _accumulate_product(acc, [s_minus.items(), s_plus.items()], 1.0)
+    # sz*sz sums on its own before the merge, as the summation order matters
+    sz_sq: dict[PauliWord, complex] = {}
+    _accumulate_product(sz_sq, [sz.items(), sz.items()], 1.0)
+    for w, v in sz_sq.items():
         acc[w] = acc.get(w, 0j) + v
     return _fold_real(n_q, acc, drop_threshold)
 

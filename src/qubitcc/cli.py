@@ -102,6 +102,21 @@ def _resolve(cfg: configparser.ConfigParser, command: str, key: str, flag, cast,
     return default
 
 
+def _run_config(obj, command: str, scheme, gens_per_iter, iterations, max_generators,
+                grad_tol, trunc_threshold, seed) -> RunConfig:
+    """RunConfig from flags, falling back to the command's INI section, then [run]."""
+    return RunConfig(
+        scheme=_resolve(obj, command, "scheme", scheme, str, "ilcap-pre"),
+        generators_per_iteration=_resolve(obj, command, "gens", gens_per_iter, int, 1),
+        iterations=_resolve(obj, command, "iterations", iterations, int, 1),
+        max_generators=_resolve(obj, command, "max_generators", max_generators, int, None),
+        gradient_tol=_resolve(obj, command, "grad_tol", grad_tol, float, 1e-7),
+        truncation_threshold=_resolve(obj, command, "trunc_threshold", trunc_threshold,
+                                      float, 1e-8),
+        seed=_resolve(obj, command, "seed", seed, int, 0),
+    )
+
+
 def _require(value, name: str):
     if value is None:
         raise click.UsageError(f"{name} is required (flag or config)")
@@ -263,15 +278,8 @@ def ilcap_cmd(ctx, hamiltonian, n_elec, n_qubits, scheme, max_generators, gens_p
     """Single-point combination-ansatz estimators with corrections."""
     obj = ctx.obj
     n_elec = _require(_resolve(obj, "ilcap", "n_elec", n_elec, int, None), "--n-elec")
-    cfg = RunConfig(
-        scheme=_resolve(obj, "ilcap", "scheme", scheme, str, "ilcap-pre"),
-        generators_per_iteration=_resolve(obj, "ilcap", "gens", gens_per_iter, int, 1),
-        iterations=_resolve(obj, "ilcap", "iterations", iterations, int, 1),
-        max_generators=_resolve(obj, "ilcap", "max_generators", max_generators, int, None),
-        gradient_tol=_resolve(obj, "ilcap", "grad_tol", grad_tol, float, 1e-7),
-        truncation_threshold=_resolve(obj, "ilcap", "trunc_threshold", trunc_threshold, float, 1e-8),
-        seed=_resolve(obj, "ilcap", "seed", seed, int, 0),
-    )
+    cfg = _run_config(obj, "ilcap", scheme, gens_per_iter, iterations, max_generators,
+                      grad_tol, trunc_threshold, seed)
     h = _load_hamiltonian(hamiltonian, n_qubits)
     ref = ReferenceState(h.n, n_elec)
     for label, value in run_scheme(h, ref, cfg).items():
@@ -325,15 +333,8 @@ def scan(ctx, fcidumps, radii, output, scheme, mu, max_generators, gens_per_iter
         )
     mu = _resolve(obj, "scan", "mu", mu, float, 0.0)
     workers = _resolve(obj, "scan", "workers", workers, int, 1)
-    cfg = RunConfig(
-        scheme=_resolve(obj, "scan", "scheme", scheme, str, "ilcap-pre"),
-        generators_per_iteration=_resolve(obj, "scan", "gens", gens_per_iter, int, 1),
-        iterations=_resolve(obj, "scan", "iterations", iterations, int, 1),
-        max_generators=_resolve(obj, "scan", "max_generators", max_generators, int, None),
-        gradient_tol=_resolve(obj, "scan", "grad_tol", grad_tol, float, 1e-7),
-        truncation_threshold=_resolve(obj, "scan", "trunc_threshold", trunc_threshold, float, 1e-8),
-        seed=_resolve(obj, "scan", "seed", seed, int, 0),
-    )
+    cfg = _run_config(obj, "scan", scheme, gens_per_iter, iterations, max_generators,
+                      grad_tol, trunc_threshold, seed)
     if cfg.scheme not in SCHEMES:
         raise click.UsageError(f"unknown scheme {cfg.scheme!r}")
 

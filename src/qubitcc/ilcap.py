@@ -18,7 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliSum, PauliWord, ReferenceState, commutes, half_commutator, multiply
+from .pauli import (
+    I_POWERS,
+    PauliSum,
+    PauliWord,
+    ReferenceState,
+    commutes,
+    half_commutator,
+    multiply,
+)
 from .screen import diagonal_expectation_flipped, ising_decompose
 
 __all__ = [
@@ -33,7 +41,6 @@ __all__ = [
 ]
 
 _IMAG_TOL = 1e-12
-_I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 def _group_by_x(h: PauliSum) -> dict[int, list[tuple[PauliWord, float]]]:
@@ -53,17 +60,13 @@ def _bracket(
     need = (left.x if left is not None else 0) ^ (right.x if right is not None else 0)
     total = 0.0 + 0.0j
     for w, c in groups.get(need, ()):
-        if left is None:
-            word, k = w, 0
-        else:
-            word, ph = multiply(left, w)
-            k = ph.k
+        word, k = (w, 0) if left is None else multiply(left, w)
         if right is not None:
-            word, ph = multiply(word, right)
-            k += ph.k
+            word, k2 = multiply(word, right)
+            k += k2
         e = ref.word_expectation(word)
         if e:
-            total += c * e * _I_POWERS[k % 4]
+            total += c * e * I_POWERS[k % 4]
     return total
 
 
@@ -198,9 +201,9 @@ def dress_with_combination(
             if a_j == 0.0:
                 continue
             for w, c in h.items():
-                v1, p1 = multiply(gk, w)
-                v2, p2 = multiply(v1, gj)
-                tht[v2] = tht.get(v2, 0j) + a_k * a_j * c * _I_POWERS[(p1.k + p2.k) % 4]
+                v1, k1 = multiply(gk, w)
+                v2, k2 = multiply(v1, gj)
+                tht[v2] = tht.get(v2, 0j) + a_k * a_j * c * I_POWERS[(k1 + k2) % 4]
     scale = max(1.0, h.max_abs_coefficient())
     for w, val in tht.items():
         if abs(val.imag) > 1e-10 * scale:

@@ -4,7 +4,9 @@ A Pauli word on n qubits is stored phase-free as a pair of integer bit
 masks ``(x, z)``: bit j of ``x`` set means an X factor on qubit j, bit j
 of ``z`` a Z factor, and both bits together a Y factor.  Every stored
 word is Hermitian by construction.  Phases only ever arise from
-multiplication and are tracked separately as integer powers of i.
+multiplication: ``multiply(a, b)`` returns ``(word, k)`` with ``k`` an
+int in 0..3 such that a*b = i**k * word, and ``I_POWERS[k]`` is i**k.
+This module is the only place that knows that convention.
 
 Sums of words carry real coefficients and keep their terms in a
 canonical order (lexicographic on the ``(x, z)`` pair), so any two
@@ -18,39 +20,18 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 __all__ = [
+    "I_POWERS",
     "PauliWord",
-    "Phase",
     "PauliSum",
     "ReferenceState",
     "multiply",
-    "phaseless_product",
     "commutes",
     "conjugate_by_word",
     "half_commutator",
-    "sandwich",
 ]
 
-_PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-@dataclass(frozen=True, slots=True)
-class Phase:
-    """Multiplicative phase i**k with k stored modulo 4."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", self.k % 4)
-
-    def as_complex(self) -> complex:
-        return _PHASE_VALUES[self.k]
-
-    @property
-    def is_real(self) -> bool:
-        return self.k % 2 == 0
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.k + other.k)
+# i**k for k = 0..3; complex entries keep every product a complex multiply
+I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,18 +119,11 @@ def commutes(a: PauliWord, b: PauliWord) -> bool:
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
-def phaseless_product(a: PauliWord, b: PauliWord) -> PauliWord:
-    """Mask XOR of the two words, phase discarded."""
-    if a.n != b.n:
-        raise ValueError("qubit counts differ")
-    return PauliWord(a.n, a.x ^ b.x, a.z ^ b.z)
+def multiply(a: PauliWord, b: PauliWord) -> tuple[PauliWord, int]:
+    """Exact product a*b as (word, k) with a*b = i**k * word.
 
-
-def multiply(a: PauliWord, b: PauliWord) -> tuple[PauliWord, Phase]:
-    """Exact product a*b as (word, phase).
-
-    The phase is the power of i relating the Hermitian result word to
-    the literal operator product; it is always one of 1, i, -1, -i.
+    k is an int in 0..3, the power of i relating the Hermitian result
+    word to the literal operator product; I_POWERS[k] is its value.
     """
     if a.n != b.n:
         raise ValueError("qubit counts differ")
@@ -161,7 +135,7 @@ def multiply(a: PauliWord, b: PauliWord) -> tuple[PauliWord, Phase]:
         + 2 * (a.z & b.x).bit_count()
         - (x & z).bit_count()
     )
-    return PauliWord(a.n, x, z), Phase(k)
+    return PauliWord(a.n, x, z), k & 3
 
 
 def _word_key(w: PauliWord) -> tuple[int, int]:
@@ -351,9 +325,9 @@ def conjugate_by_word(h: PauliSum, generator: PauliWord, t: float) -> PauliSum:
             out.append((w, c))
             continue
         out.append((w, c * ct))
-        v, p = multiply(w, generator)
-        # -i * i**p is +-1 exactly; p is odd for anti-commuting Hermitian words
-        out.append((v, c * st * (1.0 if p.k == 1 else -1.0)))
+        v, k = multiply(w, generator)
+        # -i * i**k is +-1 exactly; k is odd for anti-commuting Hermitian words
+        out.append((v, c * st * (1.0 if k == 1 else -1.0)))
     return PauliSum(h.n, out)
 
 
@@ -369,15 +343,7 @@ def half_commutator(generator: PauliWord, h: PauliSum) -> PauliSum:
     for w, c in h.items():
         if commutes(w, generator):
             continue
-        v, p = multiply(generator, w)
-        # i * i**p for odd p is -1 (p=1) or +1 (p=3)
-        out.append((v, -c if p.k == 1 else c))
-    return PauliSum(h.n, out)
-
-
-def sandwich(h: PauliSum, word: PauliWord) -> PauliSum:
-    """word * h * word; each term keeps or flips its sign."""
-    if word.n != h.n:
-        raise ValueError("qubit counts differ")
-    out = [(w, c if commutes(w, word) else -c) for w, c in h.items()]
+        v, k = multiply(generator, w)
+        # i * i**k for odd k is -1 (k=1) or +1 (k=3)
+        out.append((v, -c if k == 1 else c))
     return PauliSum(h.n, out)

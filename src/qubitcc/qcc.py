@@ -23,7 +23,6 @@ from .pauli import (
     ReferenceState,
     conjugate_by_word,
     half_commutator,
-    sandwich,
 )
 from .screen import gradients, ising_decompose
 from .acset import canonical_generator
@@ -31,7 +30,6 @@ from .acset import canonical_generator
 __all__ = [
     "qcc_energy",
     "qcc_energy_and_gradient",
-    "energy_curve_coefficients",
     "AmplitudeOptimization",
     "optimize_amplitudes",
     "dress",
@@ -87,16 +85,6 @@ def qcc_energy_and_gradient(
             d = conjugate_by_word(d, generators[k], amplitudes[k])
         grad[j] = ref.expectation(d)
     return energy, grad
-
-
-def energy_curve_coefficients(
-    h: PauliSum, generator: PauliWord, ref: ReferenceState
-) -> tuple[float, float, float]:
-    """(a, b, c) with E(t) = a + b sin t + c (1 - cos t) for one generator."""
-    a = ref.expectation(h)
-    b = ref.expectation(half_commutator(generator, h))
-    c = 0.5 * (ref.expectation(sandwich(h, generator)) - a)
-    return a, b, c
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pauli import PauliSum, PauliWord, ReferenceState, multiply
+from .pauli import PauliSum, PauliWord, ReferenceState
 
 __all__ = [
     "IsingSector",
@@ -22,7 +22,6 @@ __all__ = [
     "ising_decompose",
     "recompose",
     "gradients",
-    "gradient_single",
     "diagonal_expectation_flipped",
 ]
 
@@ -139,28 +138,6 @@ def gradients(
         tuple(x for x, _ in pairs),
         tuple(w for _, w in pairs),
     )
-
-
-def gradient_single(h: PauliSum, generator: PauliWord, ref: ReferenceState) -> float:
-    """|Im <0| h * generator |0>|, the energy slope magnitude at t = 0.
-
-    For a Hamiltonian whose terms all carry an even number of Y factors
-    (any real-coefficient molecular Hamiltonian does), this agrees with
-    the sector weight when the generator is the canonical single-Y flip
-    of the sector's X word.
-    """
-    if h.n != generator.n or h.n != ref.n:
-        raise ValueError("qubit counts differ")
-    total = 0.0
-    for w, c in h.items():
-        if w.x != generator.x:
-            continue
-        v, p = multiply(w, generator)
-        if p.k == 1:
-            total += c * ref.word_expectation(v)
-        elif p.k == 3:
-            total -= c * ref.word_expectation(v)
-    return abs(total)
 
 
 def diagonal_expectation_flipped(

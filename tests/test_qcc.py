@@ -5,10 +5,9 @@ import pytest
 from scipy.linalg import expm
 
 from qubitcc import oracle
-from qubitcc.pauli import PauliSum, PauliWord, ReferenceState
+from qubitcc.pauli import PauliSum, PauliWord, ReferenceState, commutes, half_commutator
 from qubitcc.qcc import (
     dress,
-    energy_curve_coefficients,
     optimize_amplitudes,
     qcc_energy,
     qcc_energy_and_gradient,
@@ -16,6 +15,17 @@ from qubitcc.qcc import (
 )
 
 from conftest import random_sum, random_word
+
+
+def energy_curve_coefficients(h, generator, ref):
+    """(a, b, c) with E(t) = a + b sin t + c (1 - cos t) for one generator."""
+    a = ref.expectation(h)
+    b = ref.expectation(half_commutator(generator, h))
+    # <0| G h G |0>: G keeps each commuting term and flips the sign of the rest
+    ghg = sum(
+        (c if commutes(w, generator) else -c) * ref.word_expectation(w) for w, c in h.items()
+    )
+    return a, b, 0.5 * (ghg - a)
 
 
 def unitary(generators, amplitudes):
@@ -74,8 +84,6 @@ class TestGradient:
                 assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_gradient_at_zero_matches_screening(self, rng):
-        from qubitcc.pauli import half_commutator
-
         for _ in range(20):
             n = rng.randint(2, 5)
             h = random_sum(rng, n, 8)

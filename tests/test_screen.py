@@ -3,16 +3,20 @@ import pytest
 
 from qubitcc import oracle
 from qubitcc.acset import canonical_generator
-from qubitcc.pauli import PauliSum, PauliWord, ReferenceState
-from qubitcc.screen import (
-    diagonal_expectation_flipped,
-    gradient_single,
-    gradients,
-    ising_decompose,
-    recompose,
-)
+from qubitcc.pauli import I_POWERS, PauliSum, PauliWord, ReferenceState, multiply
+from qubitcc.screen import diagonal_expectation_flipped, gradients, ising_decompose, recompose
 
 from conftest import random_even_sum, random_sum
+
+
+def gradient_single(h, generator, ref):
+    """|Im <0| h * generator |0>|, the energy slope magnitude at t = 0."""
+    total = 0.0
+    for w, c in h.items():
+        if w.x == generator.x:
+            v, k = multiply(w, generator)
+            total += c * ref.word_expectation(v) * I_POWERS[k].imag
+    return abs(total)
 
 
 class TestDecompose:
