@@ -24,7 +24,6 @@ from .chemio import (
     parse_fcidump,
     spin_penalty,
 )
-from .cli import RunConfig, run_scheme
 from .gf2 import BinaryMatrix, classify_columns, rref_with_transform
 from .ilcap import (
     BwResult,
@@ -46,6 +45,7 @@ from .pauli import (
     half_commutator,
     multiply,
 )
+from .pipeline import RunConfig, run_scheme
 from .qcc import (
     IqccState,
     dress,

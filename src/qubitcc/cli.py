@@ -2,118 +2,60 @@
 
 Every command reads defaults from an INI config (section named after
 the command, falling back to [run]) with explicit flags winning, and
-takes a seed so optimizer randomness is reproducible.
+takes a seed so optimizer randomness is reproducible.  The INI values
+reach the options through Click's default_map, so they pass the same
+type and choice checks as flags.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import click
 
 from . import oracle
 from .acset import build_anticommuting_set
 from .chemio import add_spin_penalty, hf_reference, jw_hamiltonian, load_fcidump
-from .ilcap import bw_correct, dress_with_combination, en_correct, solve_ilcap
 from .morse import fit_morse
 from .pauli import PauliSum, PauliWord, ReferenceState
+from .pipeline import SCHEMES, RunConfig, run_scheme
 from .qcc import run_iqcc
 from .screen import gradients, ising_decompose
 
-__all__ = ["RunConfig", "run_scheme", "main"]
+__all__ = ["main"]
 
-SCHEMES = ("iqcc", "ilcap-pre", "ilcap-post")
+_RUN = RunConfig()
 
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Estimator-family configuration shared by single points and scans."""
-
-    scheme: str = "ilcap-pre"
-    generators_per_iteration: int = 1
-    iterations: int = 1
-    max_generators: int | None = None
-    gradient_tol: float = 1e-7
-    truncation_threshold: float = 1e-8
-    seed: int = 0
+# The RunConfig options of ilcap and scan; parameter names are the INI keys.
+_RUN_OPTIONS = (
+    click.option("--max-generators", type=int, default=_RUN.max_generators),
+    click.option("--gens", type=int, default=_RUN.generators_per_iteration),
+    click.option("--iterations", type=int, default=_RUN.iterations),
+    click.option("--grad-tol", type=float, default=_RUN.gradient_tol),
+    click.option("--trunc-threshold", type=float, default=_RUN.truncation_threshold),
+    click.option("--seed", type=int, default=_RUN.seed),
+)
 
 
-def _ilcap_family(h: PauliSum, ref: ReferenceState, cfg: RunConfig, prefix: str,
-                  with_en: bool = True) -> dict[str, float]:
-    """E_prefix, +BW, and optionally +EN for the combination ansatz on h."""
-    dec = ising_decompose(h)
-    ranked = gradients(dec, ref)
-    acs = build_anticommuting_set(h.n, list(ranked.masks), cfg.max_generators)
-    sol = solve_ilcap(h, acs.generators, ref)
-    used = {g.x for g in acs.generators}
-    excluded = [m for m in dec.sectors if m not in used]
-    bw = bw_correct(h, acs.generators, excluded, ref)
-    out = {prefix: sol.energy, f"{prefix}+BW": bw.energy}
-    if with_en:
-        dressed = dress_with_combination(h, acs.generators, sol.t, sol.alphas)
-        out[f"{prefix}+EN"] = en_correct(dressed, ref).energy
-    return out
+def _run_options(command):
+    for option in reversed(_RUN_OPTIONS):
+        command = option(command)
+    return command
 
 
-def run_scheme(h: PauliSum, ref: ReferenceState, cfg: RunConfig) -> dict[str, float]:
-    """Estimator labels to energies for one Hamiltonian.
-
-    scheme 'iqcc' runs the plain iterative solver; 'ilcap-pre' applies
-    the combination ansatz and its corrections to the bare Hamiltonian;
-    'ilcap-post' runs the iterative solver first and applies the
-    corrections to the dressed Hamiltonian it leaves behind.
-    """
-    if cfg.scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {cfg.scheme!r}; pick one of {SCHEMES}")
-    if cfg.scheme == "ilcap-pre":
-        return _ilcap_family(h, ref, cfg, "E_ILCAP")
-    state = run_iqcc(
-        h,
-        ref,
-        generators_per_iteration=cfg.generators_per_iteration,
-        max_iterations=cfg.iterations,
-        gradient_tol=cfg.gradient_tol,
-        truncation_threshold=cfg.truncation_threshold,
-        seed=cfg.seed,
-    )
-    label = f"E_QCC({cfg.iterations})"
-    if cfg.scheme == "iqcc":
-        return {label: state.energy}
-    hd = state.hamiltonian
-    en = en_correct(hd, ref)
-    family = _ilcap_family(hd, ref, cfg, f"{label}+ILCAP", with_en=False)
-    return {label: state.energy, f"{label}+EN": en.energy, **family}
-
-
-# -- config plumbing ------------------------------------------------------
-
-def _resolve(cfg: configparser.ConfigParser, command: str, key: str, flag, cast, default):
-    if flag is not None:
-        return flag
-    for section in (command, "run"):
-        if cfg.has_option(section, key):
-            raw = cfg.get(section, key)
-            if cast is bool:
-                return raw.strip().lower() in {"1", "true", "yes", "on"}
-            return cast(raw)
-    return default
-
-
-def _run_config(obj, command: str, scheme, gens_per_iter, iterations, max_generators,
-                grad_tol, trunc_threshold, seed) -> RunConfig:
-    """RunConfig from flags, falling back to the command's INI section, then [run]."""
+def _run_config(scheme, max_generators, gens, iterations, grad_tol, trunc_threshold,
+                seed) -> RunConfig:
     return RunConfig(
-        scheme=_resolve(obj, command, "scheme", scheme, str, "ilcap-pre"),
-        generators_per_iteration=_resolve(obj, command, "gens", gens_per_iter, int, 1),
-        iterations=_resolve(obj, command, "iterations", iterations, int, 1),
-        max_generators=_resolve(obj, command, "max_generators", max_generators, int, None),
-        gradient_tol=_resolve(obj, command, "grad_tol", grad_tol, float, 1e-7),
-        truncation_threshold=_resolve(obj, command, "trunc_threshold", trunc_threshold,
-                                      float, 1e-8),
-        seed=_resolve(obj, command, "seed", seed, int, 0),
+        scheme=scheme,
+        generators_per_iteration=gens,
+        iterations=iterations,
+        max_generators=max_generators,
+        gradient_tol=grad_tol,
+        truncation_threshold=trunc_threshold,
+        seed=seed,
     )
 
 
@@ -141,23 +83,24 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     parser = configparser.ConfigParser()
     if config_path is not None:
         parser.read(config_path)
-    ctx.obj = parser
+    sections = {name: dict(parser[name]) for name in parser.sections()}
+    ctx.default_map = {
+        name: {**sections.get("run", {}), **sections.get(name, {})}
+        for name in ctx.command.commands
+    }
 
 
 @main.command()
 @click.argument("fcidump", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
               help="Output text Hamiltonian (stdout when omitted).")
-@click.option("--mu", type=float, default=None, help="Spin penalty weight, folded as mu/2 W.")
-@click.option("--drop-threshold", type=float, default=None,
+@click.option("--mu", type=float, default=0.0, help="Spin penalty weight, folded as mu/2 W.")
+@click.option("--drop-threshold", type=float, default=1e-12,
               help="Drop transformed terms below this magnitude (default 1e-12).")
-@click.pass_context
-def transform(ctx, fcidump, output, mu, drop_threshold):
+def transform(fcidump, output, mu, drop_threshold):
     """Map an FCIDUMP to a qubit Hamiltonian in the text word format."""
-    mu = _resolve(ctx.obj, "transform", "mu", mu, float, 0.0)
-    drop = _resolve(ctx.obj, "transform", "drop_threshold", drop_threshold, float, 1e-12)
     data = load_fcidump(fcidump)
-    h = jw_hamiltonian(data, drop_threshold=drop)
+    h = jw_hamiltonian(data, drop_threshold=drop_threshold)
     if mu:
         h = add_spin_penalty(h, data.n_orb, mu)
     header = (
@@ -178,12 +121,10 @@ def transform(ctx, fcidump, output, mu, drop_threshold):
 @click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n-elec", type=int, default=None, help="Occupied qubits in the reference.")
 @click.option("--n-qubits", type=int, default=None, help="Override the inferred qubit count.")
-@click.option("--top", type=int, default=None, help="Show only the strongest sectors.")
-@click.pass_context
-def screen(ctx, hamiltonian, n_elec, n_qubits, top):
+@click.option("--top", type=int, default=0, help="Show only the strongest sectors.")
+def screen(hamiltonian, n_elec, n_qubits, top):
     """Rank the X sectors of a Hamiltonian by reference gradient."""
-    n_elec = _require(_resolve(ctx.obj, "screen", "n_elec", n_elec, int, None), "--n-elec")
-    top = _resolve(ctx.obj, "screen", "top", top, int, 0)
+    n_elec = _require(n_elec, "--n-elec")
     h = _load_hamiltonian(hamiltonian, n_qubits)
     ref = ReferenceState(h.n, n_elec)
     ranked = gradients(ising_decompose(h), ref)
@@ -203,11 +144,9 @@ def screen(ctx, hamiltonian, n_elec, n_qubits, top):
 @click.option("--max-generators", type=int, default=None, help="Keep only the first M generators.")
 @click.option("--drop-zero/--keep-zero", default=False,
               help="Drop zero-gradient X words before building the set.")
-@click.pass_context
-def acset_cmd(ctx, hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
+def acset_cmd(hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
     """Build the anti-commuting generator set from ranked X words."""
-    n_elec = _require(_resolve(ctx.obj, "acset", "n_elec", n_elec, int, None), "--n-elec")
-    max_generators = _resolve(ctx.obj, "acset", "max_generators", max_generators, int, None)
+    n_elec = _require(n_elec, "--n-elec")
     h = _load_hamiltonian(hamiltonian, n_qubits)
     ref = ReferenceState(h.n, n_elec)
     ranked = gradients(ising_decompose(h), ref, drop_zero=drop_zero)
@@ -221,32 +160,25 @@ def acset_cmd(ctx, hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
 @click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n-elec", type=int, default=None)
 @click.option("--n-qubits", type=int, default=None)
-@click.option("--gens", "gens_per_iter", type=int, default=None,
+@click.option("--gens", type=int, default=1,
               help="Generators optimized jointly per iteration (default 1).")
-@click.option("--iterations", type=int, default=None, help="Outer-loop cap (default 10).")
-@click.option("--grad-tol", type=float, default=None)
-@click.option("--trunc-threshold", type=float, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--iterations", type=int, default=10, help="Outer-loop cap (default 10).")
+@click.option("--grad-tol", type=float, default=1e-7)
+@click.option("--trunc-threshold", type=float, default=1e-8)
+@click.option("--seed", type=int, default=0)
 @click.option("--checkpoint-dir", type=click.Path(file_okay=False), default=None)
-@click.pass_context
-def iqcc(ctx, hamiltonian, n_elec, n_qubits, gens_per_iter, iterations, grad_tol,
-         trunc_threshold, seed, checkpoint_dir):
+def iqcc(hamiltonian, n_elec, n_qubits, gens, iterations, grad_tol, trunc_threshold, seed,
+         checkpoint_dir):
     """Run the iterative solver and report the energy trajectory."""
-    obj = ctx.obj
-    n_elec = _require(_resolve(obj, "iqcc", "n_elec", n_elec, int, None), "--n-elec")
-    gens_per_iter = _resolve(obj, "iqcc", "gens", gens_per_iter, int, 1)
-    iterations = _resolve(obj, "iqcc", "iterations", iterations, int, 10)
-    grad_tol = _resolve(obj, "iqcc", "grad_tol", grad_tol, float, 1e-7)
-    trunc = _resolve(obj, "iqcc", "trunc_threshold", trunc_threshold, float, 1e-8)
-    seed = _resolve(obj, "iqcc", "seed", seed, int, 0)
+    n_elec = _require(n_elec, "--n-elec")
     h = _load_hamiltonian(hamiltonian, n_qubits)
     ref = ReferenceState(h.n, n_elec)
     state = run_iqcc(
         h, ref,
-        generators_per_iteration=gens_per_iter,
+        generators_per_iteration=gens,
         max_iterations=iterations,
         gradient_tol=grad_tol,
-        truncation_threshold=trunc,
+        truncation_threshold=trunc_threshold,
         seed=seed,
         checkpoint_dir=checkpoint_dir,
     )
@@ -265,24 +197,15 @@ def iqcc(ctx, hamiltonian, n_elec, n_qubits, gens_per_iter, iterations, grad_tol
 @click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n-elec", type=int, default=None)
 @click.option("--n-qubits", type=int, default=None)
-@click.option("--scheme", type=click.Choice(["ilcap-pre", "ilcap-post"]), default=None)
-@click.option("--max-generators", type=int, default=None)
-@click.option("--gens", "gens_per_iter", type=int, default=None)
-@click.option("--iterations", type=int, default=None)
-@click.option("--grad-tol", type=float, default=None)
-@click.option("--trunc-threshold", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.pass_context
-def ilcap_cmd(ctx, hamiltonian, n_elec, n_qubits, scheme, max_generators, gens_per_iter,
-              iterations, grad_tol, trunc_threshold, seed):
+@click.option("--scheme", type=click.Choice([s for s in SCHEMES if s.startswith("ilcap")]),
+              default=_RUN.scheme)
+@_run_options
+def ilcap_cmd(hamiltonian, n_elec, n_qubits, **run_options):
     """Single-point combination-ansatz estimators with corrections."""
-    obj = ctx.obj
-    n_elec = _require(_resolve(obj, "ilcap", "n_elec", n_elec, int, None), "--n-elec")
-    cfg = _run_config(obj, "ilcap", scheme, gens_per_iter, iterations, max_generators,
-                      grad_tol, trunc_threshold, seed)
+    n_elec = _require(n_elec, "--n-elec")
     h = _load_hamiltonian(hamiltonian, n_qubits)
     ref = ReferenceState(h.n, n_elec)
-    for label, value in run_scheme(h, ref, cfg).items():
+    for label, value in run_scheme(h, ref, _run_config(**run_options)).items():
         click.echo(f"{label:<24} {_fmt(value)}")
 
 
@@ -309,20 +232,12 @@ def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, str]:
 @click.option("--radii", required=True,
               help="Comma-separated bond lengths, one per FCIDUMP, in bohr.")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True)
-@click.option("--scheme", type=click.Choice(list(SCHEMES)), default=None)
-@click.option("--mu", type=float, default=None, help="Spin penalty weight.")
-@click.option("--max-generators", type=int, default=None)
-@click.option("--gens", "gens_per_iter", type=int, default=None)
-@click.option("--iterations", type=int, default=None)
-@click.option("--grad-tol", type=float, default=None)
-@click.option("--trunc-threshold", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None, help="Parallel scan workers (default 1).")
-@click.pass_context
-def scan(ctx, fcidumps, radii, output, scheme, mu, max_generators, gens_per_iter,
-         iterations, grad_tol, trunc_threshold, seed, workers):
+@click.option("--scheme", type=click.Choice(SCHEMES), default=_RUN.scheme)
+@click.option("--mu", type=float, default=0.0, help="Spin penalty weight.")
+@_run_options
+@click.option("--workers", type=int, default=1, help="Parallel scan workers (default 1).")
+def scan(fcidumps, radii, output, mu, workers, **run_options):
     """Run an estimator family over a bond scan and write a CSV."""
-    obj = ctx.obj
     try:
         r_values = [float(tok) for tok in radii.split(",") if tok.strip()]
     except ValueError:
@@ -331,25 +246,16 @@ def scan(ctx, fcidumps, radii, output, scheme, mu, max_generators, gens_per_iter
         raise click.UsageError(
             f"{len(fcidumps)} FCIDUMP files but {len(r_values)} radii"
         )
-    mu = _resolve(obj, "scan", "mu", mu, float, 0.0)
-    workers = _resolve(obj, "scan", "workers", workers, int, 1)
-    cfg = _run_config(obj, "scan", scheme, gens_per_iter, iterations, max_generators,
-                      grad_tol, trunc_threshold, seed)
-    if cfg.scheme not in SCHEMES:
-        raise click.UsageError(f"unknown scheme {cfg.scheme!r}")
+    cfg = _run_config(**run_options)
 
     order = sorted(range(len(r_values)), key=lambda i: r_values[i])
     payloads = [(i, fcidumps[i], mu, cfg) for i in order]
     results: dict[int, dict[str, float] | None] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, row, message in pool.map(_scan_point, payloads):
-                if message:
-                    click.echo(f"warning: {message}", err=True)
-                results[index] = row
-    else:
-        for payload in payloads:
-            index, row, message = _scan_point(payload)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for index, row, message in mapper(_scan_point, payloads):
             if message:
                 click.echo(f"warning: {message}", err=True)
             results[index] = row
@@ -374,13 +280,11 @@ def scan(ctx, fcidumps, radii, output, scheme, mu, max_generators, gens_per_iter
 
 @main.command("fit-morse")
 @click.argument("scan_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--column", default=None, help="Energy column to fit (default E_exact).")
+@click.option("--column", default="E_exact", help="Energy column to fit (default E_exact).")
 @click.option("--mu-amu", type=float, default=None, help="Reduced mass in amu.")
-@click.pass_context
-def fit_morse_cmd(ctx, scan_csv, column, mu_amu):
+def fit_morse_cmd(scan_csv, column, mu_amu):
     """Fit a Morse well to a scan CSV column and report constants."""
-    column = _resolve(ctx.obj, "fit-morse", "column", column, str, "E_exact")
-    mu_amu = _require(_resolve(ctx.obj, "fit-morse", "mu_amu", mu_amu, float, None), "--mu-amu")
+    mu_amu = _require(mu_amu, "--mu-amu")
     with open(scan_csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or column not in reader.fieldnames:
@@ -404,13 +308,11 @@ def fit_morse_cmd(ctx, scan_csv, column, mu_amu):
 @click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n-elec", type=int, default=None)
 @click.option("--n-qubits", type=int, default=None)
-@click.pass_context
-def exact(ctx, hamiltonian, n_elec, n_qubits):
+def exact(hamiltonian, n_elec, n_qubits):
     """Oracle ground-state energy of a text Hamiltonian."""
     h = _load_hamiltonian(hamiltonian, n_qubits)
     energy = oracle.ground_energy(h)
     click.echo(f"ground energy: {_fmt(energy)}")
-    n_elec = _resolve(ctx.obj, "exact", "n_elec", n_elec, int, None)
     if n_elec is not None:
         ref = ReferenceState(h.n, n_elec)
         click.echo(f"reference energy: {_fmt(ref.expectation(h))}")

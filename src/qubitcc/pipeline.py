@@ -1,0 +1,80 @@
+"""Estimator families for one Hamiltonian: iQCC, ILCAP and their corrections.
+
+``run_scheme`` is the one place that chains screening, generator-set
+construction, the solvers and the BW/EN corrections, and the one place
+that names the estimator labels a scan reports.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .acset import build_anticommuting_set
+from .ilcap import bw_correct, dress_with_combination, en_correct, solve_ilcap
+from .pauli import PauliSum, ReferenceState
+from .qcc import run_iqcc
+from .screen import gradients, ising_decompose
+
+__all__ = ["SCHEMES", "RunConfig", "run_scheme"]
+
+SCHEMES = ("iqcc", "ilcap-pre", "ilcap-post")
+
+
+@dataclass(frozen=True, slots=True)
+class RunConfig:
+    """Estimator-family configuration shared by single points and scans."""
+
+    scheme: str = "ilcap-pre"
+    generators_per_iteration: int = 1
+    iterations: int = 1
+    max_generators: int | None = None
+    gradient_tol: float = 1e-7
+    truncation_threshold: float = 1e-8
+    seed: int = 0
+
+
+def _ilcap_family(h: PauliSum, ref: ReferenceState, cfg: RunConfig, prefix: str,
+                  with_en: bool = True) -> dict[str, float]:
+    """E_prefix, +BW, and optionally +EN for the combination ansatz on h."""
+    dec = ising_decompose(h)
+    ranked = gradients(dec, ref)
+    acs = build_anticommuting_set(h.n, list(ranked.masks), cfg.max_generators)
+    sol = solve_ilcap(h, acs.generators, ref)
+    used = {g.x for g in acs.generators}
+    excluded = [m for m in dec.sectors if m not in used]
+    bw = bw_correct(h, acs.generators, excluded, ref)
+    out = {prefix: sol.energy, f"{prefix}+BW": bw.energy}
+    if with_en:
+        dressed = dress_with_combination(h, acs.generators, sol.t, sol.alphas)
+        out[f"{prefix}+EN"] = en_correct(dressed, ref).energy
+    return out
+
+
+def run_scheme(h: PauliSum, ref: ReferenceState, cfg: RunConfig) -> dict[str, float]:
+    """Estimator labels to energies for one Hamiltonian.
+
+    scheme 'iqcc' runs the plain iterative solver; 'ilcap-pre' applies
+    the combination ansatz and its corrections to the bare Hamiltonian;
+    'ilcap-post' runs the iterative solver first and applies the
+    corrections to the dressed Hamiltonian it leaves behind.
+    """
+    if cfg.scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {cfg.scheme!r}; pick one of {SCHEMES}")
+    if cfg.scheme == "ilcap-pre":
+        return _ilcap_family(h, ref, cfg, "E_ILCAP")
+    state = run_iqcc(
+        h,
+        ref,
+        generators_per_iteration=cfg.generators_per_iteration,
+        max_iterations=cfg.iterations,
+        gradient_tol=cfg.gradient_tol,
+        truncation_threshold=cfg.truncation_threshold,
+        seed=cfg.seed,
+    )
+    label = f"E_QCC({cfg.iterations})"
+    if cfg.scheme == "iqcc":
+        return {label: state.energy}
+    hd = state.hamiltonian
+    en = en_correct(hd, ref)
+    family = _ilcap_family(hd, ref, cfg, f"{label}+ILCAP", with_en=False)
+    return {label: state.energy, f"{label}+EN": en.energy, **family}

@@ -271,6 +271,18 @@ class TestConfig:
         assert "E_ILCAP" in res.output
         assert "E_QCC" not in res.output
 
+    @pytest.mark.parametrize("text, command, flag", [
+        ("[run]\nn_elec = 2\n\n[ilcap]\nscheme = iqcc\n", "ilcap", "--scheme"),
+        ("[run]\nn_elec = two\n", "screen", "--n-elec"),
+    ], ids=["choice", "type"])
+    def test_config_values_checked_like_flags(self, runner, tmp_path, h2_text,
+                                              text, command, flag):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text, encoding="utf-8")
+        res = runner.invoke(main, ["--config", str(cfg), command, h2_text])
+        assert res.exit_code == 2
+        assert f"Invalid value for '{flag}'" in res.output
+
 
 class TestRunScheme:
     def test_unknown_scheme(self, h2_text):
