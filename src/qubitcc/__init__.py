@@ -50,11 +50,10 @@ from .qcc import (
     IqccState,
     dress,
     optimize_amplitudes,
-    qcc_energy,
     qcc_energy_and_gradient,
     run_iqcc,
 )
-from .screen import RankedXWords, gradients, ising_decompose, recompose
+from .screen import RankedXWords, gradients, ising_decompose
 
 __version__ = "0.1.0"
 
@@ -94,9 +93,7 @@ __all__ = [
     "multiply",
     "optimize_amplitudes",
     "parse_fcidump",
-    "qcc_energy",
     "qcc_energy_and_gradient",
-    "recompose",
     "rref_with_transform",
     "run_iqcc",
     "run_scheme",

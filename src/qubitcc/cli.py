@@ -81,9 +81,12 @@ def _load_hamiltonian(path: str, n: int | None) -> PauliSum:
 def main(ctx: click.Context, config_path: str | None) -> None:
     """Anti-commuting generator sets and qubit coupled cluster, end to end."""
     parser = configparser.ConfigParser()
-    if config_path is not None:
-        parser.read(config_path)
-    sections = {name: dict(parser[name]) for name in parser.sections()}
+    try:
+        if config_path is not None:
+            parser.read(config_path)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise click.BadParameter(str(exc), param_hint="'--config'") from None
     ctx.default_map = {
         name: {**sections.get("run", {}), **sections.get(name, {})}
         for name in ctx.command.commands

@@ -7,6 +7,12 @@ span of the reference and the T_k images is an (M+1) x (M+1) real
 symmetric eigenproblem.  The corrections fold the remaining Ising
 sectors back in: a Brillouin-Wigner fixed point over an effective
 downfolded matrix, or a per-sector Epstein-Nesbet denominator sum.
+
+Every matrix element involved is <b'|H|b> between the reference and
+determinants that generators or X words flip it to, which is one Ising
+sector of ``screen.ising_decompose`` at one basis state
+(``IsingSector.value``); ``pauli.basis_image`` supplies the phase a
+word picks up on the reference.
 """
 
 from __future__ import annotations
@@ -23,11 +29,12 @@ from .pauli import (
     PauliSum,
     PauliWord,
     ReferenceState,
+    basis_image,
     commutes,
     half_commutator,
     multiply,
 )
-from .screen import diagonal_expectation_flipped, ising_decompose
+from .screen import IsingDecomposition, ising_decompose
 
 __all__ = [
     "IlcapSolution",
@@ -43,31 +50,26 @@ __all__ = [
 _IMAG_TOL = 1e-12
 
 
-def _group_by_x(h: PauliSum) -> dict[int, list[tuple[PauliWord, float]]]:
-    groups: dict[int, list[tuple[PauliWord, float]]] = {}
-    for w, c in h.items():
-        groups.setdefault(w.x, []).append((w, c))
-    return groups
-
-
 def _bracket(
-    groups: dict[int, list[tuple[PauliWord, float]]],
+    dec: IsingDecomposition,
     ref: ReferenceState,
     left: PauliWord | None,
     right: PauliWord | None,
 ) -> complex:
-    """<0| left * h * right |0> with exact phase bookkeeping."""
-    need = (left.x if left is not None else 0) ^ (right.x if right is not None else 0)
-    total = 0.0 + 0.0j
-    for w, c in groups.get(need, ()):
-        word, k = (w, 0) if left is None else multiply(left, w)
-        if right is not None:
-            word, k2 = multiply(word, right)
-            k += k2
-        e = ref.word_expectation(word)
-        if e:
-            total += c * e * I_POWERS[k % 4]
-    return total
+    """<0| left * h * right |0> from the one sector that connects them.
+
+    With left|0> = i**kl |l> and right|0> = i**kr |r>, the bracket is
+    i**(kr - kl) <l|h|r>, and <l|h|r> is the l ^ r sector at l.
+    """
+    occ = ref.occupied_mask
+    l, kl = (occ, 0) if left is None else basis_image(left, occ)
+    r, kr = (occ, 0) if right is None else basis_image(right, occ)
+    sector = dec.diagonal if l == r else dec.sectors.get(l ^ r)
+    if sector is None:
+        return 0j
+    # adding to 0j turns a -0.0 from the phase product into 0.0, as a
+    # term-by-term sum from 0j would have it
+    return 0j + I_POWERS[(kr - kl) & 3] * sector.value(l)
 
 
 def _validate_generators(generators: Sequence[PauliWord], n: int) -> None:
@@ -96,7 +98,7 @@ def build_h_matrix(
     if h.n != ref.n:
         raise ValueError("qubit counts differ")
     _validate_generators(generators, h.n)
-    groups = _group_by_x(h)
+    dec = ising_decompose(h)
     m = len(generators)
     mat = np.zeros((m + 1, m + 1))
     worst_imag = 0.0
@@ -106,13 +108,13 @@ def build_h_matrix(
         worst_imag = max(worst_imag, abs(val.imag))
         mat[i, j] = val.real
 
-    put(0, 0, _bracket(groups, ref, None, None))
+    put(0, 0, _bracket(dec, ref, None, None))
     for k, gen in enumerate(generators, start=1):
-        put(k, 0, 1j * _bracket(groups, ref, gen, None))
-        put(0, k, -1j * _bracket(groups, ref, None, gen))
+        put(k, 0, 1j * _bracket(dec, ref, gen, None))
+        put(0, k, -1j * _bracket(dec, ref, None, gen))
     for i, gi in enumerate(generators, start=1):
         for j, gj in enumerate(generators, start=1):
-            put(i, j, _bracket(groups, ref, gi, gj))
+            put(i, j, _bracket(dec, ref, gi, gj))
 
     scale = max(1.0, float(np.max(np.abs(mat))))
     if worst_imag > _IMAG_TOL * scale:
@@ -252,21 +254,21 @@ def bw_correct(
 
     mat = build_h_matrix(h, generators, ref)
     dec = ising_decompose(h)
-    groups = _group_by_x(h)
+    occ = ref.occupied_mask
     n_ex = len(ordered)
     b = np.zeros((len(generators) + 1, n_ex))
     d = np.zeros(n_ex)
     worst_imag = 0.0
     for col, m in enumerate(ordered):
         xm = PauliWord(h.n, m, 0)
-        val = _bracket(groups, ref, None, xm)
+        val = _bracket(dec, ref, None, xm)
         worst_imag = max(worst_imag, abs(val.imag))
         b[0, col] = val.real
         for k, gen in enumerate(generators, start=1):
-            val = 1j * _bracket(groups, ref, gen, xm)
+            val = 1j * _bracket(dec, ref, gen, xm)
             worst_imag = max(worst_imag, abs(val.imag))
             b[k, col] = val.real
-        d[col] = diagonal_expectation_flipped(dec.diagonal, ref, m)
+        d[col] = dec.diagonal.value(occ ^ m).real
     scale = max(1.0, float(np.max(np.abs(mat))), float(np.max(np.abs(b), initial=0.0)))
     if worst_imag > _IMAG_TOL * scale:
         raise ValueError(
@@ -339,13 +341,14 @@ def en_correct(
     if h.n != ref.n:
         raise ValueError("qubit counts differ")
     dec = ising_decompose(h)
-    e0 = ref.expectation(dec.diagonal)
+    occ = ref.occupied_mask
+    e0 = dec.diagonal.reference_value(ref).real
     contributions: dict[int, float] = {}
     skipped: list[int] = []
     total = e0
     for m, sector in dec.sectors.items():
         weight = sector.weight(ref)
-        gap = e0 - diagonal_expectation_flipped(dec.diagonal, ref, m)
+        gap = e0 - dec.diagonal.value(occ ^ m).real
         if abs(gap) < singular_tol:
             skipped.append(m)
             warnings.warn(

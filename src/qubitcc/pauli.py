@@ -3,10 +3,12 @@
 A Pauli word on n qubits is stored phase-free as a pair of integer bit
 masks ``(x, z)``: bit j of ``x`` set means an X factor on qubit j, bit j
 of ``z`` a Z factor, and both bits together a Y factor.  Every stored
-word is Hermitian by construction.  Phases only ever arise from
-multiplication: ``multiply(a, b)`` returns ``(word, k)`` with ``k`` an
-int in 0..3 such that a*b = i**k * word, and ``I_POWERS[k]`` is i**k.
-This module is the only place that knows that convention.
+word is Hermitian by construction.  Phases arise in two places only.
+``multiply(a, b)`` returns ``(word, k)`` with ``k`` an int in 0..3 such
+that a*b = i**k * word, and ``I_POWERS[k]`` is i**k; acting on a
+computational basis state, ``basis_image(w, bits)`` returns
+``(image, k)`` with w|bits> = i**k |image>.  This module is the only
+place that knows these conventions.
 
 Sums of words carry real coefficients and keep their terms in a
 canonical order (lexicographic on the ``(x, z)`` pair), so any two
@@ -25,6 +27,7 @@ __all__ = [
     "PauliSum",
     "ReferenceState",
     "multiply",
+    "basis_image",
     "commutes",
     "conjugate_by_word",
     "half_commutator",
@@ -80,10 +83,6 @@ class PauliWord:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.x == 0
-
     def weight(self) -> int:
         """Number of non-identity single-qubit factors."""
         return (self.x | self.z).bit_count()
@@ -138,6 +137,16 @@ def multiply(a: PauliWord, b: PauliWord) -> tuple[PauliWord, int]:
     return PauliWord(a.n, x, z), k & 3
 
 
+def basis_image(word: PauliWord, bits: int) -> tuple[int, int]:
+    """word|bits> as (image, k) with word|bits> = i**k |image>.
+
+    image is bits ^ word.x; each Y contributes -i (y = -i z x) and each
+    Z that meets a set bit of the image contributes -1.
+    """
+    image = bits ^ word.x
+    return image, (3 * word.y_count() + 2 * (word.z & image).bit_count()) & 3
+
+
 def _word_key(w: PauliWord) -> tuple[int, int]:
     return (w.x, w.z)
 
@@ -158,10 +167,6 @@ class PauliSum:
             acc[word] = acc.get(word, 0.0) + c
         self.n = n
         self._coeffs = {w: acc[w] for w in sorted(acc, key=_word_key) if acc[w] != 0.0}
-
-    @classmethod
-    def zero(cls, n: int) -> "PauliSum":
-        return cls(n)
 
     def items(self) -> Iterator[tuple[PauliWord, float]]:
         return iter(self._coeffs.items())
@@ -215,9 +220,6 @@ class PauliSum:
             raise ValueError("threshold must be non-negative")
         kept = ((w, c) for w, c in self.items() if abs(c) >= threshold)
         return PauliSum(self.n, kept)
-
-    def diagonal_part(self) -> "PauliSum":
-        return PauliSum(self.n, ((w, c) for w, c in self.items() if w.x == 0))
 
     # -- text round trip ------------------------------------------------
 
@@ -288,14 +290,6 @@ class ReferenceState:
     @property
     def occupied_mask(self) -> int:
         return (1 << self.n_elec) - 1
-
-    def word_expectation(self, word: PauliWord) -> float:
-        """<0|word|0>; zero unless the word is diagonal, else +-1."""
-        if word.n != self.n:
-            raise ValueError("qubit counts differ")
-        if word.x:
-            return 0.0
-        return -1.0 if (word.z & self.occupied_mask).bit_count() & 1 else 1.0
 
     def expectation(self, h: PauliSum) -> float:
         """<0|h|0>, only diagonal terms contribute."""

@@ -28,7 +28,6 @@ from .screen import gradients, ising_decompose
 from .acset import canonical_generator
 
 __all__ = [
-    "qcc_energy",
     "qcc_energy_and_gradient",
     "AmplitudeOptimization",
     "optimize_amplitudes",
@@ -37,24 +36,6 @@ __all__ = [
     "IqccState",
     "run_iqcc",
 ]
-
-
-def _conjugated(h: PauliSum, generators, amplitudes) -> PauliSum:
-    for gen, t in zip(generators, amplitudes):
-        h = conjugate_by_word(h, gen, t)
-    return h
-
-
-def qcc_energy(
-    h: PauliSum,
-    generators: tuple[PauliWord, ...] | list[PauliWord],
-    amplitudes,
-    ref: ReferenceState,
-) -> float:
-    """<0| U^dag h U |0> with U the ordered product of exponentials."""
-    if len(generators) != len(amplitudes):
-        raise ValueError("one amplitude per generator required")
-    return ref.expectation(_conjugated(h, generators, amplitudes))
 
 
 def qcc_energy_and_gradient(

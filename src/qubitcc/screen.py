@@ -1,102 +1,92 @@
 """Ising-sector decomposition and gradient screening.
 
-A Hamiltonian splits by X mask: H = I_0(z) + sum_k I_k(z) X_k, with the
+A Hamiltonian splits by X mask: H = I_0(z) + sum_m I_m(z) X_m, with the
 Y factors of each term factored as y_j = -i z_j x_j.  The z-side
 coefficient picks up (-i)^(y count); that phase is +-1 for even Y count
-and +-i for odd, so each sector stores an even part and an odd part
-with real numbers, the odd part understood to carry one extra factor
-of i.  The reference expectation magnitude of a sector is the gradient
-of the sector's canonical generator, which is what the screening ranks.
+and +-i for odd, so each sector stores an even part and an odd part as
+ascending (z_mask, coefficient) tuples with real coefficients, the odd
+part understood to carry one extra factor of i.
+
+Every matrix element the estimators need is one sector at one basis
+state: ``sector.value(bits)`` is <bits| I_m(z) X_m |bits ^ m>.  At the
+reference it is the gradient of the sector's canonical generator,
+which is what the screening ranks; the diagonal (m = 0) sector at a
+flipped reference gives the Epstein-Nesbet and Brillouin-Wigner
+denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pauli import PauliSum, PauliWord, ReferenceState
+from .pauli import PauliSum, ReferenceState
 
 __all__ = [
     "IsingSector",
     "IsingDecomposition",
     "RankedXWords",
     "ising_decompose",
-    "recompose",
     "gradients",
-    "diagonal_expectation_flipped",
 ]
+
+
+def _signed_sum(terms: tuple[tuple[int, float], ...], bits: int) -> float:
+    total = 0.0
+    for z, c in terms:
+        total += -c if (z & bits).bit_count() & 1 else c
+    return total
 
 
 @dataclass(frozen=True, slots=True)
 class IsingSector:
     """One X sector: I(z) stored as even-Y and odd-Y folded parts.
 
-    even and odd hold pure-Z words; a term (a, f) in even contributes
-    f * Z_a * X to the Hamiltonian, a term (a, g) in odd contributes
-    i * g * Z_a * X.  Both f and g are real.
+    A term (a, f) in even contributes f * Z_a * X to the Hamiltonian, a
+    term (a, g) in odd contributes i * g * Z_a * X, with Z_a the Z
+    word on the bits of a and X the X word on the bits of x_mask.  Both
+    f and g are real; both parts ascend in a.
     """
 
     x_mask: int
-    even: PauliSum
-    odd: PauliSum
+    even: tuple[tuple[int, float], ...]
+    odd: tuple[tuple[int, float], ...]
+
+    def value(self, bits: int) -> complex:
+        """<bits| I(z) X |bits ^ x_mask>, in general complex."""
+        return complex(_signed_sum(self.even, bits), _signed_sum(self.odd, bits))
 
     def reference_value(self, ref: ReferenceState) -> complex:
-        """<0| I(z) |0> for this sector, in general complex."""
-        return complex(ref.expectation(self.even), ref.expectation(self.odd))
+        """<0| I(z) X |0 ^ x_mask>, the sector at the reference."""
+        return self.value(ref.occupied_mask)
 
     def weight(self, ref: ReferenceState) -> float:
-        """Gradient magnitude |<0| I(z) |0>|."""
+        """Gradient magnitude |<0| I(z) X |0 ^ x_mask>|."""
         return abs(self.reference_value(ref))
 
 
 @dataclass(frozen=True, slots=True)
 class IsingDecomposition:
-    """Sector split of a Hamiltonian, diagonal part kept separate."""
+    """Sector split of a Hamiltonian, the diagonal (x_mask 0) kept separate."""
 
     n: int
-    diagonal: PauliSum
+    diagonal: IsingSector
     sectors: dict[int, IsingSector]  # keyed by nonzero x_mask, ascending
 
 
 def ising_decompose(h: PauliSum) -> IsingDecomposition:
     """Group terms by X mask and fold the Y phases onto the z side."""
-    diagonal: list[tuple[PauliWord, float]] = []
-    even: dict[int, list[tuple[PauliWord, float]]] = {}
-    odd: dict[int, list[tuple[PauliWord, float]]] = {}
+    # canonical term order ascends in (x, z), so each part ascends in z;
+    # (-i)^k is 1, -i, -1, i for k = 0..3 Y factors
+    parts: dict[int, tuple[list, list]] = {0: ([], [])}
     for w, c in h.items():
-        if w.x == 0:
-            diagonal.append((w, c))
-            continue
-        zw = PauliWord(h.n, 0, w.z)
-        k = w.y_count() % 4
-        if k == 0:
-            even.setdefault(w.x, []).append((zw, c))
-        elif k == 2:
-            even.setdefault(w.x, []).append((zw, -c))
-        elif k == 1:
-            odd.setdefault(w.x, []).append((zw, -c))
-        else:
-            odd.setdefault(w.x, []).append((zw, c))
-    sectors: dict[int, IsingSector] = {}
-    for x in sorted(set(even) | set(odd)):
-        sectors[x] = IsingSector(
-            x,
-            PauliSum(h.n, even.get(x, [])),
-            PauliSum(h.n, odd.get(x, [])),
-        )
-    return IsingDecomposition(h.n, PauliSum(h.n, diagonal), sectors)
-
-
-def recompose(dec: IsingDecomposition) -> PauliSum:
-    """Invert ising_decompose exactly (pure sign bookkeeping)."""
-    terms: list[tuple[PauliWord, float]] = list(dec.diagonal.items())
-    for x, sector in dec.sectors.items():
-        for zw, f in sector.even.items():
-            y = (x & zw.z).bit_count()
-            terms.append((PauliWord(dec.n, x, zw.z), f if y % 4 == 0 else -f))
-        for zw, g in sector.odd.items():
-            y = (x & zw.z).bit_count()
-            terms.append((PauliWord(dec.n, x, zw.z), g if y % 4 == 3 else -g))
-    return PauliSum(dec.n, terms)
+        part = parts.get(w.x)
+        if part is None:
+            part = parts[w.x] = ([], [])
+        k = w.y_count() & 3
+        part[k & 1].append((w.z, -c if k == 1 or k == 2 else c))
+    sectors = {x: IsingSector(x, tuple(e), tuple(o)) for x, (e, o) in parts.items()}
+    diagonal = sectors.pop(0)
+    return IsingDecomposition(h.n, diagonal, sectors)
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,18 +128,3 @@ def gradients(
         tuple(x for x, _ in pairs),
         tuple(w for _, w in pairs),
     )
-
-
-def diagonal_expectation_flipped(
-    diagonal: PauliSum, ref: ReferenceState, flip_mask: int
-) -> float:
-    """<0| X_m H_diag X_m |0>: the diagonal part on a flipped reference."""
-    if diagonal.n != ref.n:
-        raise ValueError("qubit counts differ")
-    pattern = ref.occupied_mask ^ flip_mask
-    total = 0.0
-    for w, c in diagonal.items():
-        if w.x:
-            raise ValueError("diagonal sum contains a non-diagonal term")
-        total += -c if (w.z & pattern).bit_count() & 1 else c
-    return total

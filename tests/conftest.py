@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qubitcc.pauli import PauliSum, PauliWord
+from qubitcc.pauli import PauliSum, PauliWord, ReferenceState
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -38,6 +38,13 @@ def random_even_sum(rng: random.Random, n: int, n_terms: int) -> PauliSum:
         w = random_even_word(rng, n)
         terms[w] = terms.get(w, 0.0) + rng.uniform(-1.0, 1.0)
     return PauliSum(n, list(terms.items()))
+
+
+def word_expectation(ref: ReferenceState, word: PauliWord) -> float:
+    """<0|word|0>; zero unless the word is diagonal, else +-1."""
+    if word.x:
+        return 0.0
+    return -1.0 if (word.z & ref.occupied_mask).bit_count() & 1 else 1.0
 
 
 @pytest.fixture

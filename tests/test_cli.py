@@ -283,6 +283,17 @@ class TestConfig:
         assert res.exit_code == 2
         assert f"Invalid value for '{flag}'" in res.output
 
+    @pytest.mark.parametrize("text", [
+        "n_elec = 2\n",
+        "[run]\nn_elec = 2%\n",
+    ], ids=["no-section", "interpolation"])
+    def test_malformed_config_is_usage_error(self, runner, tmp_path, h2_text, text):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text, encoding="utf-8")
+        res = runner.invoke(main, ["--config", str(cfg), "screen", h2_text])
+        assert res.exit_code == 2
+        assert "Invalid value for '--config'" in res.output
+
 
 class TestRunScheme:
     def test_unknown_scheme(self, h2_text):

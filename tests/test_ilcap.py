@@ -14,7 +14,7 @@ from qubitcc.ilcap import (
     solve_ilcap,
 )
 from qubitcc.pauli import PauliSum, PauliWord, ReferenceState
-from qubitcc.qcc import qcc_energy
+from qubitcc.qcc import qcc_energy_and_gradient
 
 from conftest import random_even_sum
 
@@ -181,7 +181,7 @@ class TestDressWithCombination:
             t = rng.uniform(-2.0, 2.0)
             hd = dress_with_combination(h, gens, t, [1.0])
             assert ref.expectation(hd) == pytest.approx(
-                qcc_energy(h, gens, [t], ref), abs=1e-10
+                qcc_energy_and_gradient(h, gens, [t], ref)[0], abs=1e-10
             )
 
     def test_spectrum_preserved(self, rng):
@@ -242,7 +242,7 @@ class TestBw:
     def test_scalar_case_solves_secular_equation(self, rng):
         # no generators, one excluded sector: E = h00 + w^2/(E - d) has
         # the downfolded 2x2 lower root as its solution
-        from qubitcc.screen import diagonal_expectation_flipped, gradients, ising_decompose
+        from qubitcc.screen import gradients, ising_decompose
 
         found = 0
         for _ in range(200):
@@ -259,7 +259,7 @@ class TestBw:
             e00 = ref.expectation(h)
             sector = dec.sectors[m]
             w = sector.reference_value(ref).real  # even part couples
-            dm = diagonal_expectation_flipped(dec.diagonal, ref, m)
+            dm = dec.diagonal.value(ref.occupied_mask ^ m).real
             if dm <= e00 + 1e-3:
                 # the fixed point tracks the root adjacent to the
                 # reference; only a positive gap selects the lower one
@@ -277,7 +277,7 @@ class TestBw:
         assert found >= 50
 
     def test_corrections_lower_energy_for_positive_gaps(self, rng):
-        from qubitcc.screen import diagonal_expectation_flipped, gradients, ising_decompose
+        from qubitcc.screen import gradients, ising_decompose
 
         found = 0
         for _ in range(400):
@@ -292,7 +292,7 @@ class TestBw:
                 continue
             e0 = ref.expectation(h)
             if any(
-                diagonal_expectation_flipped(dec.diagonal, ref, m) <= e0 + 1e-6
+                dec.diagonal.value(ref.occupied_mask ^ m).real <= e0 + 1e-6
                 for m in dec.sectors
             ):
                 continue
@@ -340,18 +340,18 @@ class TestEn:
         assert res.energy == pytest.approx(1.045, abs=1e-12)
 
     def test_matches_manual_sum(self, rng):
-        from qubitcc.screen import diagonal_expectation_flipped, ising_decompose
+        from qubitcc.screen import ising_decompose
 
         for _ in range(30):
             n = rng.randint(2, 5)
             h = random_even_sum(rng, n, 10)
             ref = ReferenceState(n, rng.randint(0, n))
             dec = ising_decompose(h)
-            e0 = ref.expectation(dec.diagonal)
+            e0 = dec.diagonal.reference_value(ref).real
             want = e0
             skip = False
             for m, sector in dec.sectors.items():
-                gap = e0 - diagonal_expectation_flipped(dec.diagonal, ref, m)
+                gap = e0 - dec.diagonal.value(ref.occupied_mask ^ m).real
                 if abs(gap) < 1e-8:
                     skip = True
                     break

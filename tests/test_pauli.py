@@ -11,13 +11,14 @@ from qubitcc.pauli import (
     PauliSum,
     PauliWord,
     ReferenceState,
+    basis_image,
     commutes,
     conjugate_by_word,
     half_commutator,
     multiply,
 )
 
-from conftest import random_sum, random_word
+from conftest import random_sum, random_word, word_expectation
 
 
 def dense(w: PauliWord) -> np.ndarray:
@@ -41,7 +42,7 @@ class TestPauliWord:
 
     def test_identity(self):
         w = PauliWord.identity(3)
-        assert w.is_identity and w.is_diagonal
+        assert w.is_identity and w.x == 0
         assert w.to_text() == "I"
 
     def test_bits_outside_register_rejected(self):
@@ -49,10 +50,6 @@ class TestPauliWord:
             PauliWord(2, x=0b100, z=0)
         with pytest.raises(ValueError):
             PauliWord(0, 0, 0)
-
-    def test_diagonal(self):
-        assert PauliWord(3, 0, 0b101).is_diagonal
-        assert not PauliWord(3, 0b1, 0b101).is_diagonal
 
 
 class TestMultiply:
@@ -99,6 +96,24 @@ class TestMultiply:
             multiply(PauliWord(2, 1, 0), PauliWord(3, 1, 0))
 
 
+class TestBasisImage:
+    def test_matches_oracle(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            w = random_word(rng, n)
+            bits = rng.getrandbits(n)
+            image, k = basis_image(w, bits)
+            want = oracle.apply_to_basis_state(w, bits)
+            expected = np.zeros(1 << n, dtype=complex)
+            expected[image] = I_POWERS[k]
+            assert np.array_equal(want, expected)
+
+    def test_single_qubit_y(self):
+        y = PauliWord(1, 1, 1)
+        assert basis_image(y, 0) == (1, 1)  # Y|0> = i|1>
+        assert basis_image(y, 1) == (0, 3)  # Y|1> = -i|0>
+
+
 class TestCommutes:
     def test_matches_dense_commutator(self, rng):
         for _ in range(200):
@@ -139,12 +154,6 @@ class TestPauliSum:
         t = s.truncate(0.1)
         assert len(t) == 1 and t.coefficient(PauliWord(1, 1, 0)) == 0.1
 
-    def test_diagonal_part(self):
-        s = PauliSum.from_text("1.5 I\n0.5 Z0 Z1\n0.25 X0\n", 2)
-        d = s.diagonal_part()
-        assert len(d) == 2
-        assert all(w.is_diagonal for w in d.words())
-
     def test_text_round_trip(self, rng):
         s = random_sum(rng, 5, 12)
         again = PauliSum.from_text(s.to_text(), 5)
@@ -173,7 +182,7 @@ class TestPauliSum:
     def test_max_abs_coefficient(self):
         s = PauliSum.from_text("0.5 X0\n-2.0 Z1\n", 2)
         assert s.max_abs_coefficient() == 2.0
-        assert PauliSum.zero(2).max_abs_coefficient() == 0.0
+        assert PauliSum(2).max_abs_coefficient() == 0.0
 
 
 class TestReferenceState:
@@ -185,10 +194,10 @@ class TestReferenceState:
 
     def test_word_expectation_rules(self):
         ref = ReferenceState(3, 2)
-        assert ref.word_expectation(PauliWord(3, 1, 0)) == 0.0
-        assert ref.word_expectation(PauliWord(3, 0, 0b001)) == -1.0
-        assert ref.word_expectation(PauliWord(3, 0, 0b100)) == 1.0
-        assert ref.word_expectation(PauliWord(3, 0, 0b011)) == 1.0
+        assert word_expectation(ref, PauliWord(3, 1, 0)) == 0.0
+        assert word_expectation(ref, PauliWord(3, 0, 0b001)) == -1.0
+        assert word_expectation(ref, PauliWord(3, 0, 0b100)) == 1.0
+        assert word_expectation(ref, PauliWord(3, 0, 0b011)) == 1.0
 
     def test_expectation_matches_oracle(self, rng):
         for _ in range(50):

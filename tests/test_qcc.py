@@ -9,12 +9,16 @@ from qubitcc.pauli import PauliSum, PauliWord, ReferenceState, commutes, half_co
 from qubitcc.qcc import (
     dress,
     optimize_amplitudes,
-    qcc_energy,
     qcc_energy_and_gradient,
     run_iqcc,
 )
 
-from conftest import random_sum, random_word
+from conftest import random_sum, random_word, word_expectation
+
+
+def qcc_energy(h, generators, amplitudes, ref):
+    """<0| U^dag h U |0> from the untruncated dressed Hamiltonian."""
+    return ref.expectation(dress(h, generators, amplitudes))
 
 
 def energy_curve_coefficients(h, generator, ref):
@@ -23,7 +27,7 @@ def energy_curve_coefficients(h, generator, ref):
     b = ref.expectation(half_commutator(generator, h))
     # <0| G h G |0>: G keeps each commuting term and flips the sign of the rest
     ghg = sum(
-        (c if commutes(w, generator) else -c) * ref.word_expectation(w) for w, c in h.items()
+        (c if commutes(w, generator) else -c) * word_expectation(ref, w) for w, c in h.items()
     )
     return a, b, 0.5 * (ghg - a)
 
@@ -48,19 +52,21 @@ class TestEnergy:
             ref = ReferenceState(n, rng.randint(0, n))
             vec = unitary(gens, ts) @ oracle.reference_vector(ref)
             want = oracle.expectation(h, vec)
-            assert qcc_energy(h, gens, ts, ref) == pytest.approx(want, abs=1e-10)
+            energy, _ = qcc_energy_and_gradient(h, gens, ts, ref)
+            assert energy == pytest.approx(want, abs=1e-10)
 
     def test_zero_amplitudes_reproduce_reference(self, rng):
         n = 4
         h = random_sum(rng, n, 10)
         ref = ReferenceState(n, 2)
         gens = [random_word(rng, n) for _ in range(2)]
-        assert qcc_energy(h, gens, [0.0, 0.0], ref) == pytest.approx(ref.expectation(h))
+        energy, _ = qcc_energy_and_gradient(h, gens, [0.0, 0.0], ref)
+        assert energy == pytest.approx(ref.expectation(h))
 
     def test_length_mismatch(self, rng):
         h = random_sum(rng, 3, 5)
         with pytest.raises(ValueError):
-            qcc_energy(h, [random_word(rng, 3)], [0.1, 0.2], ReferenceState(3, 1))
+            qcc_energy_and_gradient(h, [random_word(rng, 3)], [0.1, 0.2], ReferenceState(3, 1))
 
 
 class TestGradient:
@@ -157,7 +163,7 @@ class TestDress:
             ref = ReferenceState(n, rng.randint(0, n))
             hd = dress(h, gens, ts)
             assert ref.expectation(hd) == pytest.approx(
-                qcc_energy(h, gens, ts, ref), abs=1e-10
+                qcc_energy_and_gradient(h, gens, ts, ref)[0], abs=1e-10
             )
 
     def test_spectrum_is_preserved(self, rng):

@@ -4,9 +4,22 @@ import pytest
 from qubitcc import oracle
 from qubitcc.acset import canonical_generator
 from qubitcc.pauli import I_POWERS, PauliSum, PauliWord, ReferenceState, multiply
-from qubitcc.screen import diagonal_expectation_flipped, gradients, ising_decompose, recompose
+from qubitcc.screen import gradients, ising_decompose
 
-from conftest import random_even_sum, random_sum
+from conftest import random_even_sum, random_sum, word_expectation
+
+
+def recompose(dec):
+    """Invert ising_decompose exactly (pure sign bookkeeping)."""
+    terms = []
+    for x, sector in [(0, dec.diagonal), *dec.sectors.items()]:
+        for z, f in sector.even:
+            y = (x & z).bit_count()
+            terms.append((PauliWord(dec.n, x, z), f if y % 4 == 0 else -f))
+        for z, g in sector.odd:
+            y = (x & z).bit_count()
+            terms.append((PauliWord(dec.n, x, z), g if y % 4 == 3 else -g))
+    return PauliSum(dec.n, terms)
 
 
 def gradient_single(h, generator, ref):
@@ -15,7 +28,7 @@ def gradient_single(h, generator, ref):
     for w, c in h.items():
         if w.x == generator.x:
             v, k = multiply(w, generator)
-            total += c * ref.word_expectation(v) * I_POWERS[k].imag
+            total += c * word_expectation(ref, v) * I_POWERS[k].imag
     return abs(total)
 
 
@@ -23,7 +36,9 @@ class TestDecompose:
     def test_splits_diagonal_from_sectors(self):
         h = PauliSum.from_text("1.0 Z0\n0.5 Z0 Z1\n0.3 X0 X1\n0.2 Y0 Y1\n", 2)
         dec = ising_decompose(h)
-        assert len(dec.diagonal) == 2
+        assert dec.diagonal.x_mask == 0
+        assert dec.diagonal.even == ((0b01, 1.0), (0b11, 0.5))
+        assert dec.diagonal.odd == ()
         assert list(dec.sectors) == [0b11]
 
     def test_y_phase_folding(self):
@@ -31,15 +46,15 @@ class TestDecompose:
         h = PauliSum.from_text("0.7 Y0\n", 1)
         dec = ising_decompose(h)
         sector = dec.sectors[1]
-        assert len(sector.even) == 0
-        assert sector.odd.coefficient(PauliWord(1, 0, 1)) == pytest.approx(-0.7)
+        assert sector.even == ()
+        assert sector.odd == ((1, -0.7),)
 
     def test_two_y_fold_to_even_with_sign(self):
         h = PauliSum.from_text("0.4 Y0 Y1\n", 2)
         dec = ising_decompose(h)
         sector = dec.sectors[0b11]
-        assert sector.even.coefficient(PauliWord(2, 0, 0b11)) == pytest.approx(-0.4)
-        assert len(sector.odd) == 0
+        assert sector.even == ((0b11, -0.4),)
+        assert sector.odd == ()
 
     def test_round_trip_random(self, rng):
         for _ in range(100):
@@ -134,30 +149,31 @@ class TestRanking:
             gradients(ising_decompose(h), ReferenceState(2, 0))
 
 
-class TestFlippedDiagonal:
+class TestSectorValue:
     def test_matches_oracle(self, rng):
+        # value(bits) is <bits| h |bits ^ x> for the diagonal and every sector
+        odd_seen = 0
         for _ in range(60):
-            n = rng.randint(2, 5)
-            h = random_sum(rng, n, 10)
-            ref = ReferenceState(n, rng.randint(0, n))
-            diag = h.diagonal_part()
-            flip_mask = rng.getrandbits(n)
-            vec = oracle.apply_to_basis_state(
-                PauliWord(n, flip_mask, 0),
-                ref.occupied_mask,
-            )
-            dm = oracle.to_dense(diag)
-            want = (vec.conj() @ dm @ vec).real
-            got = diagonal_expectation_flipped(diag, ref, flip_mask)
-            assert got == pytest.approx(want, abs=1e-12)
-
-    def test_rejects_off_diagonal(self):
-        h = PauliSum.from_text("1.0 X0\n", 2)
-        with pytest.raises(ValueError):
-            diagonal_expectation_flipped(h, ReferenceState(2, 1), 0b01)
+            n = rng.randint(1, 6)
+            h = random_sum(rng, n, 12)
+            dec = ising_decompose(h)
+            hm = oracle.to_dense(h)
+            for sector in [dec.diagonal, *dec.sectors.values()]:
+                odd_seen += len(sector.odd)
+                for _ in range(3):
+                    bits = rng.getrandbits(n)
+                    ket = oracle.apply_to_basis_state(PauliWord(n, sector.x_mask, 0), bits)
+                    want = hm[bits] @ ket
+                    got = sector.value(bits)
+                    assert got.real == pytest.approx(want.real, abs=1e-12)
+                    assert got.imag == pytest.approx(want.imag, abs=1e-12)
+        assert odd_seen
 
     def test_identity_flip(self):
         h = PauliSum.from_text("2.0 Z0\n", 2)
         ref = ReferenceState(2, 1)
-        assert diagonal_expectation_flipped(h, ref, 0) == pytest.approx(ref.expectation(h))
-        assert diagonal_expectation_flipped(h, ref, 0b01) == pytest.approx(-ref.expectation(h))
+        diagonal = ising_decompose(h).diagonal
+        occ = ref.occupied_mask
+        assert diagonal.value(occ) == pytest.approx(ref.expectation(h))
+        assert diagonal.value(occ ^ 0b01) == pytest.approx(-ref.expectation(h))
+        assert diagonal.reference_value(ref) == diagonal.value(occ)
