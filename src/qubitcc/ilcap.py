@@ -13,6 +13,11 @@ determinants that generators or X words flip it to, which is one Ising
 sector of ``screen.ising_decompose`` at one basis state
 (``IsingSector.value``); ``pauli.basis_image`` supplies the phase a
 word picks up on the reference.
+
+``dress_with_combination`` forms its M^2 |H| products on uint64 mask
+arrays with the ``pauli`` array helpers, so it is capped at 64 qubits;
+its output is the same ``PauliSum``, bit for bit, as the term-by-term
+expansion.
 """
 
 from __future__ import annotations
@@ -29,10 +34,12 @@ from .pauli import (
     PauliSum,
     PauliWord,
     ReferenceState,
+    _group_masks,
+    _mask_arrays,
+    _mask_product,
+    _sum_from_masks,
     basis_image,
     commutes,
-    half_commutator,
-    multiply,
 )
 from .screen import IsingDecomposition, ising_decompose
 
@@ -95,10 +102,16 @@ def build_h_matrix(
     against an even-Y Hamiltonian); anything above 1e-12 raises,
     since it signals a generator parity defect.
     """
-    if h.n != ref.n:
+    return _h_matrix(ising_decompose(h), generators, ref)
+
+
+def _h_matrix(
+    dec: IsingDecomposition, generators: Sequence[PauliWord], ref: ReferenceState
+) -> np.ndarray:
+    """``build_h_matrix`` on a Hamiltonian already split into sectors."""
+    if dec.n != ref.n:
         raise ValueError("qubit counts differ")
-    _validate_generators(generators, h.n)
-    dec = ising_decompose(h)
+    _validate_generators(generators, dec.n)
     m = len(generators)
     mat = np.zeros((m + 1, m + 1))
     worst_imag = 0.0
@@ -174,10 +187,13 @@ def dress_with_combination(
     """Conjugate h by exp(-i t T / 2) with T the alpha-combination.
 
     Because T is involutory the transformation closes exactly:
-    h - (i/2) sin(t) [h, T] + (1 - cos t)/2 (T h T - h).
+    h - (i/2) sin(t) [h, T] + (1 - cos t)/2 (T h T - h).  The terms
+    are formed on uint64 mask arrays, so h may have at most 64 qubits.
     """
     if len(generators) != len(alphas):
         raise ValueError("one weight per generator required")
+    if h.n > 64:
+        raise ValueError(f"combination dressing handles at most 64 qubits, got {h.n}")
     alphas = np.asarray(alphas, dtype=float)
     if t == 0.0 or len(generators) == 0 or not np.any(alphas):
         return h.truncate(truncation_threshold) if truncation_threshold > 0 else h
@@ -188,31 +204,39 @@ def dress_with_combination(
 
     st = math.sin(t)
     fc = (1.0 - math.cos(t)) / 2.0
-    terms: list[tuple[PauliWord, float]] = [(w, c * (1.0 - fc)) for w, c in h.items()]
-    for a_k, gen in zip(alphas, generators):
-        if a_k == 0.0:
-            continue
-        for w, c in half_commutator(gen, h).items():
-            terms.append((w, st * a_k * c))
-
-    tht: dict[PauliWord, complex] = {}
-    for a_k, gk in zip(alphas, generators):
-        if a_k == 0.0:
-            continue
-        for a_j, gj in zip(alphas, generators):
-            if a_j == 0.0:
-                continue
-            for w, c in h.items():
-                v1, k1 = multiply(gk, w)
-                v2, k2 = multiply(v1, gj)
-                tht[v2] = tht.get(v2, 0j) + a_k * a_j * c * I_POWERS[(k1 + k2) % 4]
+    hx, hz, hc = _mask_arrays(h)
+    active = [(a, np.uint64(g.x), np.uint64(g.z)) for a, g in zip(alphas, generators) if a != 0.0]
+    # duplicates add up in this order: h (1 - fc), the half-commutator
+    # parts generator by generator, then the real part of T h T
+    xs, zs, cs = [hx], [hz], [hc * (1.0 - fc)]
+    # T h T in (k, j, term) order, each product gk * w * gj = i**k (x, z)
+    tx, tz, tk, tw = [], [], [], []
+    for a_k, gkx, gkz in active:
+        x1, z1, k1 = _mask_product(gkx, gkz, hx, hz)
+        odd = (k1 & 1).astype(bool)  # the terms anti-commuting with gk
+        c = hc[odd]
+        # i * i**k for odd k is -1 (k=1) or +1 (k=3)
+        xs.append(x1[odd])
+        zs.append(z1[odd])
+        cs.append(st * a_k * np.where(k1[odd] == 1, -c, c))
+        for a_j, gjx, gjz in active:
+            x2, z2, k2 = _mask_product(x1, z1, gjx, gjz)
+            tx.append(x2)
+            tz.append(z2)
+            tk.append((k1 + k2) & 3)
+            tw.append(a_k * a_j * hc)
+    ux, uz, inverse = _group_masks(np.concatenate(tx), np.concatenate(tz))
+    products = np.concatenate(tw) * np.array(I_POWERS)[np.concatenate(tk)]
+    real = np.bincount(inverse, weights=products.real, minlength=len(ux))
+    imag = np.bincount(inverse, weights=products.imag, minlength=len(ux))
     scale = max(1.0, h.max_abs_coefficient())
-    for w, val in tht.items():
-        if abs(val.imag) > 1e-10 * scale:
-            raise ValueError("T h T has a non-negligible imaginary term")
-        if val.real:
-            terms.append((w, fc * val.real))
-    out = PauliSum(h.n, terms)
+    if np.any(np.abs(imag) > 1e-10 * scale):
+        raise ValueError("T h T has a non-negligible imaginary term")
+    kept = real != 0.0
+    xs.append(ux[kept])
+    zs.append(uz[kept])
+    cs.append(fc * real[kept])
+    out = _sum_from_masks(h.n, np.concatenate(xs), np.concatenate(zs), np.concatenate(cs))
     return out.truncate(truncation_threshold) if truncation_threshold > 0 else out
 
 
@@ -252,8 +276,8 @@ def bw_correct(
         if m in gen_masks:
             raise ValueError(f"excluded mask {m:#x} collides with a generator")
 
-    mat = build_h_matrix(h, generators, ref)
     dec = ising_decompose(h)
+    mat = _h_matrix(dec, generators, ref)
     occ = ref.occupied_mask
     n_ex = len(ordered)
     b = np.zeros((len(generators) + 1, n_ex))

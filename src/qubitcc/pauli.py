@@ -8,7 +8,9 @@ word is Hermitian by construction.  Phases arise in two places only.
 that a*b = i**k * word, and ``I_POWERS[k]`` is i**k; acting on a
 computational basis state, ``basis_image(w, bits)`` returns
 ``(image, k)`` with w|bits> = i**k |image>.  This module is the only
-place that knows these conventions.
+place that knows these conventions; its private array helpers apply
+the same product and order rules to uint64 mask arrays, for sums on
+at most 64 qubits.
 
 Sums of words carry real coefficients and keep their terms in a
 canonical order (lexicographic on the ``(x, z)`` pair), so any two
@@ -20,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "I_POWERS",
@@ -274,6 +278,64 @@ class PauliSum:
     def to_text(self) -> str:
         """Emit the text format, one term per line in canonical order."""
         return "\n".join(f"{c:.17g} {w.to_text()}" for w, c in self.items())
+
+
+# -- array form, for sums on at most 64 qubits ----------------------------
+
+
+def _mask_arrays(h: PauliSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h as canonical-order (x, z, c) arrays: uint64, uint64, float64."""
+    size = len(h)
+    x = np.fromiter((w.x for w in h.words()), np.uint64, size)
+    z = np.fromiter((w.z for w in h.words()), np.uint64, size)
+    c = np.fromiter(h._coeffs.values(), np.float64, size)
+    return x, z, c
+
+
+def _mask_product(ax, az, bx, bz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``multiply`` broadcast over uint64 masks: a*b = i**k * (x, z).
+
+    k is uint8 in 0..3; its popcount sum wraps modulo 256, a multiple
+    of 4, so the final ``& 3`` is exact.
+    """
+    x = ax ^ bx
+    z = az ^ bz
+    k = (
+        np.bitwise_count(ax & az)
+        + np.bitwise_count(bx & bz)
+        + 2 * np.bitwise_count(az & bx)
+        - np.bitwise_count(x & z)
+    )
+    return x, z, k & 3
+
+
+def _group_masks(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (x, z) pairs in canonical order, and each input's index among them."""
+    order = np.lexsort((z, x))
+    xs, zs = x[order], z[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return xs[first], zs[first], inverse
+
+
+def _sum_from_masks(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PauliSum:
+    """``PauliSum(n, zip(words, c))`` for terms given as mask arrays.
+
+    Duplicate words add up in input order (``np.bincount`` is a
+    sequential loop, as the constructor's dict update is), so the
+    coefficients are bit-identical to the constructor's.
+    """
+    ux, uz, inverse = _group_masks(x, z)
+    total = np.bincount(inverse, weights=c, minlength=len(ux))
+    keep = total != 0.0
+    out = PauliSum(n)
+    out._coeffs = {
+        PauliWord(n, a, b): v
+        for a, b, v in zip(ux[keep].tolist(), uz[keep].tolist(), total[keep].tolist())
+    }
+    return out
 
 
 @dataclass(frozen=True, slots=True)

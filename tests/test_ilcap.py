@@ -13,7 +13,14 @@ from qubitcc.ilcap import (
     en_correct,
     solve_ilcap,
 )
-from qubitcc.pauli import PauliSum, PauliWord, ReferenceState
+from qubitcc.pauli import (
+    I_POWERS,
+    PauliSum,
+    PauliWord,
+    ReferenceState,
+    half_commutator,
+    multiply,
+)
 from qubitcc.qcc import qcc_energy_and_gradient
 
 from conftest import random_even_sum
@@ -24,6 +31,52 @@ def random_generators(rng, n, count):
     rng.shuffle(pool)
     acs = build_anticommuting_set(n, pool[: count * 2], max_generators=count)
     return list(acs.generators)
+
+
+def _dress_reference(h, generators, t, alphas, *, truncation_threshold=0.0):
+    """dress_with_combination term by term, the check for the array version.
+
+    Each product goes through ``multiply`` and the sums through dicts, in
+    the order the array version must reproduce bit for bit.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    if t == 0.0 or len(generators) == 0 or not np.any(alphas):
+        return h.truncate(truncation_threshold) if truncation_threshold > 0 else h
+    st = math.sin(t)
+    fc = (1.0 - math.cos(t)) / 2.0
+    terms = [(w, c * (1.0 - fc)) for w, c in h.items()]
+    for a_k, gen in zip(alphas, generators):
+        if a_k == 0.0:
+            continue
+        for w, c in half_commutator(gen, h).items():
+            terms.append((w, st * a_k * c))
+
+    tht = {}
+    for a_k, gk in zip(alphas, generators):
+        if a_k == 0.0:
+            continue
+        for a_j, gj in zip(alphas, generators):
+            if a_j == 0.0:
+                continue
+            for w, c in h.items():
+                v1, k1 = multiply(gk, w)
+                v2, k2 = multiply(v1, gj)
+                tht[v2] = tht.get(v2, 0j) + a_k * a_j * c * I_POWERS[(k1 + k2) % 4]
+    scale = max(1.0, h.max_abs_coefficient())
+    for w, val in tht.items():
+        if abs(val.imag) > 1e-10 * scale:
+            raise ValueError("T h T has a non-negligible imaginary term")
+        if val.real:
+            terms.append((w, fc * val.real))
+    out = PauliSum(h.n, terms)
+    return out.truncate(truncation_threshold) if truncation_threshold > 0 else out
+
+
+def assert_same_sum(got, want):
+    """Same words in the same order, coefficients equal bit for bit."""
+    assert got.n == want.n
+    assert list(got.words()) == list(want.words())
+    assert [c.hex() for _, c in got.items()] == [c.hex() for _, c in want.items()]
 
 
 def gapped_sum(rng, n, ref, strength=3.0):
@@ -226,6 +279,67 @@ class TestDressWithCombination:
             dress_with_combination(h, gens, 0.5, [1.0, 1.0])
         with pytest.raises(ValueError):
             dress_with_combination(h, gens, 0.5, [1.0])
+
+    def test_matches_reference_on_random_weights(self, rng):
+        checked = 0
+        for n in range(1, 11):
+            for _ in range(10):
+                h = random_even_sum(rng, n, rng.randint(1, 4 * n + 4))
+                gens = random_generators(rng, n, rng.randint(1, n + 2))
+                alphas = np.array([rng.uniform(-1.0, 1.0) for _ in gens])
+                if len(gens) > 1 and rng.random() < 0.5:
+                    alphas[rng.randrange(len(gens))] = 0.0
+                alphas /= math.sqrt(float(np.sum(alphas**2)))
+                t = rng.uniform(-3.0, 3.0)
+                cut = rng.choice([0.0, 0.0, 1e-3, 0.1])
+                got = dress_with_combination(h, gens, t, alphas, truncation_threshold=cut)
+                assert_same_sum(got, _dress_reference(h, gens, t, alphas, truncation_threshold=cut))
+                checked += 1
+        assert checked == 100
+
+    def test_matches_reference_on_solved_weights(self, rng):
+        # the ILCAP solution, as the pipeline dresses with it: weights
+        # that should vanish may come out as exact zeros or roundoff
+        for n in range(2, 11):
+            for _ in range(4):
+                h = random_even_sum(rng, n, 3 * n)
+                ref = ReferenceState(n, rng.randint(0, n))
+                gens = random_generators(rng, n, rng.randint(1, n + 1))
+                sol = solve_ilcap(h, gens, ref)
+                got = dress_with_combination(h, gens, sol.t, sol.alphas)
+                assert_same_sum(got, _dress_reference(h, gens, sol.t, sol.alphas))
+
+    def test_matches_reference_on_edge_weights(self, rng):
+        n = 5
+        h = random_even_sum(rng, n, 14)
+        gens = random_generators(rng, n, 3)
+        assert len(gens) == 3
+        cases = [
+            ([gens[0]], -1.3, [1.0]),  # one generator, negative angle
+            (gens, -0.4, [0.0, -1.0, 0.0]),  # exact-zero weights
+            (gens, 2.5, [0.6, 0.0, -0.8]),
+            (gens, 0.0, [0.6, 0.0, -0.8]),
+        ]
+        for generators, t, alphas in cases:
+            for cut in (0.0, 0.05):
+                got = dress_with_combination(h, generators, t, alphas, truncation_threshold=cut)
+                want = _dress_reference(h, generators, t, alphas, truncation_threshold=cut)
+                assert_same_sum(got, want)
+
+    def test_register_width_cap(self, rng):
+        # 64 qubits fill the uint64 masks; one more is refused
+        masks = [rng.getrandbits(64) | 1 << 63 for _ in range(8)]
+        gens = list(build_anticommuting_set(64, masks, max_generators=3).generators)
+        assert len(gens) >= 2
+        h = random_even_sum(rng, 64, 12) + PauliSum(64, [(PauliWord(64, (1 << 64) - 1, 1 << 63), 0.7)])
+        alphas = np.array([rng.uniform(-1.0, 1.0) for _ in gens])
+        alphas /= math.sqrt(float(np.sum(alphas**2)))
+        got = dress_with_combination(h, gens, 0.9, alphas)
+        assert_same_sum(got, _dress_reference(h, gens, 0.9, alphas))
+
+        wide = PauliSum(65, [(PauliWord(65, 1 << 64, 0), 1.0)])
+        with pytest.raises(ValueError, match="64 qubits"):
+            dress_with_combination(wide, [PauliWord(65, 1, 1)], 0.5, [1.0])
 
 
 class TestBw:

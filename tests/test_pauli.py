@@ -15,6 +15,9 @@ from qubitcc.pauli import (
     commutes,
     conjugate_by_word,
     half_commutator,
+    _mask_arrays,
+    _mask_product,
+    _sum_from_masks,
     multiply,
 )
 
@@ -94,6 +97,18 @@ class TestMultiply:
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
             multiply(PauliWord(2, 1, 0), PauliWord(3, 1, 0))
+
+    @pytest.mark.parametrize("n", [1, 7, 63, 64])
+    def test_mask_product_matches_multiply(self, rng, n):
+        a = [random_word(rng, n) for _ in range(40)]
+        b = [random_word(rng, n) for _ in range(40)]
+        x, z, k = _mask_product(
+            np.array([w.x for w in a], np.uint64), np.array([w.z for w in a], np.uint64),
+            np.array([w.x for w in b], np.uint64), np.array([w.z for w in b], np.uint64),
+        )
+        want = [multiply(wa, wb) for wa, wb in zip(a, b)]
+        assert [PauliWord(n, *xz) for xz in zip(x.tolist(), z.tolist())] == [w for w, _ in want]
+        assert k.tolist() == [kk for _, kk in want]
 
 
 class TestBasisImage:
@@ -183,6 +198,41 @@ class TestPauliSum:
         s = PauliSum.from_text("0.5 X0\n-2.0 Z1\n", 2)
         assert s.max_abs_coefficient() == 2.0
         assert PauliSum(2).max_abs_coefficient() == 0.0
+
+    def test_mask_arrays_round_trip(self, rng):
+        s = random_sum(rng, 64, 30)
+        x, z, c = _mask_arrays(s)
+        assert (x.dtype, z.dtype, c.dtype) == (np.uint64, np.uint64, np.float64)
+        assert _sum_from_masks(64, x, z, c)._coeffs == s._coeffs
+
+    def test_sum_from_masks_matches_constructor(self, rng):
+        # few distinct words, so most appear several times; the values
+        # include +-0.0 and cancelling pairs, and sums depend on their order
+        values = [0.0, -0.0, 0.1, 0.2, -0.3, 0.5, -0.5, 1e-17, -1.0]
+        for n in (1, 3, 64):
+            pool = [random_word(rng, n) for _ in range(6)] + [PauliWord.identity(n)]
+            for _ in range(40):
+                terms = [(rng.choice(pool), rng.choice(values)) for _ in range(rng.randint(0, 25))]
+                rng.shuffle(terms)
+                got = _sum_from_masks(
+                    n,
+                    np.array([w.x for w, _ in terms], np.uint64),
+                    np.array([w.z for w, _ in terms], np.uint64),
+                    np.array([c for _, c in terms], np.float64),
+                )
+                want = PauliSum(n, terms)
+                assert list(got.items()) == list(want.items())
+                assert got._coeffs == want._coeffs
+                assert got.to_text() == want.to_text()
+
+    def test_sum_from_masks_cancellation_and_order(self):
+        w, v = PauliWord(2, 2, 1), PauliWord(2, 1, 3)
+        x = np.array([w.x, v.x, w.x, v.x, w.x], np.uint64)
+        z = np.array([w.z, v.z, w.z, v.z, w.z], np.uint64)
+        got = _sum_from_masks(2, x, z, np.array([0.1, 0.5, 0.2, -0.5, -0.3]))
+        # 0.1 + 0.2 - 0.3 in input order is 2**-54, not 0; v cancels exactly
+        assert list(got.items()) == [(w, 0.1 + 0.2 - 0.3)]
+        assert _sum_from_masks(2, x[:1], z[:1], np.array([-0.0])) == PauliSum(2)
 
 
 class TestReferenceState:
