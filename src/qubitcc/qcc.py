@@ -3,9 +3,12 @@
 The ansatz is a product of involutory-generator exponentials
 exp(-i t_k T_k / 2) for k = 1..L, with k = 1 applied to the reference
 last, so conjugating the Hamiltonian applies k = 1 innermost.  The
-energy is evaluated exactly in the word basis by sequential
-conjugation; truncation happens only when a dressed Hamiltonian is
-formed between iterations.
+reference is one determinant and each T_k a Pauli word, so U|0> lies
+in the span of the D <= 2^L determinants occ ^ (XOR of a subset of the
+generators' X masks).  Energy and gradient are evaluated exactly as a
+D x D problem on that span, with matrix elements read from the Ising
+sector table; whole-Hamiltonian conjugation is used only to dress the
+Hamiltonian between iterations, where truncation happens.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .pauli import (
+    I_POWERS,
     PauliSum,
     PauliWord,
     ReferenceState,
+    basis_image,
     conjugate_by_word,
-    half_commutator,
 )
-from .screen import gradients, ising_decompose
+from .screen import IsingDecomposition, gradients, ising_decompose
 from .acset import canonical_generator
 
 __all__ = [
@@ -38,6 +42,73 @@ __all__ = [
 ]
 
 
+class _Subspace:
+    """H and the generators on the determinants the ansatz can reach.
+
+    ``h`` is the D x D Hermitian matrix <b|H|b'> over the reachable
+    determinants, the reference first; generator j maps basis state i
+    to ``perms[j][i]`` with phase ``phases[j][i]``.
+    """
+
+    __slots__ = ("h", "perms", "phases")
+
+    def __init__(
+        self, dec: IsingDecomposition, generators, ref: ReferenceState
+    ) -> None:
+        if ref.n != dec.n or any(g.n != dec.n for g in generators):
+            raise ValueError("qubit counts differ")
+        occ = ref.occupied_mask
+        index = {occ: 0}
+        for g in generators:
+            for b in list(index):
+                index.setdefault(b ^ g.x, len(index))
+        basis = list(index)
+        self.h = np.zeros((len(basis), len(basis)), dtype=complex)
+        # only the sectors whose masks lie in the span connect basis states
+        for m in (b ^ occ for b in basis):
+            sector = dec.sectors.get(m) if m else dec.diagonal
+            if sector is not None:
+                for i, b in enumerate(basis):
+                    self.h[i, index[b ^ m]] = sector.value(b)
+        self.perms = []
+        self.phases = []
+        for g in generators:
+            images = [basis_image(g, b) for b in basis]
+            self.perms.append(np.array([index[image] for image, _ in images]))
+            self.phases.append(np.array([I_POWERS[k] for _, k in images]))
+
+    def _apply(self, j: int, v: np.ndarray) -> np.ndarray:
+        out = np.empty_like(v)
+        out[self.perms[j]] = self.phases[j] * v
+        return out
+
+    def energy_and_gradient(self, amplitudes) -> tuple[float, np.ndarray]:
+        """<0|U^dag H U|0> and its derivatives in the amplitudes.
+
+        Forward: s_L = |0>, s_(j-1) = (cos(t_j/2) - i sin(t_j/2) T_j) s_j,
+        E = <s_0|H|s_0>.  Backward: w_0 = H s_0, w_j = U_j^dag w_(j-1),
+        and dE/dt_j = 2 Re <w_(j-1)| (-i/2) T_j |s_(j-1)>, which is
+        Im <w_(j-1)|T_j|s_(j-1)>; t_j and T_j sit at index j - 1.
+        """
+        L = len(self.perms)
+        s = np.zeros(self.h.shape[0], dtype=complex)
+        s[0] = 1.0
+        states = [s]
+        for j in range(L - 1, -1, -1):
+            half = 0.5 * amplitudes[j]
+            s = math.cos(half) * s - 1j * math.sin(half) * self._apply(j, s)
+            states.append(s)
+        states.reverse()  # states[j] is s_j
+        w = self.h @ states[0]
+        energy = float(np.vdot(states[0], w).real)
+        grad = np.empty(L)
+        for j in range(L):
+            grad[j] = np.vdot(w, self._apply(j, states[j])).imag
+            half = 0.5 * amplitudes[j]
+            w = math.cos(half) * w + 1j * math.sin(half) * self._apply(j, w)
+        return energy, grad
+
+
 def qcc_energy_and_gradient(
     h: PauliSum,
     generators,
@@ -46,26 +117,15 @@ def qcc_energy_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Energy plus its exact amplitude gradient.
 
-    The derivative with respect to t_j is the expectation of
-    (i/2)[T_j, H_j] pushed through the remaining outer conjugations,
-    where H_j is the Hamiltonian already conjugated through step j.
+    Both come from the D x D matrix of h on the D <= 2^L determinants
+    the generators reach from the reference; the cost grows with 2 to
+    the rank of the generators' X masks, not with the size of h
+    beyond one sector decomposition.
     """
     if len(generators) != len(amplitudes):
         raise ValueError("one amplitude per generator required")
-    L = len(generators)
-    inner: list[PauliSum] = []
-    cur = h
-    for gen, t in zip(generators, amplitudes):
-        cur = conjugate_by_word(cur, gen, t)
-        inner.append(cur)
-    energy = ref.expectation(cur)
-    grad = np.zeros(L)
-    for j in range(L):
-        d = half_commutator(generators[j], inner[j])
-        for k in range(j + 1, L):
-            d = conjugate_by_word(d, generators[k], amplitudes[k])
-        grad[j] = ref.expectation(d)
-    return energy, grad
+    space = _Subspace(ising_decompose(h), generators, ref)
+    return space.energy_and_gradient(amplitudes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,23 +153,26 @@ def optimize_amplitudes(
     If the zero start makes no progress (a saddle or a flat spot, which
     happens when every first-order gradient vanishes), up to
     max_restarts seeded random perturbations are tried and the best
-    result kept.
+    result kept.  h is split into sectors and its subspace matrix
+    built once; each BFGS step then costs O(D^2 + L D) on D <= 2^L states.
+    The matrix takes 16 D^2 <= 16 * 4^L bytes, so large L is out of
+    reach (L = 16 would ask for 64 GiB); only L <= 4 has been tested.
     """
     L = len(generators)
     if L == 0:
         e0 = ref.expectation(h)
         return AmplitudeOptimization(np.zeros(0), e0, True, 0, 0)
 
-    def objective(t):
-        return qcc_energy_and_gradient(h, generators, t, ref)
-
+    space = _Subspace(ising_decompose(h), generators, ref)
     e_start = ref.expectation(h)
     rng = np.random.default_rng(seed)
     best = None
     restarts_used = 0
     x0 = np.zeros(L)
     for attempt in range(max_restarts + 1):
-        res = minimize(objective, x0, jac=True, method="BFGS", options={"gtol": gtol})
+        res = minimize(
+            space.energy_and_gradient, x0, jac=True, method="BFGS", options={"gtol": gtol}
+        )
         if best is None or res.fun < best.fun:
             best = res
         if best.fun < e_start - 1e-12:
@@ -134,9 +197,10 @@ def dress(
 ) -> PauliSum:
     """Similarity-transform h by the optimized unitary, then prune.
 
-    Conjugations run k = 1..L (innermost first) exactly as in the
-    energy, so the dressed expectation on the reference reproduces the
-    optimized energy up to what truncation removes.
+    Conjugations run k = 1..L (innermost first), the same order the
+    subspace energy applies the generators in, so the dressed
+    expectation on the reference reproduces the optimized energy up to
+    rounding and what truncation removes.
     """
     if len(generators) != len(amplitudes):
         raise ValueError("one amplitude per generator required")

@@ -1,9 +1,16 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qubitcc.pauli import PauliSum, PauliWord, ReferenceState
+from qubitcc.pauli import (
+    PauliSum,
+    PauliWord,
+    ReferenceState,
+    conjugate_by_word,
+    half_commutator,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -45,6 +52,32 @@ def word_expectation(ref: ReferenceState, word: PauliWord) -> float:
     if word.x:
         return 0.0
     return -1.0 if (word.z & ref.occupied_mask).bit_count() & 1 else 1.0
+
+
+def conjugation_energy_and_gradient(h, generators, amplitudes, ref):
+    """QCC energy and gradient by conjugating the whole Hamiltonian.
+
+    The check for ``qcc_energy_and_gradient``: the derivative with
+    respect to t_j is the expectation of (i/2)[T_j, H_j] pushed through
+    the remaining outer conjugations, where H_j is the Hamiltonian
+    already conjugated through step j.
+    """
+    if len(generators) != len(amplitudes):
+        raise ValueError("one amplitude per generator required")
+    L = len(generators)
+    inner: list[PauliSum] = []
+    cur = h
+    for gen, t in zip(generators, amplitudes):
+        cur = conjugate_by_word(cur, gen, t)
+        inner.append(cur)
+    energy = ref.expectation(cur)
+    grad = np.zeros(L)
+    for j in range(L):
+        d = half_commutator(generators[j], inner[j])
+        for k in range(j + 1, L):
+            d = conjugate_by_word(d, generators[k], amplitudes[k])
+        grad[j] = ref.expectation(d)
+    return energy, grad
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from click.testing import CliRunner
 
 from qubitcc.acset import build_anticommuting_set
@@ -24,9 +25,10 @@ from qubitcc.chemio import hf_reference, jw_hamiltonian, load_fcidump
 from qubitcc.cli import SCHEMES, RunConfig, main, run_scheme
 from qubitcc.ilcap import dress_with_combination, solve_ilcap
 from qubitcc.pauli import PauliSum, ReferenceState
+from qubitcc.qcc import dress, qcc_energy_and_gradient, run_iqcc
 from qubitcc.screen import gradients, ising_decompose
 
-from conftest import DATA_DIR, random_even_sum
+from conftest import DATA_DIR, conjugation_energy_and_gradient, random_even_sum
 
 GOLDEN = DATA_DIR / "golden_h2.txt"
 H2 = str(DATA_DIR / "h2_r1p4.fcidump")
@@ -95,3 +97,26 @@ def test_outputs_match_golden_file():
         for i, (a, b) in enumerate(zip(got.splitlines(), want.splitlines()), start=1):
             assert a == b, f"golden line {i} differs"
         assert got == want, "golden output length differs"
+
+
+def test_objective_matches_conjugation_on_golden_inputs():
+    """The subspace objective against whole-Hamiltonian conjugation.
+
+    Replays the golden 2 x 2 iQCC runs and compares both objectives on
+    each iteration's Hamiltonian, at the optimized amplitudes and away
+    from them.
+    """
+    data = load_fcidump(H2)
+    for h, ref in ((jw_hamiltonian(data), hf_reference(data)), _random_hamiltonian()):
+        state = run_iqcc(h, ref, generators_per_iteration=2, max_iterations=2)
+        assert state.records
+        for rec in state.records:
+            for ts in (rec.amplitudes, [t + 0.3 for t in rec.amplitudes]):
+                energy, grad = qcc_energy_and_gradient(h, rec.generators, ts, ref)
+                want_energy, want_grad = conjugation_energy_and_gradient(
+                    h, rec.generators, ts, ref
+                )
+                assert abs(energy - want_energy) <= 1e-12
+                assert np.all(np.abs(grad - want_grad) <= 1e-12)
+            h = dress(h, rec.generators, rec.amplitudes, truncation_threshold=1e-8)
+        assert h == state.hamiltonian

@@ -13,7 +13,12 @@ from qubitcc.qcc import (
     run_iqcc,
 )
 
-from conftest import random_sum, random_word, word_expectation
+from conftest import (
+    conjugation_energy_and_gradient,
+    random_sum,
+    random_word,
+    word_expectation,
+)
 
 
 def qcc_energy(h, generators, amplitudes, ref):
@@ -97,6 +102,60 @@ class TestGradient:
             ref = ReferenceState(n, rng.randint(0, n))
             _, grad = qcc_energy_and_gradient(h, [g], [0.0], ref)
             assert grad[0] == pytest.approx(ref.expectation(half_commutator(g, h)), abs=1e-12)
+
+
+def assert_matches_conjugation(h, gens, ts, ref):
+    energy, grad = qcc_energy_and_gradient(h, gens, ts, ref)
+    want_energy, want_grad = conjugation_energy_and_gradient(h, gens, ts, ref)
+    assert abs(energy - want_energy) <= 1e-12
+    assert grad.shape == want_grad.shape
+    assert np.all(np.abs(grad - want_grad) <= 1e-12)
+
+
+class TestSubspaceMatchesConjugation:
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
+    def test_random_sums_with_odd_y(self, rng, L):
+        for _ in range(15):
+            n = rng.randint(2, 6)
+            h = random_sum(rng, n, 14)
+            assert any(w.y_count() % 2 for w in h.words())
+            gens = [random_word(rng, n) for _ in range(L)]
+            ts = [rng.uniform(-2.0, 2.0) for _ in range(L)]
+            assert_matches_conjugation(h, gens, ts, ReferenceState(n, rng.randint(0, n)))
+
+    def test_linearly_dependent_masks(self, rng):
+        for _ in range(20):
+            n = rng.randint(3, 6)
+            h = random_sum(rng, n, 14)
+            g1, g2 = random_word(rng, n), random_word(rng, n)
+            g3 = PauliWord(n, g1.x ^ g2.x, rng.getrandbits(n))
+            ref = ReferenceState(n, rng.randint(0, n))
+            for gens in ([g1, g2, g3], [g1, g2, g1], [g1, g1], [g3, g1, g2, g3]):
+                ts = [rng.uniform(-2.0, 2.0) for _ in gens]
+                assert_matches_conjugation(h, gens, ts, ref)
+
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_empty_and_full_references(self, rng, filled):
+        for _ in range(15):
+            n = rng.randint(1, 5)
+            h = random_sum(rng, n, 10)
+            L = rng.randint(1, 3)
+            gens = [random_word(rng, n) for _ in range(L)]
+            ts = [rng.uniform(-2.0, 2.0) for _ in range(L)]
+            assert_matches_conjugation(h, gens, ts, ReferenceState(n, n if filled else 0))
+
+    def test_qubit_count_mismatch(self, rng):
+        h = random_sum(rng, 3, 6)
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            qcc_energy_and_gradient(h, [random_word(rng, 4)], [0.1], ReferenceState(3, 1))
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            qcc_energy_and_gradient(h, [random_word(rng, 3)], [0.1], ReferenceState(4, 1))
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            qcc_energy_and_gradient(h, [], [], ReferenceState(4, 1))
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            optimize_amplitudes(h, [random_word(rng, 4)], ReferenceState(3, 1))
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            optimize_amplitudes(h, [random_word(rng, 3)], ReferenceState(4, 1))
 
 
 class TestEnergyCurve:
