@@ -12,13 +12,20 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Collection
 
 import numpy as np
 
-from .pauli import I_POWERS, PauliSum, PauliWord, ReferenceState, multiply
+from .pauli import (
+    I_POWERS,
+    PauliSum,
+    ReferenceState,
+    _group_masks,
+    _mask_product,
+    _sum_from_masks,
+)
 
 __all__ = [
+    "JW_QUBIT_CAP",
     "FcidumpData",
     "parse_fcidump",
     "load_fcidump",
@@ -135,44 +142,82 @@ def load_fcidump(path: str) -> FcidumpData:
 
 
 # -- ladder images and operator assembly ---------------------------------
+#
+# Operators are expanded on uint64 mask arrays (pauli's array helpers),
+# so the mapping works on at most 64 qubits.  Every ladder factor is
+# 0.5 or +-0.5i and every phase a power of i, so each expanded product
+# coefficient is exact; only the order in which equal words are summed
+# decides the rounding.  That order is the term-by-term expansion's:
+# integral loops outermost, then spins, then the X/Y choice of each
+# factor, first factor slowest.
 
-def _ladder(n_q: int, q: int, dagger: bool) -> tuple[tuple[PauliWord, complex], ...]:
-    """Annihilation (or creation) image: (X_q +- i Y_q)/2 with a Z chain below."""
-    chain = (1 << q) - 1
-    wx = PauliWord(n_q, 1 << q, chain)
-    wy = PauliWord(n_q, 1 << q, chain | (1 << q))
-    sign = -1j if dagger else 1j
-    return ((wx, 0.5 + 0j), (wy, 0.5 * sign))
+JW_QUBIT_CAP = 64
 
+_I_POWERS = np.array(I_POWERS)
+_LADDER_COEFFS = {True: np.array([0.5, -0.5j]), False: np.array([0.5, 0.5j])}
 
-def _accumulate_product(
-    out: dict[PauliWord, complex],
-    factors: list[Collection[tuple[PauliWord, complex]]],
-    scale: complex,
-) -> None:
-    """out += scale * product(factors), expanding term by term."""
-    partial: list[tuple[PauliWord | None, complex]] = [(None, complex(scale))]
-    for factor in factors:
-        grown: list[tuple[PauliWord | None, complex]] = []
-        for word, coeff in partial:
-            for w, c in factor:
-                if word is None:
-                    grown.append((w, coeff * c))
-                else:
-                    v, k = multiply(word, w)
-                    grown.append((v, coeff * c * I_POWERS[k]))
-        partial = grown
-    for word, coeff in partial:
-        out[word] = out.get(word, 0j) + coeff
+_Terms = tuple[np.ndarray, np.ndarray, np.ndarray]  # x, z (uint64), complex coefficients
 
 
-def _fold_real(n_q: int, acc: dict[PauliWord, complex], drop_threshold: float) -> PauliSum:
-    worst = max((abs(v.imag) for v in acc.values()), default=0.0)
-    scale = max(1.0, max((abs(v) for v in acc.values()), default=0.0))
+def _ladder(qubits: np.ndarray, dagger: bool) -> _Terms:
+    """Creation (or annihilation) images (X_q -+ i Y_q)/2, Z chain below q.
+
+    One row per qubit of the batch, its two columns the X and Y terms.
+    """
+    bit = np.left_shift(np.uint64(1), qubits.astype(np.uint64).reshape(-1, 1))
+    z = (bit - np.uint64(1)) | (bit * np.array([0, 1], np.uint64))
+    coeffs = np.broadcast_to(_LADDER_COEFFS[dagger], z.shape)
+    return np.broadcast_to(bit, z.shape), z, coeffs
+
+
+def _expand(scale: np.ndarray, factors: list[_Terms]) -> _Terms:
+    """Terms of scale[b] * product over j of factors[j][b], flattened.
+
+    Each factor holds one row of terms per batch entry b; the output
+    runs over b slowest, then over the first factor's terms, and so on.
+    """
+    x, z, c = factors[0]
+    c = scale[:, None] * c
+    for fx, fz, fc in factors[1:]:
+        x, z, k = _mask_product(x[:, :, None], z[:, :, None], fx[:, None, :], fz[:, None, :])
+        c = c[:, :, None] * fc[:, None, :] * _I_POWERS[k]
+        shape = (len(scale), x.shape[1] * x.shape[2])
+        x, z, c = x.reshape(shape), z.reshape(shape), c.reshape(shape)
+    return x.ravel(), z.ravel(), c.ravel()
+
+
+def _merge(acc: _Terms | None, terms: _Terms) -> _Terms:
+    """acc + terms with one entry per word, in canonical order.
+
+    acc goes first, so each word's running sum continues where it left
+    off; ``np.bincount`` then adds the terms sequentially in input
+    order, as a dict accumulating term by term would.
+    """
+    if acc is not None:
+        terms = tuple(np.concatenate(pair) for pair in zip(acc, terms))
+    x, z, c = terms
+    ux, uz, inverse = _group_masks(x, z)
+    total = np.bincount(inverse, weights=c.real, minlength=len(ux)).astype(complex)
+    total.imag = np.bincount(inverse, weights=c.imag, minlength=len(ux))
+    return ux, uz, total
+
+
+def _fold_real(n_q: int, acc: _Terms, drop_threshold: float) -> PauliSum:
+    x, z, c = acc
+    worst = float(np.max(np.abs(c.imag), initial=0.0))
+    scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
     if worst > 1e-10 * scale:
         raise ValueError(f"qubit operator has imaginary coefficients up to {worst:.3e}")
-    terms = [(w, v.real) for w, v in acc.items() if abs(v.real) > drop_threshold]
-    return PauliSum(n_q, terms)
+    keep = np.abs(c.real) > drop_threshold
+    return _sum_from_masks(n_q, x[keep], z[keep], c.real[keep])
+
+
+def _check_width(n_orb: int) -> None:
+    if 2 * n_orb > JW_QUBIT_CAP:
+        raise ValueError(
+            f"Jordan-Wigner mapping capped at {JW_QUBIT_CAP} qubits; "
+            f"{n_orb} orbitals need {2 * n_orb}"
+        )
 
 
 def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = 1e-12) -> PauliSum:
@@ -181,44 +226,41 @@ def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = 1e-12) -> Pauli
     H = E_core + sum f_pq a+_ps a_qs
         + 1/2 sum (pq|rs) a+_ps a+_rt a_st a_qs  (chemists' notation,
     spins s, t summed independently).  Coefficients below
-    drop_threshold in magnitude are removed.
+    drop_threshold in magnitude are removed.  Capped at JW_QUBIT_CAP =
+    64 qubits (32 orbitals), the width of the mask arrays: ValueError
+    above.  The two-body sum expands one p block at a time, so the
+    working set is the terms so far plus one block.
     """
     n_orb = data.n_orb
+    _check_width(n_orb)
     n_q = 2 * n_orb
-    acc: dict[PauliWord, complex] = {}
+    spin = np.arange(2)
+    acc = None
     if data.e_core != 0.0:
-        acc[PauliWord.identity(n_q)] = complex(data.e_core)
+        identity = np.zeros(1, np.uint64)
+        acc = _merge(None, (identity, identity, np.array([complex(data.e_core)])))
 
-    create = [_ladder(n_q, q, True) for q in range(n_q)]
-    destroy = [_ladder(n_q, q, False) for q in range(n_q)]
+    # one-body: (p, q) pairs, then spin
+    p, q = np.nonzero(data.one_body)
+    f = np.repeat(data.one_body[p, q], 2)
+    acc = _merge(acc, _expand(f, [
+        _ladder(2 * p[:, None] + spin, True),
+        _ladder(2 * q[:, None] + spin, False),
+    ]))
 
+    # two-body: per p, (q, r, s) triples, then the (s, t) spin pair
+    sigma, tau = spin[:, None], spin
     for p in range(n_orb):
-        for q in range(n_orb):
-            f = data.one_body[p, q]
-            if f == 0.0:
-                continue
-            for s in (0, 1):
-                _accumulate_product(acc, [create[2 * p + s], destroy[2 * q + s]], f)
-
-    for p in range(n_orb):
-        for q in range(n_orb):
-            for r in range(n_orb):
-                for s_orb in range(n_orb):
-                    g = data.two_body[p, q, r, s_orb]
-                    if g == 0.0:
-                        continue
-                    for s in (0, 1):
-                        for t in (0, 1):
-                            _accumulate_product(
-                                acc,
-                                [
-                                    create[2 * p + s],
-                                    create[2 * r + t],
-                                    destroy[2 * s_orb + t],
-                                    destroy[2 * q + s],
-                                ],
-                                0.5 * g,
-                            )
+        block = data.two_body[p]
+        q, r, s = (a[:, None, None] for a in np.nonzero(block))
+        g = np.repeat(0.5 * block[q, r, s].ravel(), 4)
+        grid = (len(g) // 4, 2, 2)
+        acc = _merge(acc, _expand(g, [
+            _ladder(np.broadcast_to(2 * p + sigma, grid), True),
+            _ladder(np.broadcast_to(2 * r + tau, grid), True),
+            _ladder(np.broadcast_to(2 * s + tau, grid), False),
+            _ladder(np.broadcast_to(2 * q + sigma, grid), False),
+        ]))
     return _fold_real(n_q, acc, drop_threshold)
 
 
@@ -227,33 +269,26 @@ def spin_penalty(n_orb: int, *, drop_threshold: float = 1e-12) -> PauliSum:
 
     Vanishes on any singlet; its reference expectation exposes spin
     contamination.  Add mu/2 times this to a Hamiltonian to push
-    non-singlet states up by mu/2 per unit of W.
+    non-singlet states up by mu/2 per unit of W.  Capped at
+    JW_QUBIT_CAP qubits, as the mapping is.
     """
     if n_orb < 1:
         raise ValueError("need at least one spatial orbital")
-    n_q = 2 * n_orb
-    s_plus: dict[PauliWord, complex] = {}
-    for p in range(n_orb):
-        _accumulate_product(
-            s_plus, [_ladder(n_q, 2 * p, True), _ladder(n_q, 2 * p + 1, False)], 1.0
-        )
-    s_minus = {w: v.conjugate() for w, v in s_plus.items()}
-    sz: dict[PauliWord, complex] = {}
-    for p in range(n_orb):
-        # n_alpha - n_beta = (z_beta - z_alpha)/2 per orbital
-        sz_word_a = PauliWord(n_q, 0, 1 << (2 * p))
-        sz_word_b = PauliWord(n_q, 0, 1 << (2 * p + 1))
-        sz[sz_word_b] = sz.get(sz_word_b, 0j) + 0.25
-        sz[sz_word_a] = sz.get(sz_word_a, 0j) - 0.25
-
-    acc: dict[PauliWord, complex] = {}
-    _accumulate_product(acc, [s_minus.items(), s_plus.items()], 1.0)
-    # sz*sz sums on its own before the merge, as the summation order matters
-    sz_sq: dict[PauliWord, complex] = {}
-    _accumulate_product(sz_sq, [sz.items(), sz.items()], 1.0)
-    for w, v in sz_sq.items():
-        acc[w] = acc.get(w, 0j) + v
-    return _fold_real(n_q, acc, drop_threshold)
+    _check_width(n_orb)
+    alpha = 2 * np.arange(n_orb)
+    one = np.ones(1)
+    # S_+ = sum_p a+_(p alpha) a_(p beta); its words are all distinct
+    x, z, c = _expand(np.ones(n_orb), [_ladder(alpha, True), _ladder(alpha + 1, False)])
+    s_plus = (x[None], z[None], c[None])
+    s_minus = (x[None], z[None], c.conj()[None])
+    acc = _merge(None, _expand(one, [s_minus, s_plus]))
+    # S_z = sum_p (z_(p beta) - z_(p alpha))/4, beta first within each p
+    qubits = np.stack([alpha + 1, alpha], axis=1).reshape(1, -1).astype(np.uint64)
+    sz = (np.zeros_like(qubits), np.left_shift(np.uint64(1), qubits),
+          np.tile([0.25 + 0j, -0.25 + 0j], (1, n_orb)))
+    # S_z^2 sums on its own before the merge, as the summation order matters
+    sz_sq = _merge(None, _expand(one, [sz, sz]))
+    return _fold_real(2 * n_orb, _merge(acc, sz_sq), drop_threshold)
 
 
 def add_spin_penalty(h: PauliSum, n_orb: int, mu: float) -> PauliSum:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import click
@@ -212,8 +213,12 @@ def ilcap_cmd(hamiltonian, n_elec, n_qubits, **run_options):
         click.echo(f"{label:<24} {_fmt(value)}")
 
 
-def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, str]:
-    """One scan coordinate; returns (index, estimator row or None, message)."""
+def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, list[str]]:
+    """One scan coordinate; returns (index, row or None, warning messages).
+
+    The estimators and the oracle fail independently: either one's cells
+    still come through when the other raises.
+    """
     index, path, mu, cfg = payload
     try:
         data = load_fcidump(path)
@@ -221,12 +226,20 @@ def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, str]:
         if mu:
             h = add_spin_penalty(h, data.n_orb, mu)
         ref = hf_reference(data)
-        row = run_scheme(h, ref, cfg)
-        if h.n <= oracle.APPLY_QUBIT_CAP:
-            row["E_exact"] = oracle.ground_energy(h)
-        return index, row, ""
     except Exception as exc:  # noqa: BLE001 - a bad point must not sink the scan
-        return index, None, f"{path}: {exc}"
+        return index, None, [f"{path}: {exc}"]
+    row: dict[str, float] = {}
+    messages = []
+    try:
+        row.update(run_scheme(h, ref, cfg))
+    except Exception as exc:  # noqa: BLE001
+        messages.append(f"{path}: {exc}")
+    if h.n <= oracle.APPLY_QUBIT_CAP and math.comb(h.n, data.n_elec) <= oracle.SECTOR_STATE_CAP:
+        try:
+            row["E_exact"] = oracle.ground_energy(h, n_elec=data.n_elec)
+        except Exception as exc:  # noqa: BLE001
+            messages.append(f"{path}: E_exact: {exc}")
+    return index, row or None, messages
 
 
 @main.command()
@@ -258,8 +271,8 @@ def scan(fcidumps, radii, output, mu, workers, **run_options):
         mapper = map
         if workers > 1:
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for index, row, message in mapper(_scan_point, payloads):
-            if message:
+        for index, row, messages in mapper(_scan_point, payloads):
+            for message in messages:
                 click.echo(f"warning: {message}", err=True)
             results[index] = row
 
@@ -270,6 +283,7 @@ def scan(fcidumps, radii, output, mu, workers, **run_options):
             for key in row:
                 if key not in columns:
                     columns.append(key)
+    columns.sort(key=lambda key: key == "E_exact")  # stable: E_exact last
     with open(output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r"] + columns)
@@ -309,12 +323,13 @@ def fit_morse_cmd(scan_csv, column, mu_amu):
 
 @main.command()
 @click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
-@click.option("--n-elec", type=int, default=None)
+@click.option("--n-elec", type=int, default=None,
+              help="Solve this electron-count sector (whole space when omitted).")
 @click.option("--n-qubits", type=int, default=None)
 def exact(hamiltonian, n_elec, n_qubits):
     """Oracle ground-state energy of a text Hamiltonian."""
     h = _load_hamiltonian(hamiltonian, n_qubits)
-    energy = oracle.ground_energy(h)
+    energy = oracle.ground_energy(h, n_elec=n_elec)
     click.echo(f"ground energy: {_fmt(energy)}")
     if n_elec is not None:
         ref = ReferenceState(h.n, n_elec)

@@ -4,12 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qubitcc.chemio import FcidumpData, parse_fcidump
 from qubitcc.pauli import (
+    I_POWERS,
     PauliSum,
     PauliWord,
     ReferenceState,
     conjugate_by_word,
     half_commutator,
+    multiply,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -47,6 +50,24 @@ def random_even_sum(rng: random.Random, n: int, n_terms: int) -> PauliSum:
     return PauliSum(n, list(terms.items()))
 
 
+def random_fcidump(rng: random.Random, n_orb: int, n_elec: int, e_core: float) -> FcidumpData:
+    """Random 8-fold-symmetric integrals, about a third of them exactly zero.
+
+    Written as FCIDUMP text (values by repr, so they parse back exactly)
+    and read by the parser, which fills in the symmetric partners.
+    """
+    def value() -> float:
+        return 0.0 if rng.random() < 1 / 3 else rng.uniform(-1.0, 1.0)
+
+    lines = [f"&FCI NORB={n_orb},NELEC={n_elec},MS2=0,", "&END"]
+    pairs = [(i, j) for i in range(1, n_orb + 1) for j in range(1, i + 1)]
+    for a, (i, j) in enumerate(pairs):
+        lines += [f"{value()!r} {i} {j} {k} {l}" for k, l in pairs[: a + 1]]
+    lines += [f"{value()!r} {i} {j} 0 0" for i, j in pairs]
+    lines.append(f"{e_core!r} 0 0 0 0")
+    return parse_fcidump("\n".join(lines))
+
+
 def word_expectation(ref: ReferenceState, word: PauliWord) -> float:
     """<0|word|0>; zero unless the word is diagonal, else +-1."""
     if word.x:
@@ -78,6 +99,102 @@ def conjugation_energy_and_gradient(h, generators, amplitudes, ref):
             d = conjugate_by_word(d, generators[k], amplitudes[k])
         grad[j] = ref.expectation(d)
     return energy, grad
+
+
+# -- term-by-term Jordan-Wigner expansion, the check for chemio's arrays ----
+
+
+def _ladder_words(n_q, q, dagger):
+    """Annihilation (or creation) image: (X_q +- i Y_q)/2 with a Z chain below."""
+    chain = (1 << q) - 1
+    wx = PauliWord(n_q, 1 << q, chain)
+    wy = PauliWord(n_q, 1 << q, chain | (1 << q))
+    sign = -1j if dagger else 1j
+    return ((wx, 0.5 + 0j), (wy, 0.5 * sign))
+
+
+def _accumulate_product(out, factors, scale):
+    """out += scale * product(factors), expanding term by term."""
+    partial = [(None, complex(scale))]
+    for factor in factors:
+        grown = []
+        for word, coeff in partial:
+            for w, c in factor:
+                if word is None:
+                    grown.append((w, coeff * c))
+                else:
+                    v, k = multiply(word, w)
+                    grown.append((v, coeff * c * I_POWERS[k]))
+        partial = grown
+    for word, coeff in partial:
+        out[word] = out.get(word, 0j) + coeff
+
+
+def _fold_real(n_q, acc, drop_threshold):
+    worst = max((abs(v.imag) for v in acc.values()), default=0.0)
+    scale = max(1.0, max((abs(v) for v in acc.values()), default=0.0))
+    if worst > 1e-10 * scale:
+        raise ValueError(f"qubit operator has imaginary coefficients up to {worst:.3e}")
+    terms = [(w, v.real) for w, v in acc.items() if abs(v.real) > drop_threshold]
+    return PauliSum(n_q, terms)
+
+
+def reference_jw_hamiltonian(data, *, drop_threshold=1e-12):
+    """``chemio.jw_hamiltonian`` by a dict of words, one ladder product at a time."""
+    n_orb = data.n_orb
+    n_q = 2 * n_orb
+    acc = {}
+    if data.e_core != 0.0:
+        acc[PauliWord.identity(n_q)] = complex(data.e_core)
+    create = [_ladder_words(n_q, q, True) for q in range(n_q)]
+    destroy = [_ladder_words(n_q, q, False) for q in range(n_q)]
+    for p in range(n_orb):
+        for q in range(n_orb):
+            f = data.one_body[p, q]
+            if f == 0.0:
+                continue
+            for s in (0, 1):
+                _accumulate_product(acc, [create[2 * p + s], destroy[2 * q + s]], f)
+    for p in range(n_orb):
+        for q in range(n_orb):
+            for r in range(n_orb):
+                for s_orb in range(n_orb):
+                    g = data.two_body[p, q, r, s_orb]
+                    if g == 0.0:
+                        continue
+                    for s in (0, 1):
+                        for t in (0, 1):
+                            _accumulate_product(
+                                acc,
+                                [create[2 * p + s], create[2 * r + t],
+                                 destroy[2 * s_orb + t], destroy[2 * q + s]],
+                                0.5 * g,
+                            )
+    return _fold_real(n_q, acc, drop_threshold)
+
+
+def reference_spin_penalty(n_orb, *, drop_threshold=1e-12):
+    """``chemio.spin_penalty`` by the same term-by-term expansion."""
+    n_q = 2 * n_orb
+    s_plus = {}
+    for p in range(n_orb):
+        _accumulate_product(
+            s_plus, [_ladder_words(n_q, 2 * p, True), _ladder_words(n_q, 2 * p + 1, False)], 1.0
+        )
+    s_minus = {w: v.conjugate() for w, v in s_plus.items()}
+    sz = {}
+    for p in range(n_orb):
+        sz_word_a = PauliWord(n_q, 0, 1 << (2 * p))
+        sz_word_b = PauliWord(n_q, 0, 1 << (2 * p + 1))
+        sz[sz_word_b] = sz.get(sz_word_b, 0j) + 0.25
+        sz[sz_word_a] = sz.get(sz_word_a, 0j) - 0.25
+    acc = {}
+    _accumulate_product(acc, [s_minus.items(), s_plus.items()], 1.0)
+    sz_sq = {}
+    _accumulate_product(sz_sq, [sz.items(), sz.items()], 1.0)
+    for w, v in sz_sq.items():
+        acc[w] = acc.get(w, 0j) + v
+    return _fold_real(n_q, acc, drop_threshold)
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ import pytest
 
 from qubitcc import oracle
 from qubitcc.chemio import (
+    JW_QUBIT_CAP,
+    FcidumpData,
     add_spin_penalty,
     hf_reference,
     jw_hamiltonian,
@@ -14,7 +16,16 @@ from qubitcc.chemio import (
 )
 from qubitcc.pauli import PauliSum, PauliWord, ReferenceState
 
-from conftest import DATA_DIR
+from conftest import (
+    DATA_DIR,
+    random_fcidump,
+    reference_jw_hamiltonian,
+    reference_spin_penalty,
+)
+
+
+def bitwise_terms(h: PauliSum) -> list:
+    return [(w, c.hex()) for w, c in h.items()]
 
 MINIMAL = """&FCI NORB=2,NELEC=2,MS2=0,
  ORBSYM=1,1,
@@ -206,3 +217,42 @@ class TestSpinPenalty:
         data = load_fcidump(str(h2_fcidump))
         h = jw_hamiltonian(data)
         assert add_spin_penalty(h, data.n_orb, 0.0) == h
+
+
+class TestMaskArrayExpansion:
+    """The array expansion against the term-by-term reference, bit for bit."""
+
+    @pytest.mark.parametrize("n_orb", [1, 3, 4])
+    @pytest.mark.parametrize("e_core", [0.0, 0.7131])
+    def test_jw_bit_identical(self, rng, n_orb, e_core):
+        data = random_fcidump(rng, n_orb, n_orb, e_core)
+        assert n_orb == 1 or np.count_nonzero(data.two_body == 0.0) > 0
+        got = jw_hamiltonian(data)
+        want = reference_jw_hamiltonian(data)
+        assert got.n == want.n == 2 * n_orb
+        assert bitwise_terms(got) == bitwise_terms(want)
+
+    def test_jw_bit_identical_with_drop_threshold(self, rng):
+        data = random_fcidump(rng, 3, 2, -1.5)
+        got = jw_hamiltonian(data, drop_threshold=0.05)
+        assert bitwise_terms(got) == bitwise_terms(reference_jw_hamiltonian(data, drop_threshold=0.05))
+        assert len(got) < len(jw_hamiltonian(data))
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 4])
+    def test_spin_penalty_bit_identical(self, n_orb):
+        assert bitwise_terms(spin_penalty(n_orb)) == bitwise_terms(reference_spin_penalty(n_orb))
+
+    def test_non_symmetric_one_body_raises(self, rng):
+        data = random_fcidump(rng, 3, 2, 0.0)
+        data.one_body[0, 1] += 0.25
+        with pytest.raises(ValueError, match="imaginary coefficients"):
+            jw_hamiltonian(data)
+
+    def test_qubit_cap(self):
+        # placeholder integrals: the cap must trip before they are read
+        n_orb = JW_QUBIT_CAP // 2 + 1
+        data = FcidumpData(n_orb, 2, 0, 0.0, np.zeros((1, 1)), np.zeros((1, 1, 1, 1)))
+        with pytest.raises(ValueError, match="capped at 64 qubits"):
+            jw_hamiltonian(data)
+        with pytest.raises(ValueError, match="capped at 64 qubits"):
+            spin_penalty(n_orb)

@@ -3,6 +3,7 @@ import csv
 import pytest
 from click.testing import CliRunner
 
+from qubitcc import cli, oracle
 from qubitcc.cli import RunConfig, main, run_scheme
 from qubitcc.morse import morse_energy
 from qubitcc.pauli import PauliSum, ReferenceState
@@ -20,6 +21,26 @@ FCI_R10 = "-1.0789697692"
 FCI_R14 = "-1.13727594362"
 FCI_R24 = "-1.04148933841"
 HF_R14 = "-1.11671432506"
+
+
+# the r = 1.4 fixture with each orbital energy lowered by 1 Eh: its
+# whole-space ground state has another electron count
+SHIFTED_N2 = "-3.13727594362"
+SHIFTED_ALL = "-3.44644655679"
+
+
+@pytest.fixture()
+def shifted_h2(tmp_path):
+    lines = []
+    with open(R14, encoding="utf-8") as fh:
+        for line in fh.read().splitlines():
+            parts = line.split()
+            if len(parts) == 5 and parts[1] == parts[2] != "0" and parts[3:] == ["0", "0"]:
+                line = " ".join([repr(float(parts[0]) - 1.0)] + parts[1:])
+            lines.append(line)
+    path = tmp_path / "h2_shifted.fcidump"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture()
@@ -118,6 +139,14 @@ class TestExact:
         assert "ground energy" in res.output
         assert "reference energy" not in res.output
 
+    def test_n_elec_solves_the_sector(self, runner, tmp_path, shifted_h2):
+        text = tmp_path / "shifted.txt"
+        ok(runner, ["transform", shifted_h2, "-o", str(text)])
+        res = ok(runner, ["exact", str(text), "--n-elec", "2"])
+        assert f"ground energy: {SHIFTED_N2}" in res.output
+        res = ok(runner, ["exact", str(text)])
+        assert f"ground energy: {SHIFTED_ALL}" in res.output
+
 
 class TestIqcc:
     def test_trajectory_and_checkpoints(self, runner, tmp_path, h2_text):
@@ -203,6 +232,45 @@ class TestScan:
         rows = read_csv(out)
         assert rows[1][0] == "1" and rows[1][-1] == FCI_R10
         assert rows[2][0] == "1.4" and all(cell == "" for cell in rows[2][1:])
+
+
+    def test_exact_column_is_the_reference_sector(self, runner, tmp_path, shifted_h2):
+        out = tmp_path / "scan.csv"
+        ok(runner, ["scan", shifted_h2, "--radii", "1.4", "-o", str(out)])
+        rows = read_csv(out)
+        assert rows[0][-1] == "E_exact"
+        assert rows[1][-1] == SHIFTED_N2
+
+    def test_estimator_failure_keeps_exact(self, runner, tmp_path, monkeypatch):
+        calls = []
+
+        def first_call_diverges(h, ref, cfg):
+            calls.append(cfg)
+            if len(calls) == 1:
+                raise RuntimeError("fixed point diverging")
+            return run_scheme(h, ref, cfg)
+
+        monkeypatch.setattr(cli, "run_scheme", first_call_diverges)
+        out = tmp_path / "scan.csv"
+        res = ok(runner, ["scan", R14, R10, "--radii", "1.4,1.0", "-o", str(out)])
+        assert f"warning: {R10}: fixed point diverging" in res.output
+        rows = read_csv(out)
+        assert rows[0] == ["r", "E_ILCAP", "E_ILCAP+BW", "E_ILCAP+EN", "E_exact"]
+        assert rows[1] == ["1", "", "", "", FCI_R10]
+        assert rows[2][0] == "1.4" and rows[2][-1] == FCI_R14
+        assert all(rows[2][1:])
+
+    def test_oracle_failure_keeps_estimators(self, runner, tmp_path, monkeypatch):
+        def broken(h, **kwargs):
+            raise ValueError("no convergence")
+
+        monkeypatch.setattr(oracle, "ground_energy", broken)
+        out = tmp_path / "scan.csv"
+        res = ok(runner, ["scan", R10, "--radii", "1.0", "-o", str(out)])
+        assert f"warning: {R10}: E_exact: no convergence" in res.output
+        rows = read_csv(out)
+        assert rows[0] == ["r", "E_ILCAP", "E_ILCAP+BW", "E_ILCAP+EN"]
+        assert all(rows[1])
 
 
 class TestFitMorse:

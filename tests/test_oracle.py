@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from qubitcc import oracle
+from qubitcc.chemio import jw_hamiltonian, load_fcidump
 from qubitcc.pauli import PauliSum, PauliWord, ReferenceState
 
-from conftest import random_even_sum, random_sum, random_word
+from conftest import DATA_DIR, random_even_sum, random_fcidump, random_sum, random_word
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -124,3 +125,71 @@ class TestGroundState:
         assert oracle.ground_energy(h, seed=3) == pytest.approx(
             oracle.ground_energy(h, seed=9), abs=1e-10
         )
+
+
+class TestElectronSector:
+    def sector_dense_minimum(self, h, n_elec):
+        """Lowest eigenvalue of the dense matrix restricted to n_elec set bits."""
+        keep = [b for b in range(2**h.n) if b.bit_count() == n_elec]
+        return float(np.linalg.eigvalsh(oracle.to_dense(h)[np.ix_(keep, keep)])[0])
+
+    @pytest.mark.parametrize("name", ["h2_r1", "h2_r1p2", "h2_r1p4", "h2_r1p8", "h2_r2p4"])
+    def test_agrees_with_full_space_on_h2(self, name):
+        # these H2 ground states have two electrons, so both solves agree
+        h = jw_hamiltonian(load_fcidump(str(DATA_DIR / f"{name}.fcidump")))
+        assert oracle.ground_energy(h, n_elec=2) == pytest.approx(
+            oracle.ground_energy(h), abs=1e-10
+        )
+
+    def test_shifted_h2_picks_the_sector(self):
+        # lowering each orbital energy by 1 Eh favours another electron count
+        data = load_fcidump(str(DATA_DIR / "h2_r1p4.fcidump"))
+        data.one_body[np.diag_indices(data.n_orb)] -= 1.0
+        h = jw_hamiltonian(data)
+        assert oracle.ground_energy(h, n_elec=2) == pytest.approx(-3.13727594, abs=1e-8)
+        assert oracle.ground_energy(h) == pytest.approx(-3.44644656, abs=1e-8)
+
+    @pytest.mark.parametrize("n_elec", [0, 1, 3, 6])
+    def test_eigenpair_on_random_integrals(self, rng, n_elec):
+        h = jw_hamiltonian(random_fcidump(rng, 3, n_elec, 0.3))
+        energy, vec = oracle.ground_state(h, n_elec=n_elec)
+        assert energy == pytest.approx(self.sector_dense_minimum(h, n_elec), abs=1e-10)
+        assert vec.shape == (2**h.n,)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        outside = [b for b in range(2**h.n) if b.bit_count() != n_elec]
+        assert not vec[outside].any()
+        assert oracle.expectation(h, vec) == pytest.approx(energy, abs=1e-10)
+
+    def test_lanczos_branch_agrees_with_dense(self, rng, monkeypatch):
+        h = jw_hamiltonian(random_fcidump(rng, 4, 4, 0.0))
+        dense = oracle.ground_energy(h, n_elec=4)
+        monkeypatch.setattr(oracle, "_SECTOR_DENSE_STATES", 0)
+        energy, vec = oracle.ground_state(h, n_elec=4, seed=5)
+        assert energy == pytest.approx(dense, abs=1e-10)
+        assert oracle.expectation(h, vec) == pytest.approx(energy, abs=1e-10)
+
+    def test_complex_hermitian_sum(self):
+        # a hopping with an odd Y count: purely imaginary off-diagonal
+        h = PauliSum(2, [(PauliWord(2, 0b11, 0b01), 0.5), (PauliWord(2, 0b11, 0b10), -0.5),
+                         (PauliWord(2, 0, 0b01), 0.2)])
+        energy, vec = oracle.ground_state(h, n_elec=1)
+        assert energy == pytest.approx(self.sector_dense_minimum(h, 1), abs=1e-12)
+        # the spectrum is blind to conjugation; the eigenvector is not
+        assert oracle.expectation(h, vec) == pytest.approx(energy, abs=1e-12)
+
+    def test_rejects_non_conserving_sum(self):
+        h = PauliSum(2, [(PauliWord(2, 0b01, 0), 0.3), (PauliWord(2, 0, 0b11), 1.0)])
+        with pytest.raises(ValueError, match="does not conserve the electron count"):
+            oracle.ground_state(h, n_elec=1)
+
+    def test_rejects_n_elec_outside_the_register(self):
+        h = PauliSum(3, [(PauliWord(3, 0, 0b001), 1.0)])
+        for n_elec in (-1, 4):
+            with pytest.raises(ValueError, match="n_elec must lie in 0..3"):
+                oracle.ground_state(h, n_elec=n_elec)
+
+    def test_sector_cap(self):
+        n = oracle.APPLY_QUBIT_CAP
+        h = PauliSum(n, [(PauliWord(n, 0, 1), 1.0)])
+        with pytest.raises(ValueError, match="capped at 16384"):
+            oracle.ground_state(h, n_elec=n // 2)
