@@ -17,11 +17,11 @@ import numpy as np
 
 from .pauli import (
     I_POWERS,
+    SUM_QUBIT_CAP,
     PauliSum,
     ReferenceState,
     _group_masks,
     _mask_product,
-    _sum_from_masks,
 )
 
 __all__ = [
@@ -144,14 +144,14 @@ def load_fcidump(path: str) -> FcidumpData:
 # -- ladder images and operator assembly ---------------------------------
 #
 # Operators are expanded on uint64 mask arrays (pauli's array helpers),
-# so the mapping works on at most 64 qubits.  Every ladder factor is
-# 0.5 or +-0.5i and every phase a power of i, so each expanded product
+# so the mapping works on at most SUM_QUBIT_CAP qubits.  Every ladder
+# factor is 0.5 or +-0.5i and every phase a power of i, so each product
 # coefficient is exact; only the order in which equal words are summed
 # decides the rounding.  That order is the term-by-term expansion's:
 # integral loops outermost, then spins, then the X/Y choice of each
 # factor, first factor slowest.
 
-JW_QUBIT_CAP = 64
+JW_QUBIT_CAP = SUM_QUBIT_CAP  # checked on NORB, before any expansion
 
 _I_POWERS = np.array(I_POWERS)
 _LADDER_COEFFS = {True: np.array([0.5, -0.5j]), False: np.array([0.5, 0.5j])}
@@ -209,7 +209,7 @@ def _fold_real(n_q: int, acc: _Terms, drop_threshold: float) -> PauliSum:
     if worst > 1e-10 * scale:
         raise ValueError(f"qubit operator has imaginary coefficients up to {worst:.3e}")
     keep = np.abs(c.real) > drop_threshold
-    return _sum_from_masks(n_q, x[keep], z[keep], c.real[keep])
+    return PauliSum.from_masks(n_q, x[keep], z[keep], c.real[keep])
 
 
 def _check_width(n_orb: int) -> None:
@@ -226,10 +226,10 @@ def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = 1e-12) -> Pauli
     H = E_core + sum f_pq a+_ps a_qs
         + 1/2 sum (pq|rs) a+_ps a+_rt a_st a_qs  (chemists' notation,
     spins s, t summed independently).  Coefficients below
-    drop_threshold in magnitude are removed.  Capped at JW_QUBIT_CAP =
-    64 qubits (32 orbitals), the width of the mask arrays: ValueError
-    above.  The two-body sum expands one p block at a time, so the
-    working set is the terms so far plus one block.
+    drop_threshold in magnitude are removed.  Capped at JW_QUBIT_CAP
+    qubits, the width of a ``PauliSum``'s masks: ValueError above.  The
+    two-body sum expands one p block at a time, so the working set is
+    the terms so far plus one block.
     """
     n_orb = data.n_orb
     _check_width(n_orb)

@@ -70,9 +70,17 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _load_hamiltonian(path: str, n: int | None) -> PauliSum:
-    with open(path, "r", encoding="utf-8") as fh:
-        return PauliSum.from_text(fh.read(), n)
+def _load(path: str, n: int | None, n_elec: int | None):
+    """The text Hamiltonian and, given n_elec, its reference; bad input is a usage error."""
+    try:  # UnicodeDecodeError is a ValueError too
+        with open(path, "r", encoding="utf-8") as fh:
+            h = PauliSum.from_text(fh.read(), n)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'HAMILTONIAN'") from None
+    try:
+        return h, None if n_elec is None else ReferenceState(h.n, n_elec)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--n-elec'") from None
 
 
 @click.group()
@@ -103,8 +111,11 @@ def main(ctx: click.Context, config_path: str | None) -> None:
               help="Drop transformed terms below this magnitude (default 1e-12).")
 def transform(fcidump, output, mu, drop_threshold):
     """Map an FCIDUMP to a qubit Hamiltonian in the text word format."""
-    data = load_fcidump(fcidump)
-    h = jw_hamiltonian(data, drop_threshold=drop_threshold)
+    try:
+        data = load_fcidump(fcidump)
+        h = jw_hamiltonian(data, drop_threshold=drop_threshold)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'FCIDUMP'") from None
     if mu:
         h = add_spin_penalty(h, data.n_orb, mu)
     header = (
@@ -128,9 +139,7 @@ def transform(fcidump, output, mu, drop_threshold):
 @click.option("--top", type=int, default=0, help="Show only the strongest sectors.")
 def screen(hamiltonian, n_elec, n_qubits, top):
     """Rank the X sectors of a Hamiltonian by reference gradient."""
-    n_elec = _require(n_elec, "--n-elec")
-    h = _load_hamiltonian(hamiltonian, n_qubits)
-    ref = ReferenceState(h.n, n_elec)
+    h, ref = _load(hamiltonian, n_qubits, _require(n_elec, "--n-elec"))
     ranked = gradients(ising_decompose(h), ref)
     rows = list(zip(ranked.masks, ranked.weights))
     if top:
@@ -150,9 +159,7 @@ def screen(hamiltonian, n_elec, n_qubits, top):
               help="Drop zero-gradient X words before building the set.")
 def acset_cmd(hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
     """Build the anti-commuting generator set from ranked X words."""
-    n_elec = _require(n_elec, "--n-elec")
-    h = _load_hamiltonian(hamiltonian, n_qubits)
-    ref = ReferenceState(h.n, n_elec)
+    h, ref = _load(hamiltonian, n_qubits, _require(n_elec, "--n-elec"))
     ranked = gradients(ising_decompose(h), ref, drop_zero=drop_zero)
     acs = build_anticommuting_set(h.n, list(ranked.masks), max_generators)
     click.echo(f"{len(acs)} generators from {len(ranked)} ranked X words on {h.n} qubits")
@@ -174,9 +181,7 @@ def acset_cmd(hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
 def iqcc(hamiltonian, n_elec, n_qubits, gens, iterations, grad_tol, trunc_threshold, seed,
          checkpoint_dir):
     """Run the iterative solver and report the energy trajectory."""
-    n_elec = _require(n_elec, "--n-elec")
-    h = _load_hamiltonian(hamiltonian, n_qubits)
-    ref = ReferenceState(h.n, n_elec)
+    h, ref = _load(hamiltonian, n_qubits, _require(n_elec, "--n-elec"))
     state = run_iqcc(
         h, ref,
         generators_per_iteration=gens,
@@ -206,9 +211,7 @@ def iqcc(hamiltonian, n_elec, n_qubits, gens, iterations, grad_tol, trunc_thresh
 @_run_options
 def ilcap_cmd(hamiltonian, n_elec, n_qubits, **run_options):
     """Single-point combination-ansatz estimators with corrections."""
-    n_elec = _require(n_elec, "--n-elec")
-    h = _load_hamiltonian(hamiltonian, n_qubits)
-    ref = ReferenceState(h.n, n_elec)
+    h, ref = _load(hamiltonian, n_qubits, _require(n_elec, "--n-elec"))
     for label, value in run_scheme(h, ref, _run_config(**run_options)).items():
         click.echo(f"{label:<24} {_fmt(value)}")
 
@@ -328,11 +331,13 @@ def fit_morse_cmd(scan_csv, column, mu_amu):
 @click.option("--n-qubits", type=int, default=None)
 def exact(hamiltonian, n_elec, n_qubits):
     """Oracle ground-state energy of a text Hamiltonian."""
-    h = _load_hamiltonian(hamiltonian, n_qubits)
-    energy = oracle.ground_energy(h, n_elec=n_elec)
+    h, ref = _load(hamiltonian, n_qubits, n_elec)
+    try:
+        energy = oracle.ground_energy(h, n_elec=n_elec)
+    except ValueError as exc:  # a size cap, or h does not conserve n_elec
+        raise click.BadParameter(str(exc), param_hint="'HAMILTONIAN'") from None
     click.echo(f"ground energy: {_fmt(energy)}")
-    if n_elec is not None:
-        ref = ReferenceState(h.n, n_elec)
+    if ref is not None:
         click.echo(f"reference energy: {_fmt(ref.expectation(h))}")
 
 

@@ -14,10 +14,9 @@ sector of ``screen.ising_decompose`` at one basis state
 (``IsingSector.value``); ``pauli.basis_image`` supplies the phase a
 word picks up on the reference.
 
-``dress_with_combination`` forms its M^2 |H| products on uint64 mask
-arrays with the ``pauli`` array helpers, so it is capped at 64 qubits;
-its output is the same ``PauliSum``, bit for bit, as the term-by-term
-expansion.
+``dress_with_combination`` forms its M^2 |H| products on the mask
+arrays of the ``PauliSum``; its output is the same, bit for bit, as the
+term-by-term expansion.
 """
 
 from __future__ import annotations
@@ -35,11 +34,10 @@ from .pauli import (
     PauliWord,
     ReferenceState,
     _group_masks,
-    _mask_arrays,
     _mask_product,
-    _sum_from_masks,
     basis_image,
     commutes,
+    half_commutator,
 )
 from .screen import IsingDecomposition, ising_decompose
 
@@ -187,13 +185,10 @@ def dress_with_combination(
     """Conjugate h by exp(-i t T / 2) with T the alpha-combination.
 
     Because T is involutory the transformation closes exactly:
-    h - (i/2) sin(t) [h, T] + (1 - cos t)/2 (T h T - h).  The terms
-    are formed on uint64 mask arrays, so h may have at most 64 qubits.
+    h - (i/2) sin(t) [h, T] + (1 - cos t)/2 (T h T - h).
     """
     if len(generators) != len(alphas):
         raise ValueError("one weight per generator required")
-    if h.n > 64:
-        raise ValueError(f"combination dressing handles at most 64 qubits, got {h.n}")
     alphas = np.asarray(alphas, dtype=float)
     if t == 0.0 or len(generators) == 0 or not np.any(alphas):
         return h.truncate(truncation_threshold) if truncation_threshold > 0 else h
@@ -204,27 +199,25 @@ def dress_with_combination(
 
     st = math.sin(t)
     fc = (1.0 - math.cos(t)) / 2.0
-    hx, hz, hc = _mask_arrays(h)
-    active = [(a, np.uint64(g.x), np.uint64(g.z)) for a, g in zip(alphas, generators) if a != 0.0]
+    active = [(a, g) for a, g in zip(alphas, generators) if a != 0.0]
     # duplicates add up in this order: h (1 - fc), the half-commutator
-    # parts generator by generator, then the real part of T h T
-    xs, zs, cs = [hx], [hz], [hc * (1.0 - fc)]
+    # parts generator by generator, then the real part of T h T; each
+    # part's words are distinct, so the order within a part is free
+    xs, zs, cs = [h.x], [h.z], [h.c * (1.0 - fc)]
     # T h T in (k, j, term) order, each product gk * w * gj = i**k (x, z)
     tx, tz, tk, tw = [], [], [], []
-    for a_k, gkx, gkz in active:
-        x1, z1, k1 = _mask_product(gkx, gkz, hx, hz)
-        odd = (k1 & 1).astype(bool)  # the terms anti-commuting with gk
-        c = hc[odd]
-        # i * i**k for odd k is -1 (k=1) or +1 (k=3)
-        xs.append(x1[odd])
-        zs.append(z1[odd])
-        cs.append(st * a_k * np.where(k1[odd] == 1, -c, c))
-        for a_j, gjx, gjz in active:
-            x2, z2, k2 = _mask_product(x1, z1, gjx, gjz)
+    for a_k, gk in active:
+        part = half_commutator(gk, h)
+        xs.append(part.x)
+        zs.append(part.z)
+        cs.append(st * a_k * part.c)
+        x1, z1, k1 = _mask_product(np.uint64(gk.x), np.uint64(gk.z), h.x, h.z)
+        for a_j, gj in active:
+            x2, z2, k2 = _mask_product(x1, z1, np.uint64(gj.x), np.uint64(gj.z))
             tx.append(x2)
             tz.append(z2)
             tk.append((k1 + k2) & 3)
-            tw.append(a_k * a_j * hc)
+            tw.append(a_k * a_j * h.c)
     ux, uz, inverse = _group_masks(np.concatenate(tx), np.concatenate(tz))
     products = np.concatenate(tw) * np.array(I_POWERS)[np.concatenate(tk)]
     real = np.bincount(inverse, weights=products.real, minlength=len(ux))
@@ -236,7 +229,7 @@ def dress_with_combination(
     xs.append(ux[kept])
     zs.append(uz[kept])
     cs.append(fc * real[kept])
-    out = _sum_from_masks(h.n, np.concatenate(xs), np.concatenate(zs), np.concatenate(cs))
+    out = PauliSum.from_masks(h.n, np.concatenate(xs), np.concatenate(zs), np.concatenate(cs))
     return out.truncate(truncation_threshold) if truncation_threshold > 0 else out
 
 

@@ -9,12 +9,11 @@ that a*b = i**k * word, and ``I_POWERS[k]`` is i**k; acting on a
 computational basis state, ``basis_image(w, bits)`` returns
 ``(image, k)`` with w|bits> = i**k |image>.  This module is the only
 place that knows these conventions; its private array helpers apply
-the same product and order rules to uint64 mask arrays, for sums on
-at most 64 qubits.
+the same product and order rules to uint64 mask arrays.
 
-Sums of words carry real coefficients and keep their terms in a
-canonical order (lexicographic on the ``(x, z)`` pair), so any two
-routes to the same operator accumulate bit-identical results.
+Sums of words carry real coefficients and keep their terms as mask
+arrays in a canonical order (lexicographic on the ``(x, z)`` pair), so
+any two routes to the same operator accumulate bit-identical results.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "I_POWERS",
+    "SUM_QUBIT_CAP",
     "PauliWord",
     "PauliSum",
     "ReferenceState",
@@ -39,6 +39,8 @@ __all__ = [
 
 # i**k for k = 0..3; complex entries keep every product a complex multiply
 I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+SUM_QUBIT_CAP = 64  # a PauliSum's masks are uint64; a PauliWord has no width limit
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,61 +153,123 @@ def basis_image(word: PauliWord, bits: int) -> tuple[int, int]:
     return image, (3 * word.y_count() + 2 * (word.z & image).bit_count()) & 3
 
 
-def _word_key(w: PauliWord) -> tuple[int, int]:
-    return (w.x, w.z)
+def _signed_sum(terms: Iterable[tuple[int, float]], bits: int) -> float:
+    total = 0.0
+    for z, c in terms:
+        total += -c if (z & bits).bit_count() & 1 else c
+    return total
+
+
+def _mask_product(ax, az, bx, bz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``multiply`` broadcast over uint64 masks: a*b = i**k * (x, z).
+
+    k is uint8 in 0..3; its popcount sum wraps modulo 256, a multiple
+    of 4, so the final ``& 3`` is exact.
+    """
+    x = ax ^ bx
+    z = az ^ bz
+    k = (
+        np.bitwise_count(ax & az)
+        + np.bitwise_count(bx & bz)
+        + 2 * np.bitwise_count(az & bx)
+        - np.bitwise_count(x & z)
+    )
+    return x, z, k & 3
+
+
+def _group_masks(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (x, z) pairs in canonical order, and each input's index among them."""
+    order = np.lexsort((z, x))
+    xs, zs = x[order], z[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return xs[first], zs[first], inverse
 
 
 class PauliSum:
-    """Real linear combination of Pauli words in canonical term order."""
+    """Real linear combination of Pauli words in canonical term order.
 
-    __slots__ = ("n", "_coeffs")
+    The terms are read-only arrays: distinct uint64 masks ``x`` and
+    ``z`` ascending in (x, z), and nonzero float64 coefficients ``c``.
+    """
+
+    __slots__ = ("n", "x", "z", "c")
 
     def __init__(self, n: int, terms: Iterable[tuple[PauliWord, float]] = ()):
-        if n < 1:
-            raise ValueError("a Pauli sum needs at least one qubit")
-        acc: dict[PauliWord, float] = {}
-        for word, c in terms:
-            if word.n != n:
-                raise ValueError("term qubit count differs from the sum's")
-            c = float(c)
-            acc[word] = acc.get(word, 0.0) + c
+        if not 1 <= n <= SUM_QUBIT_CAP:
+            raise ValueError(f"a Pauli sum spans 1 to {SUM_QUBIT_CAP} qubits, got {n}")
         self.n = n
-        self._coeffs = {w: acc[w] for w in sorted(acc, key=_word_key) if acc[w] != 0.0}
+        pairs = list(terms)
+        if any(word.n != n for word, _ in pairs):
+            raise ValueError("term qubit count differs from the sum's")
+        self._assign(
+            np.fromiter((w.x for w, _ in pairs), np.uint64, len(pairs)),
+            np.fromiter((w.z for w, _ in pairs), np.uint64, len(pairs)),
+            np.fromiter((float(c) for _, c in pairs), np.float64, len(pairs)),
+        )
+
+    @classmethod
+    def from_masks(cls, n: int, x, z, c) -> "PauliSum":
+        """The sum over i of c[i] times the word (x[i], z[i]).
+
+        Duplicate words add up in input order (``np.bincount`` is a
+        sequential loop) and exact zeros drop out.
+        """
+        out = cls(n)
+        out._assign(np.asarray(x, np.uint64), np.asarray(z, np.uint64), np.asarray(c, np.float64))
+        return out
+
+    def _assign(self, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> None:
+        ux, uz, inverse = _group_masks(x, z)
+        if int((ux | uz).max(initial=0)) >> self.n:
+            raise ValueError("mask bits outside the qubit range")
+        total = np.bincount(inverse, weights=c, minlength=len(ux))
+        keep = total != 0.0
+        self.x, self.z, self.c = ux[keep], uz[keep], total[keep]
+        for a in (self.x, self.z, self.c):
+            a.flags.writeable = False
 
     def items(self) -> Iterator[tuple[PauliWord, float]]:
-        return iter(self._coeffs.items())
+        return zip(self.words(), self.c.tolist())
 
     def words(self) -> Iterator[PauliWord]:
-        return iter(self._coeffs)
+        return (PauliWord(self.n, a, b) for a, b in zip(self.x.tolist(), self.z.tolist()))
 
     def coefficient(self, word: PauliWord) -> float:
-        return self._coeffs.get(word, 0.0)
+        if word.n != self.n:
+            return 0.0
+        hit = self.c[(self.x == np.uint64(word.x)) & (self.z == np.uint64(word.z))]
+        return float(hit[0]) if len(hit) else 0.0
 
     def __contains__(self, word: PauliWord) -> bool:
-        return word in self._coeffs
+        return self.coefficient(word) != 0.0  # no stored coefficient is zero
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self.c)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliSum):
             return NotImplemented
-        return self.n == other.n and self._coeffs == other._coeffs
+        pairs = zip((self.x, self.z, self.c), (other.x, other.z, other.c))
+        return self.n == other.n and all(np.array_equal(a, b) for a, b in pairs)
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n != other.n:
             raise ValueError("qubit counts differ")
-        out = dict(self._coeffs)
-        for w, c in other.items():
-            out[w] = out.get(w, 0.0) + c
-        return PauliSum(self.n, out.items())
+        return PauliSum.from_masks(
+            self.n,
+            np.concatenate((self.x, other.x)),
+            np.concatenate((self.z, other.z)),
+            np.concatenate((self.c, other.c)),
+        )
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: float) -> "PauliSum":
-        s = float(scalar)
-        return PauliSum(self.n, ((w, c * s) for w, c in self.items()))
+        return PauliSum.from_masks(self.n, self.x, self.z, self.c * float(scalar))
 
     __rmul__ = __mul__
 
@@ -216,14 +280,14 @@ class PauliSum:
         return f"PauliSum(n={self.n}, terms={len(self)})"
 
     def max_abs_coefficient(self) -> float:
-        return max((abs(c) for c in self._coeffs.values()), default=0.0)
+        return float(np.max(np.abs(self.c), initial=0.0))
 
     def truncate(self, threshold: float) -> "PauliSum":
         """Drop every term with coefficient magnitude below ``threshold``."""
         if threshold < 0.0:
             raise ValueError("threshold must be non-negative")
-        kept = ((w, c) for w, c in self.items() if abs(c) >= threshold)
-        return PauliSum(self.n, kept)
+        keep = np.abs(self.c) >= threshold
+        return PauliSum.from_masks(self.n, self.x[keep], self.z[keep], self.c[keep])
 
     # -- text round trip ------------------------------------------------
 
@@ -280,64 +344,6 @@ class PauliSum:
         return "\n".join(f"{c:.17g} {w.to_text()}" for w, c in self.items())
 
 
-# -- array form, for sums on at most 64 qubits ----------------------------
-
-
-def _mask_arrays(h: PauliSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h as canonical-order (x, z, c) arrays: uint64, uint64, float64."""
-    size = len(h)
-    x = np.fromiter((w.x for w in h.words()), np.uint64, size)
-    z = np.fromiter((w.z for w in h.words()), np.uint64, size)
-    c = np.fromiter(h._coeffs.values(), np.float64, size)
-    return x, z, c
-
-
-def _mask_product(ax, az, bx, bz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``multiply`` broadcast over uint64 masks: a*b = i**k * (x, z).
-
-    k is uint8 in 0..3; its popcount sum wraps modulo 256, a multiple
-    of 4, so the final ``& 3`` is exact.
-    """
-    x = ax ^ bx
-    z = az ^ bz
-    k = (
-        np.bitwise_count(ax & az)
-        + np.bitwise_count(bx & bz)
-        + 2 * np.bitwise_count(az & bx)
-        - np.bitwise_count(x & z)
-    )
-    return x, z, k & 3
-
-
-def _group_masks(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (x, z) pairs in canonical order, and each input's index among them."""
-    order = np.lexsort((z, x))
-    xs, zs = x[order], z[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return xs[first], zs[first], inverse
-
-
-def _sum_from_masks(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PauliSum:
-    """``PauliSum(n, zip(words, c))`` for terms given as mask arrays.
-
-    Duplicate words add up in input order (``np.bincount`` is a
-    sequential loop, as the constructor's dict update is), so the
-    coefficients are bit-identical to the constructor's.
-    """
-    ux, uz, inverse = _group_masks(x, z)
-    total = np.bincount(inverse, weights=c, minlength=len(ux))
-    keep = total != 0.0
-    out = PauliSum(n)
-    out._coeffs = {
-        PauliWord(n, a, b): v
-        for a, b, v in zip(ux[keep].tolist(), uz[keep].tolist(), total[keep].tolist())
-    }
-    return out
-
-
 @dataclass(frozen=True, slots=True)
 class ReferenceState:
     """Product reference: the first ``n_elec`` qubits down (z = -1), the rest up."""
@@ -347,7 +353,7 @@ class ReferenceState:
 
     def __post_init__(self) -> None:
         if not 0 <= self.n_elec <= self.n:
-            raise ValueError("n_elec must lie in 0..n")
+            raise ValueError(f"n_elec must lie in 0..{self.n}")
 
     @property
     def occupied_mask(self) -> int:
@@ -357,49 +363,44 @@ class ReferenceState:
         """<0|h|0>, only diagonal terms contribute."""
         if h.n != self.n:
             raise ValueError("qubit counts differ")
-        occ = self.occupied_mask
-        total = 0.0
-        for w, c in h.items():
-            if w.x == 0:
-                total += -c if (w.z & occ).bit_count() & 1 else c
-        return total
+        # the diagonal (x = 0) terms lead the canonical order
+        end = int(np.searchsorted(h.x, np.uint64(0), "right"))
+        return _signed_sum(zip(h.z[:end].tolist(), h.c[:end].tolist()), self.occupied_mask)
 
 
 def conjugate_by_word(h: PauliSum, generator: PauliWord, t: float) -> PauliSum:
     """exp(+i t G/2) h exp(-i t G/2) expanded exactly in the word basis.
 
-    Terms commuting with the generator pass through unchanged; each
-    anti-commuting term W splits into cos(t) W plus sin(t) times the
-    signed product word.  No truncation happens here.
+    Terms commuting with the generator pass through unchanged; the
+    anti-commuting ones are scaled by cos(t), and sin(t) times the half
+    commutator is added.  A word meets at most two contributions (its
+    own term and one product), so the order of addition cannot change
+    the result.  No truncation happens here.
     """
     if generator.n != h.n:
         raise ValueError("qubit counts differ")
-    ct, st = math.cos(t), math.sin(t)
-    out: list[tuple[PauliWord, float]] = []
-    for w, c in h.items():
-        if commutes(w, generator):
-            out.append((w, c))
-            continue
-        out.append((w, c * ct))
-        v, k = multiply(w, generator)
-        # -i * i**k is +-1 exactly; k is odd for anti-commuting Hermitian words
-        out.append((v, c * st * (1.0 if k == 1 else -1.0)))
-    return PauliSum(h.n, out)
+    # generator * w carries an odd power of i exactly when w anti-commutes
+    anti = _mask_product(np.uint64(generator.x), np.uint64(generator.z), h.x, h.z)[2] & 1
+    comm = half_commutator(generator, h)
+    return PauliSum.from_masks(
+        h.n,
+        np.concatenate((h.x, comm.x)),
+        np.concatenate((h.z, comm.z)),
+        np.concatenate((np.where(anti, h.c * math.cos(t), h.c), math.sin(t) * comm.c)),
+    )
 
 
 def half_commutator(generator: PauliWord, h: PauliSum) -> PauliSum:
     """(i/2)[generator, h] as a real-coefficient sum.
 
     This is the derivative at t = 0 of the conjugation above, and the
-    building block for amplitude gradients.
+    building block for amplitude gradients.  Its words are distinct,
+    one per anti-commuting term of h.
     """
     if generator.n != h.n:
         raise ValueError("qubit counts differ")
-    out: list[tuple[PauliWord, float]] = []
-    for w, c in h.items():
-        if commutes(w, generator):
-            continue
-        v, k = multiply(generator, w)
-        # i * i**k for odd k is -1 (k=1) or +1 (k=3)
-        out.append((v, -c if k == 1 else c))
-    return PauliSum(h.n, out)
+    x, z, k = _mask_product(np.uint64(generator.x), np.uint64(generator.z), h.x, h.z)
+    anti = (k & 1).astype(bool)
+    c = h.c[anti]
+    # i * i**k for odd k is -1 (k=1) or +1 (k=3)
+    return PauliSum.from_masks(h.n, x[anti], z[anti], np.where(k[anti] == 1, -c, c))

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pauli import PauliSum, ReferenceState
+import numpy as np
+
+from .pauli import PauliSum, ReferenceState, _signed_sum
 
 __all__ = [
     "IsingSector",
@@ -28,13 +30,6 @@ __all__ = [
     "ising_decompose",
     "gradients",
 ]
-
-
-def _signed_sum(terms: tuple[tuple[int, float], ...], bits: int) -> float:
-    total = 0.0
-    for z, c in terms:
-        total += -c if (z & bits).bit_count() & 1 else c
-    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,16 +70,19 @@ class IsingDecomposition:
 
 def ising_decompose(h: PauliSum) -> IsingDecomposition:
     """Group terms by X mask and fold the Y phases onto the z side."""
-    # canonical term order ascends in (x, z), so each part ascends in z;
     # (-i)^k is 1, -i, -1, i for k = 0..3 Y factors
-    parts: dict[int, tuple[list, list]] = {0: ([], [])}
-    for w, c in h.items():
-        part = parts.get(w.x)
-        if part is None:
-            part = parts[w.x] = ([], [])
-        k = w.y_count() & 3
-        part[k & 1].append((w.z, -c if k == 1 or k == 2 else c))
-    sectors = {x: IsingSector(x, tuple(e), tuple(o)) for x, (e, o) in parts.items()}
+    k = np.bitwise_count(h.x & h.z) & 3
+    c = np.where((k == 1) | (k == 2), -h.c, h.c)
+    # a stable sort, so each (x, odd) run keeps the canonical ascending z
+    order = np.lexsort((k & 1, h.x))
+    x, odd = h.x[order], (k & 1)[order]
+    cuts = (np.flatnonzero(np.diff(x) | np.diff(odd)) + 1).tolist()
+    bounds = [0, *cuts, len(x)] if len(x) else []
+    terms = list(zip(h.z[order].tolist(), c[order].tolist()))
+    parts: dict[int, list[tuple]] = {0: [(), ()]}
+    for lo, hi in zip(bounds, bounds[1:]):
+        parts.setdefault(int(x[lo]), [(), ()])[int(odd[lo])] = tuple(terms[lo:hi])
+    sectors = {m: IsingSector(m, e, o) for m, (e, o) in parts.items()}
     diagonal = sectors.pop(0)
     return IsingDecomposition(h.n, diagonal, sectors)
 

@@ -1,3 +1,4 @@
+import math
 import random
 from pathlib import Path
 
@@ -10,10 +11,10 @@ from qubitcc.pauli import (
     PauliSum,
     PauliWord,
     ReferenceState,
-    conjugate_by_word,
-    half_commutator,
+    commutes,
     multiply,
 )
+from qubitcc.screen import IsingDecomposition, IsingSector
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -75,6 +76,81 @@ def word_expectation(ref: ReferenceState, word: PauliWord) -> float:
     return -1.0 if (word.z & ref.occupied_mask).bit_count() & 1 else 1.0
 
 
+# -- term-by-term references for pauli's and screen's array routines -----
+
+
+def reference_terms(n, terms):
+    """``PauliSum(n, terms)``'s terms by a dict of words, in canonical order.
+
+    Duplicates add up in input order and exact zeros drop out; the
+    array constructor must reproduce this bit for bit.
+    """
+    acc = {}
+    for word, c in terms:
+        if word.n != n:
+            raise ValueError("term qubit count differs from the sum's")
+        acc[word] = acc.get(word, 0.0) + float(c)
+    return [(w, acc[w]) for w in sorted(acc, key=lambda w: (w.x, w.z)) if acc[w] != 0.0]
+
+
+def reference_conjugate_by_word(h, generator, t):
+    """``conjugate_by_word`` term by term."""
+    ct, st = math.cos(t), math.sin(t)
+    out = []
+    for w, c in h.items():
+        if commutes(w, generator):
+            out.append((w, c))
+            continue
+        out.append((w, c * ct))
+        v, k = multiply(w, generator)
+        # -i * i**k is +-1 exactly; k is odd for anti-commuting Hermitian words
+        out.append((v, c * st * (1.0 if k == 1 else -1.0)))
+    return PauliSum(h.n, reference_terms(h.n, out))
+
+
+def reference_half_commutator(generator, h):
+    """``half_commutator`` term by term."""
+    out = []
+    for w, c in h.items():
+        if commutes(w, generator):
+            continue
+        v, k = multiply(generator, w)
+        # i * i**k for odd k is -1 (k=1) or +1 (k=3)
+        out.append((v, -c if k == 1 else c))
+    return PauliSum(h.n, reference_terms(h.n, out))
+
+
+def reference_expectation(ref, h):
+    """``ReferenceState.expectation`` term by term, in canonical order."""
+    occ = ref.occupied_mask
+    total = 0.0
+    for w, c in h.items():
+        if w.x == 0:
+            total += -c if (w.z & occ).bit_count() & 1 else c
+    return total
+
+
+def reference_ising_decompose(h):
+    """``screen.ising_decompose`` term by term."""
+    parts = {0: ([], [])}
+    for w, c in h.items():
+        part = parts.get(w.x)
+        if part is None:
+            part = parts[w.x] = ([], [])
+        k = w.y_count() & 3
+        part[k & 1].append((w.z, -c if k == 1 or k == 2 else c))
+    sectors = {x: IsingSector(x, tuple(e), tuple(o)) for x, (e, o) in parts.items()}
+    diagonal = sectors.pop(0)
+    return IsingDecomposition(h.n, diagonal, sectors)
+
+
+def assert_same_sum(got, want):
+    """Same words in the same order, coefficients equal bit for bit."""
+    assert got.n == want.n
+    assert list(got.words()) == list(want.words())
+    assert [c.hex() for _, c in got.items()] == [c.hex() for _, c in want.items()]
+
+
 def conjugation_energy_and_gradient(h, generators, amplitudes, ref):
     """QCC energy and gradient by conjugating the whole Hamiltonian.
 
@@ -89,15 +165,15 @@ def conjugation_energy_and_gradient(h, generators, amplitudes, ref):
     inner: list[PauliSum] = []
     cur = h
     for gen, t in zip(generators, amplitudes):
-        cur = conjugate_by_word(cur, gen, t)
+        cur = reference_conjugate_by_word(cur, gen, t)
         inner.append(cur)
-    energy = ref.expectation(cur)
+    energy = reference_expectation(ref, cur)
     grad = np.zeros(L)
     for j in range(L):
-        d = half_commutator(generators[j], inner[j])
+        d = reference_half_commutator(generators[j], inner[j])
         for k in range(j + 1, L):
-            d = conjugate_by_word(d, generators[k], amplitudes[k])
-        grad[j] = ref.expectation(d)
+            d = reference_conjugate_by_word(d, generators[k], amplitudes[k])
+        grad[j] = reference_expectation(ref, d)
     return energy, grad
 
 

@@ -312,6 +312,52 @@ class TestFitMorse:
         assert "E_other" in res.output
 
 
+class TestBadInput:
+    """Malformed input files and out-of-range values are usage errors: exit 2, no traceback."""
+
+    @staticmethod
+    def usage_error(runner, args, message):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # click's exit, not a ValueError
+        assert message in res.output
+
+    def test_malformed_text_hamiltonian(self, runner, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1.0 Q0\n", encoding="utf-8")
+        self.usage_error(runner, ["exact", str(path)],
+                         "Invalid value for 'HAMILTONIAN': line 1: bad factor 'Q0'")
+        path.write_bytes(b"1.0 Z0\n\xff\xfe\n")
+        self.usage_error(runner, ["exact", str(path)], "can't decode byte 0xff")
+
+    def test_text_hamiltonian_past_the_sum_width(self, runner, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("1.0 Z0 X64\n", encoding="utf-8")
+        self.usage_error(runner, ["screen", str(path), "--n-elec", "1"],
+                         "a Pauli sum spans 1 to 64 qubits, got 65")
+
+    def test_n_elec_outside_register(self, runner, tmp_path):
+        path = tmp_path / "two.txt"
+        path.write_text("1.0 Z0\n0.5 X0 X1\n", encoding="utf-8")
+        for command in ("exact", "iqcc"):
+            self.usage_error(runner, [command, str(path), "--n-elec", "5"],
+                             "Invalid value for '--n-elec': n_elec must lie in 0..2")
+
+    def test_exact_sector_not_conserved(self, runner, tmp_path):
+        path = tmp_path / "x0.txt"
+        path.write_text("0.5 X0\n", encoding="utf-8")
+        self.usage_error(runner, ["exact", str(path), "--n-elec", "1"],
+                         "does not conserve the electron count")
+
+    def test_malformed_fcidump_line(self, runner, tmp_path):
+        lines = open(R14, encoding="utf-8").read().splitlines()
+        lines.insert(-1, "0.5 1 x 0 0")
+        path = tmp_path / "bad.fcidump"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.usage_error(runner, ["transform", str(path)],
+                         "Invalid value for 'FCIDUMP': integral line")
+
+
 class TestConfig:
     def test_run_section_fallback(self, runner, tmp_path, h2_text):
         cfg = tmp_path / "cfg.ini"

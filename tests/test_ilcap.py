@@ -18,12 +18,11 @@ from qubitcc.pauli import (
     PauliSum,
     PauliWord,
     ReferenceState,
-    half_commutator,
     multiply,
 )
 from qubitcc.qcc import qcc_energy_and_gradient
 
-from conftest import random_even_sum
+from conftest import assert_same_sum, random_even_sum, reference_half_commutator, reference_terms
 
 
 def random_generators(rng, n, count):
@@ -48,7 +47,7 @@ def _dress_reference(h, generators, t, alphas, *, truncation_threshold=0.0):
     for a_k, gen in zip(alphas, generators):
         if a_k == 0.0:
             continue
-        for w, c in half_commutator(gen, h).items():
+        for w, c in reference_half_commutator(gen, h).items():
             terms.append((w, st * a_k * c))
 
     tht = {}
@@ -68,15 +67,8 @@ def _dress_reference(h, generators, t, alphas, *, truncation_threshold=0.0):
             raise ValueError("T h T has a non-negligible imaginary term")
         if val.real:
             terms.append((w, fc * val.real))
-    out = PauliSum(h.n, terms)
+    out = PauliSum(h.n, reference_terms(h.n, terms))
     return out.truncate(truncation_threshold) if truncation_threshold > 0 else out
-
-
-def assert_same_sum(got, want):
-    """Same words in the same order, coefficients equal bit for bit."""
-    assert got.n == want.n
-    assert list(got.words()) == list(want.words())
-    assert [c.hex() for _, c in got.items()] == [c.hex() for _, c in want.items()]
 
 
 def gapped_sum(rng, n, ref, strength=3.0):
@@ -337,8 +329,8 @@ class TestDressWithCombination:
         got = dress_with_combination(h, gens, 0.9, alphas)
         assert_same_sum(got, _dress_reference(h, gens, 0.9, alphas))
 
-        wide = PauliSum(65, [(PauliWord(65, 1 << 64, 0), 1.0)])
         with pytest.raises(ValueError, match="64 qubits"):
+            wide = PauliSum(65, [(PauliWord(65, 1 << 64, 0), 1.0)])
             dress_with_combination(wide, [PauliWord(65, 1, 1)], 0.5, [1.0])
 
 

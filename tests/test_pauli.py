@@ -15,13 +15,46 @@ from qubitcc.pauli import (
     commutes,
     conjugate_by_word,
     half_commutator,
-    _mask_arrays,
     _mask_product,
-    _sum_from_masks,
     multiply,
 )
+from qubitcc.screen import ising_decompose
 
-from conftest import random_sum, random_word, word_expectation
+from conftest import (
+    assert_same_sum,
+    random_sum,
+    random_word,
+    reference_conjugate_by_word,
+    reference_expectation,
+    reference_half_commutator,
+    reference_ising_decompose,
+    reference_terms,
+    word_expectation,
+)
+
+# few distinct words, so most appear several times; the values include
+# +-0.0 and cancelling pairs, and sums depend on their order
+AWKWARD_VALUES = [0.0, -0.0, 0.1, 0.2, -0.3, 0.5, -0.5, 1e-17, -1.0]
+
+
+def awkward_terms(rng: random.Random, n: int, max_terms: int = 25):
+    pool = [random_word(rng, n) for _ in range(6)] + [PauliWord.identity(n)]
+    count = rng.randint(0, max_terms)
+    terms = [(rng.choice(pool), rng.choice(AWKWARD_VALUES)) for _ in range(count)]
+    rng.shuffle(terms)
+    return terms
+
+
+def masks_of(terms):
+    return (
+        np.array([w.x for w, _ in terms], np.uint64),
+        np.array([w.z for w, _ in terms], np.uint64),
+        np.array([c for _, c in terms], np.float64),
+    )
+
+
+def hex_items(items):
+    return [(w, c.hex()) for w, c in items]
 
 
 def dense(w: PauliWord) -> np.ndarray:
@@ -201,38 +234,93 @@ class TestPauliSum:
 
     def test_mask_arrays_round_trip(self, rng):
         s = random_sum(rng, 64, 30)
-        x, z, c = _mask_arrays(s)
-        assert (x.dtype, z.dtype, c.dtype) == (np.uint64, np.uint64, np.float64)
-        assert _sum_from_masks(64, x, z, c)._coeffs == s._coeffs
+        assert (s.x.dtype, s.z.dtype, s.c.dtype) == (np.uint64, np.uint64, np.float64)
+        assert [(w.x, w.z) for w in s.words()] == list(zip(s.x.tolist(), s.z.tolist()))
+        assert PauliSum.from_masks(64, s.x, s.z, s.c) == s
 
     def test_sum_from_masks_matches_constructor(self, rng):
-        # few distinct words, so most appear several times; the values
-        # include +-0.0 and cancelling pairs, and sums depend on their order
-        values = [0.0, -0.0, 0.1, 0.2, -0.3, 0.5, -0.5, 1e-17, -1.0]
-        for n in (1, 3, 64):
-            pool = [random_word(rng, n) for _ in range(6)] + [PauliWord.identity(n)]
+        for n in (1, 7, 63, 64):
             for _ in range(40):
-                terms = [(rng.choice(pool), rng.choice(values)) for _ in range(rng.randint(0, 25))]
-                rng.shuffle(terms)
-                got = _sum_from_masks(
-                    n,
-                    np.array([w.x for w, _ in terms], np.uint64),
-                    np.array([w.z for w, _ in terms], np.uint64),
-                    np.array([c for _, c in terms], np.float64),
-                )
-                want = PauliSum(n, terms)
-                assert list(got.items()) == list(want.items())
-                assert got._coeffs == want._coeffs
-                assert got.to_text() == want.to_text()
+                terms = awkward_terms(rng, n)
+                want = hex_items(reference_terms(n, terms))
+                assert hex_items(PauliSum(n, terms).items()) == want
+                assert hex_items(PauliSum.from_masks(n, *masks_of(terms)).items()) == want
 
     def test_sum_from_masks_cancellation_and_order(self):
         w, v = PauliWord(2, 2, 1), PauliWord(2, 1, 3)
         x = np.array([w.x, v.x, w.x, v.x, w.x], np.uint64)
         z = np.array([w.z, v.z, w.z, v.z, w.z], np.uint64)
-        got = _sum_from_masks(2, x, z, np.array([0.1, 0.5, 0.2, -0.5, -0.3]))
+        got = PauliSum.from_masks(2, x, z, np.array([0.1, 0.5, 0.2, -0.5, -0.3]))
         # 0.1 + 0.2 - 0.3 in input order is 2**-54, not 0; v cancels exactly
         assert list(got.items()) == [(w, 0.1 + 0.2 - 0.3)]
-        assert _sum_from_masks(2, x[:1], z[:1], np.array([-0.0])) == PauliSum(2)
+        assert PauliSum.from_masks(2, x[:1], z[:1], np.array([-0.0])) == PauliSum(2)
+
+    def test_from_masks_rejects_bits_outside_register(self):
+        one = np.ones(1, np.uint64)
+        with pytest.raises(ValueError, match="outside the qubit range"):
+            PauliSum.from_masks(2, one << np.uint64(2), one, np.ones(1))
+
+    def test_arrays_are_read_only(self, rng):
+        s = random_sum(rng, 5, 6)
+        for a in (s.x, s.z, s.c):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_width_cap(self):
+        with pytest.raises(ValueError, match="64 qubits"):
+            PauliSum(65)
+        with pytest.raises(ValueError, match="64 qubits"):
+            PauliSum.from_masks(65, [], [], [])
+        with pytest.raises(ValueError, match="64 qubits"):
+            PauliSum.from_text("1.0 X0 Z64\n")
+
+    def test_bit_63_text_round_trip(self):
+        s = PauliSum.from_text("0.25 Y0 X63\n-1.5 Z63\n0.125 I\n")
+        assert s.n == 64 and int(s.x[-1]) == 1 << 63 | 1
+        again = PauliSum.from_text(s.to_text(), 64)
+        assert again == s
+        assert again.to_text() == s.to_text()
+
+    @pytest.mark.parametrize("n", [1, 7, 63, 64])
+    def test_arithmetic_matches_dict_reference(self, rng, n):
+        for _ in range(30):
+            a, b = awkward_terms(rng, n), awkward_terms(rng, n)
+            sa, sb = PauliSum(n, a), PauliSum(n, b)
+            want = reference_terms(n, list(sa.items()) + list(sb.items()))
+            assert hex_items((sa + sb).items()) == hex_items(want)
+            scale = rng.choice([0.0, -0.0, 1e-300, -0.3])
+            want = reference_terms(n, [(w, c * scale) for w, c in sa.items()])
+            assert hex_items((sa * scale).items()) == hex_items(want)
+            threshold = rng.choice([0.0, 0.1, 0.2, 1.0])
+            want = reference_terms(n, [(w, c) for w, c in sa.items() if abs(c) >= threshold])
+            assert hex_items(sa.truncate(threshold).items()) == hex_items(want)
+            want = max((abs(c) for _, c in sa.items()), default=0.0)
+            assert sa.max_abs_coefficient().hex() == want.hex()
+
+    def test_coefficient_lookup(self, rng):
+        s = random_sum(rng, 6, 20)
+        for w, c in s.items():
+            assert w in s and s.coefficient(w) == c
+        absent = [random_word(rng, 6) for _ in range(50)]
+        for w in absent:
+            if w not in s:
+                assert s.coefficient(w) == 0.0
+        assert PauliWord(7, 1, 0) not in PauliSum(6, [(PauliWord(6, 1, 0), 1.0)])
+
+    def test_empty_sum_through_every_routine(self):
+        for n in (1, 64):
+            e = PauliSum(n)
+            g = PauliWord(n, 1, 0)
+            assert len(e) == 0 and list(e.items()) == [] and e.to_text() == ""
+            assert PauliSum.from_text("", n) == e
+            assert e + e == e and 2.0 * e == e and e.truncate(0.5) == e
+            assert e.max_abs_coefficient() == 0.0
+            assert conjugate_by_word(e, g, 0.4) == e
+            assert half_commutator(g, e) == e
+            assert ReferenceState(n, 1).expectation(e) == 0.0
+            dec = ising_decompose(e)
+            assert repr(dec) == repr(reference_ising_decompose(e))
+            assert dec.diagonal.even == () and dec.sectors == {}
 
 
 class TestReferenceState:
@@ -257,6 +345,17 @@ class TestReferenceState:
             vec = oracle.reference_vector(ref)
             want = oracle.expectation(s, vec)
             assert ref.expectation(s) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 63, 64])
+    def test_expectation_matches_term_by_term(self, rng, n):
+        for _ in range(40):
+            # awkward terms plus diagonal ones, so the x = 0 prefix is long
+            terms = awkward_terms(rng, n) + [
+                (PauliWord(n, 0, rng.getrandbits(n)), rng.choice(AWKWARD_VALUES)) for _ in range(8)
+            ]
+            s = PauliSum(n, terms)
+            ref = ReferenceState(n, rng.randint(0, n))
+            assert ref.expectation(s).hex() == reference_expectation(ref, s).hex()
 
 
 class TestConjugation:
@@ -294,6 +393,17 @@ class TestConjugation:
             ep = ref.expectation(conjugate_by_word(h, g, eps))
             em = ref.expectation(conjugate_by_word(h, g, -eps))
             assert d == pytest.approx((ep - em) / (2 * eps), abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 7, 63, 64])
+    def test_matches_term_by_term(self, rng, n):
+        for _ in range(30):
+            h = PauliSum(n, awkward_terms(rng, n) + [(random_word(rng, n), 0.7)])
+            # a generator from h's own words as often as not, so products collide
+            words = list(h.words())
+            g = rng.choice(words) if words and rng.random() < 0.5 else random_word(rng, n)
+            for t in (0.0, math.pi / 2, -math.pi / 2, rng.uniform(-3.0, 3.0)):
+                assert_same_sum(conjugate_by_word(h, g, t), reference_conjugate_by_word(h, g, t))
+            assert_same_sum(half_commutator(g, h), reference_half_commutator(g, h))
 
     def test_half_commutator_matches_dense(self, rng):
         for _ in range(40):

@@ -6,7 +6,13 @@ from qubitcc.acset import canonical_generator
 from qubitcc.pauli import I_POWERS, PauliSum, PauliWord, ReferenceState, multiply
 from qubitcc.screen import gradients, ising_decompose
 
-from conftest import random_even_sum, random_sum, word_expectation
+from conftest import (
+    random_even_sum,
+    random_sum,
+    random_word,
+    reference_ising_decompose,
+    word_expectation,
+)
 
 
 def recompose(dec):
@@ -70,6 +76,20 @@ class TestDecompose:
         got = dict(back.items())
         assert want.keys() == got.keys()
         assert all(want[w] == got[w] for w in want)
+
+    @pytest.mark.parametrize("n", [1, 7, 63, 64])
+    def test_matches_term_by_term(self, rng, n):
+        # few distinct x masks, so sectors hold several words of both parities
+        for _ in range(30):
+            xs = [0] + [rng.getrandbits(n) for _ in range(3)]
+            terms = [
+                (PauliWord(n, rng.choice(xs), rng.getrandbits(n)), rng.uniform(-1.0, 1.0))
+                for _ in range(rng.randint(0, 40))
+            ] + [(random_word(rng, n), 0.5)]
+            h = PauliSum(n, terms)
+            got, want = ising_decompose(h), reference_ising_decompose(h)
+            # repr shows every mask, the exact coefficients and the sector order
+            assert repr(got) == repr(want)
 
 
 class TestSectorWeight:
