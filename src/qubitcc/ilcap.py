@@ -12,7 +12,10 @@ Every matrix element involved is <b'|H|b> between the reference and
 determinants that generators or X words flip it to, which is one Ising
 sector of ``screen.ising_decompose`` at one basis state
 (``IsingSector.value``); ``pauli.basis_image`` supplies the phase a
-word picks up on the reference.
+word picks up on the reference.  The corrections read the diagonal at
+all their flipped references in one pass over the diagonal terms, and
+EN takes its sector sums straight from the term arrays; both add in
+``IsingSector.value``'s order, so they match it bit for bit.
 
 ``dress_with_combination`` forms its M^2 |H| products on the mask
 arrays of the ``PauliSum``; its output is the same, bit for bit, as the
@@ -39,7 +42,7 @@ from .pauli import (
     commutes,
     half_commutator,
 )
-from .screen import IsingDecomposition, ising_decompose
+from .screen import IsingDecomposition, _fold_y_phases, ising_decompose
 
 __all__ = [
     "IlcapSolution",
@@ -233,6 +236,21 @@ def dress_with_combination(
     return out.truncate(truncation_threshold) if truncation_threshold > 0 else out
 
 
+def _flipped_diagonal(h: PauliSum, occ: int, masks: np.ndarray) -> np.ndarray:
+    """<occ ^ m|h|occ ^ m> for every uint64 mask m at once.
+
+    The diagonal (x = 0) terms lead the canonical order; each one adds
+    its +-c to every state in ascending z from 0.0, the order in which
+    ``IsingSector.value`` sums a single state.
+    """
+    bits = np.uint64(occ) ^ masks
+    out = np.zeros(len(bits))
+    end = int(np.searchsorted(h.x, np.uint64(0), "right"))
+    for z, c in zip(h.z[:end], h.c[:end]):
+        out += np.where(np.bitwise_count(z & bits) & 1, -c, c)
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class BwResult:
     """Brillouin-Wigner fixed point over the downfolded matrix."""
@@ -271,10 +289,9 @@ def bw_correct(
 
     dec = ising_decompose(h)
     mat = _h_matrix(dec, generators, ref)
-    occ = ref.occupied_mask
     n_ex = len(ordered)
     b = np.zeros((len(generators) + 1, n_ex))
-    d = np.zeros(n_ex)
+    d = _flipped_diagonal(h, ref.occupied_mask, np.array(ordered, dtype=np.uint64))
     worst_imag = 0.0
     for col, m in enumerate(ordered):
         xm = PauliWord(h.n, m, 0)
@@ -285,7 +302,6 @@ def bw_correct(
             val = 1j * _bracket(dec, ref, gen, xm)
             worst_imag = max(worst_imag, abs(val.imag))
             b[k, col] = val.real
-        d[col] = dec.diagonal.value(occ ^ m).real
     scale = max(1.0, float(np.max(np.abs(mat))), float(np.max(np.abs(b), initial=0.0)))
     if worst_imag > _IMAG_TOL * scale:
         raise ValueError(
@@ -357,15 +373,24 @@ def en_correct(
     """
     if h.n != ref.n:
         raise ValueError("qubit counts differ")
-    dec = ising_decompose(h)
     occ = ref.occupied_mask
-    e0 = dec.diagonal.reference_value(ref).real
+    # each sector's even and odd sums at the reference, added in
+    # canonical order from 0.0 as ``IsingSector.value`` adds them
+    c, odd = _fold_y_phases(h)
+    masks, sector = np.unique(h.x, return_inverse=True)
+    signed = np.where(np.bitwise_count(h.z & np.uint64(occ)) & 1, -c, c)
+    sums = np.bincount(2 * sector + odd, weights=signed, minlength=2 * len(masks)).reshape(-1, 2)
+    e0 = 0.0
+    if len(masks) and masks[0] == 0:
+        e0 = float(sums[0, 0])
+        masks, sums = masks[1:], sums[1:]
+    flipped = _flipped_diagonal(h, occ, masks)
     contributions: dict[int, float] = {}
     skipped: list[int] = []
     total = e0
-    for m, sector in dec.sectors.items():
-        weight = sector.weight(ref)
-        gap = e0 - dec.diagonal.value(occ ^ m).real
+    for m, (even, odd_sum), diagonal in zip(masks.tolist(), sums.tolist(), flipped.tolist()):
+        weight = abs(complex(even, odd_sum))
+        gap = e0 - diagonal
         if abs(gap) < singular_tol:
             skipped.append(m)
             warnings.warn(

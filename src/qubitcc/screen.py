@@ -12,7 +12,8 @@ state: ``sector.value(bits)`` is <bits| I_m(z) X_m |bits ^ m>.  At the
 reference it is the gradient of the sector's canonical generator,
 which is what the screening ranks; the diagonal (m = 0) sector at a
 flipped reference gives the Epstein-Nesbet and Brillouin-Wigner
-denominators.
+denominators, which ``ilcap`` evaluates for all flips at once in the
+same term order.
 """
 
 from __future__ import annotations
@@ -68,14 +69,23 @@ class IsingDecomposition:
     sectors: dict[int, IsingSector]  # keyed by nonzero x_mask, ascending
 
 
+def _fold_y_phases(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's real z-side coefficient and its odd-Y flag.
+
+    (-i)^k is 1, -i, -1, i for k = 0..3 Y factors: the sign goes into
+    the coefficient, and an odd k leaves the one factor of i the odd
+    part of a sector carries.
+    """
+    k = np.bitwise_count(h.x & h.z) & 3
+    return np.where((k == 1) | (k == 2), -h.c, h.c), k & 1
+
+
 def ising_decompose(h: PauliSum) -> IsingDecomposition:
     """Group terms by X mask and fold the Y phases onto the z side."""
-    # (-i)^k is 1, -i, -1, i for k = 0..3 Y factors
-    k = np.bitwise_count(h.x & h.z) & 3
-    c = np.where((k == 1) | (k == 2), -h.c, h.c)
+    c, odd = _fold_y_phases(h)
     # a stable sort, so each (x, odd) run keeps the canonical ascending z
-    order = np.lexsort((k & 1, h.x))
-    x, odd = h.x[order], (k & 1)[order]
+    order = np.lexsort((odd, h.x))
+    x, odd = h.x[order], odd[order]
     cuts = (np.flatnonzero(np.diff(x) | np.diff(odd)) + 1).tolist()
     bounds = [0, *cuts, len(x)] if len(x) else []
     terms = list(zip(h.z[order].tolist(), c[order].tolist()))

@@ -1,11 +1,13 @@
 import math
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qubitcc.chemio import FcidumpData, parse_fcidump
+from qubitcc.ilcap import EnResult
 from qubitcc.pauli import (
     I_POWERS,
     PauliSum,
@@ -14,7 +16,7 @@ from qubitcc.pauli import (
     commutes,
     multiply,
 )
-from qubitcc.screen import IsingDecomposition, IsingSector
+from qubitcc.screen import IsingDecomposition, IsingSector, ising_decompose
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -142,6 +144,38 @@ def reference_ising_decompose(h):
     sectors = {x: IsingSector(x, tuple(e), tuple(o)) for x, (e, o) in parts.items()}
     diagonal = sectors.pop(0)
     return IsingDecomposition(h.n, diagonal, sectors)
+
+
+def reference_en_correct(h, ref, *, singular_tol=1e-8):
+    """``ilcap.en_correct`` sector by sector, through ``IsingSector.value``."""
+    if h.n != ref.n:
+        raise ValueError("qubit counts differ")
+    dec = ising_decompose(h)
+    occ = ref.occupied_mask
+    e0 = dec.diagonal.reference_value(ref).real
+    contributions = {}
+    skipped = []
+    total = e0
+    for m, sector in dec.sectors.items():
+        weight = sector.weight(ref)
+        gap = e0 - dec.diagonal.value(occ ^ m).real
+        if abs(gap) < singular_tol:
+            skipped.append(m)
+            warnings.warn(
+                f"sector {m:#x} skipped: degenerate diagonal gap {gap:.3e}",
+                stacklevel=2,
+            )
+            continue
+        term = weight * weight / gap
+        contributions[m] = term
+        total += term
+    return EnResult(total, e0, contributions, tuple(skipped))
+
+
+def reference_flipped_diagonal(h, occ, masks):
+    """``ilcap._flipped_diagonal`` one state at a time, by ``IsingSector.value``."""
+    diagonal = ising_decompose(h).diagonal
+    return np.array([diagonal.value(occ ^ m).real for m in masks.tolist()])
 
 
 def assert_same_sum(got, want):

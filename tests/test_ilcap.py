@@ -21,8 +21,18 @@ from qubitcc.pauli import (
     multiply,
 )
 from qubitcc.qcc import qcc_energy_and_gradient
+from qubitcc.screen import ising_decompose
 
-from conftest import assert_same_sum, random_even_sum, reference_half_commutator, reference_terms
+from qubitcc import ilcap
+from conftest import (
+    assert_same_sum,
+    random_even_sum,
+    random_sum,
+    reference_en_correct,
+    reference_flipped_diagonal,
+    reference_half_commutator,
+    reference_terms,
+)
 
 
 def random_generators(rng, n, count):
@@ -334,7 +344,77 @@ class TestDressWithCombination:
             dress_with_combination(wide, [PauliWord(65, 1, 1)], 0.5, [1.0])
 
 
+def sector_sum(rng, n, n_sectors, n_diag, *, even_y=True):
+    """A few terms in each of several X sectors, one on the top qubit, plus a diagonal."""
+    masks = {(1 << (n - 1)) | rng.getrandbits(n - 1)}
+    masks |= {rng.randrange(1, 1 << n) for _ in range(n_sectors - 1)}
+    terms = [(PauliWord(n, 0, rng.getrandbits(n)), rng.uniform(-1.0, 1.0)) for _ in range(n_diag)]
+    for x in sorted(masks):
+        for _ in range(rng.randint(1, 6)):
+            z = rng.getrandbits(n)
+            if even_y and (x & z).bit_count() % 2:
+                z ^= x & -x  # the lowest X/Y factor swaps, so the Y count turns even
+            terms.append((PauliWord(n, x, z), rng.uniform(-1.0, 1.0)))
+    return PauliSum(n, terms)
+
+
+def outcome(correct, *args):
+    """A correction's result with every float by ``.hex()``, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = correct(*args)
+    messages = [str(w.message) for w in caught]
+    if isinstance(res, ilcap.BwResult):
+        assert type(res.energy) is float and type(res.uncorrected_energy) is float
+        return (res.energy.hex(), res.uncorrected_energy.hex(), res.converged,
+                res.iterations, res.skipped_sectors, messages)
+    values = [res.energy, res.reference_energy, *res.contributions.values()]
+    assert all(type(v) is float for v in values)
+    assert all(type(m) is int for m in res.contributions)
+    return (
+        res.energy.hex(),
+        res.reference_energy.hex(),
+        [(m, v.hex()) for m, v in res.contributions.items()],
+        res.skipped_sectors,
+        messages,
+    )
+
+
 class TestBw:
+    def test_denominators_match_per_mask_values(self, rng, monkeypatch):
+        # 64 qubits, an excluded mask on bit 63, and one zero-coupling
+        # column at a flip the diagonal cannot see, whose denominator
+        # equals the uncorrected energy: skipped with its warning
+        n, ref = 64, ReferenceState(64, 5)
+        hidden = sum(1 << j for j in range(40, 52))  # no diagonal Z on these bits
+        diag = [(PauliWord(n, 0, 1 << j), 1.0 if j < 5 else -1.0)
+                for j in range(n) if not hidden >> j & 1]
+        diag += [(PauliWord(n, 0, rng.getrandbits(n) & ~hidden), rng.uniform(-0.05, 0.05))
+                 for _ in range(20)]
+        # generators on qubits 50 and 51, uncoupled to the reference and
+        # about 10 above it, so lambda_min of the ansatz matrix is <0|h|0>
+        diag.append((PauliWord(n, 0, 1 << 50), -5.0))
+        gens = [PauliWord(n, 1 << 50, 1 << 50), PauliWord(n, 3 << 50, 1 << 51)]
+        h = PauliSum(n, diag) + 0.1 * sector_sum(rng, n, 12, 0)
+        used = {g.x for g in gens}
+        excluded = [m for m in ising_decompose(h).sectors if m not in used]
+        assert any(m >> 63 for m in excluded)
+        singular = 1 << 45
+        excluded.append(singular)
+
+        masks = np.array(sorted(excluded), dtype=np.uint64)
+        got = ilcap._flipped_diagonal(h, ref.occupied_mask, masks)
+        want = reference_flipped_diagonal(h, ref.occupied_mask, masks)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+        res = outcome(bw_correct, h, gens, excluded, ref)
+        monkeypatch.setattr(ilcap, "_flipped_diagonal", reference_flipped_diagonal)
+        assert res == outcome(bw_correct, h, gens, excluded, ref)
+        assert res[2] and res[4] == (singular,)
+        assert res[5] == [
+            f"sector {singular:#x} skipped: denominator within 1e-08 of the current energy"
+        ]
+
     def test_no_excluded_sectors_is_plain_eigenvalue(self, rng):
         n = 4
         h = random_even_sum(rng, n, 10)
@@ -466,6 +546,69 @@ class TestEn:
                 continue
             res = en_correct(h, ref)
             assert res.energy == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 63, 64])
+    def test_matches_reference_on_random_sums(self, rng, n):
+        top = 0
+        for trial in range(12):
+            h = sector_sum(rng, n, rng.randint(1, 12), rng.randint(0, 8), even_y=trial % 4 != 3)
+            if trial % 4 == 2:
+                h = h + random_even_sum(rng, n, 10)
+            ref = ReferenceState(n, rng.randint(0, n))
+            res = outcome(en_correct, h, ref)
+            assert res == outcome(reference_en_correct, h, ref)
+            top += sum(m >> (n - 1) for m, _ in res[2]) + sum(m >> (n - 1) for m in res[3])
+        assert top > 0
+
+    def test_odd_y_sums_match_reference(self, rng):
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            h = random_sum(rng, n, 15)
+            ref = ReferenceState(n, rng.randint(0, n))
+            assert outcome(en_correct, h, ref) == outcome(reference_en_correct, h, ref)
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_degenerate_gap_matches_reference(self, n):
+        # X0 and the top X flip bits no diagonal term reads: both gaps are exactly 0
+        top = n - 1
+        h = PauliSum.from_text(
+            f"0.2 X0\n-0.7 X0 Z{top}\n1.0 Z1\n0.4 Z1 Z2\n0.3 X1\n0.6 X2 Z{top}\n0.5 X{top}\n", n
+        )
+        ref = ReferenceState(n, 2)
+        res = outcome(en_correct, h, ref)
+        assert res == outcome(reference_en_correct, h, ref)
+        assert res[3] == (0b1, 1 << top)
+        assert res[4] == [
+            "sector 0x1 skipped: degenerate diagonal gap 0.000e+00",
+            f"sector {1 << top:#x} skipped: degenerate diagonal gap 0.000e+00",
+        ]
+
+    def test_edge_sums_match_reference(self, rng):
+        no_diagonal = sector_sum(rng, 9, 6, 0)
+        diagonal_only = PauliSum.from_text("0.3 I\n-1.0 Z0\n0.25 Z1 Z4\n", 5)
+        empty = PauliSum(5)
+        for h, e0 in ((no_diagonal, "0x0.0p+0"), (diagonal_only, (0.3 + 1.0 + 0.25).hex()),
+                      (empty, "0x0.0p+0")):
+            ref = ReferenceState(h.n, 1)
+            res = outcome(en_correct, h, ref)
+            assert res == outcome(reference_en_correct, h, ref)
+            assert res[1] == e0
+            if h is not no_diagonal:
+                assert res[0] == res[1] and res[2] == [] and res[3] == ()
+
+    def test_cancelling_and_signed_zero_coefficients(self):
+        # the Z2 pair cancels and the -0.0 term drops out; the X1 pair
+        # cancels at the reference, and a negative gap leaves -0.0
+        words = [(0, 0b100), (0, 1), (0, 0b100), (1, 1), (0, 0b010), (0b010, 0), (0b010, 0b100),
+                 (0b101, 0)]
+        coeffs = [0.75, 1.0, -0.75, -0.0, -0.5, 0.4, -0.4, 0.2]
+        h = PauliSum.from_masks(3, *zip(*words), coeffs)
+        assert len(h) == 5
+        ref = ReferenceState(3, 1)
+        res = outcome(en_correct, h, ref)
+        assert res == outcome(reference_en_correct, h, ref)
+        assert res[1] == (-1.5).hex()
+        assert dict(res[2])[0b010] == "-0x0.0p+0"
 
     def test_degenerate_sector_skipped(self):
         h = PauliSum.from_text("0.2 X0\n1.0 Z1\n", 2)
