@@ -17,9 +17,10 @@ all their flipped references in one pass over the diagonal terms, and
 EN takes its sector sums straight from the term arrays; both add in
 ``IsingSector.value``'s order, so they match it bit for bit.
 
-``dress_with_combination`` forms its M^2 |H| products on the mask
-arrays of the ``PauliSum``; its output is the same, bit for bit, as the
-term-by-term expansion.
+``dress_with_combination`` works on the mask arrays of the
+``PauliSum`` and multiplies out only the generator pairs k < j of its
+M^2; its output is the same, bit for bit, as the term-by-term
+expansion.
 """
 
 from __future__ import annotations
@@ -189,10 +190,22 @@ def dress_with_combination(
 
     Because T is involutory the transformation closes exactly:
     h - (i/2) sin(t) [h, T] + (1 - cos t)/2 (T h T - h).
+
+    T h T sums a_k a_j T_k w T_j over the ordered pairs (k, j) of active
+    generators and the terms w of h, but only the k < j products are
+    formed: T_j w T_k is the Hermitian conjugate of T_k w T_j, the same
+    word with the conjugate phase, and T_k w T_k is +-w.  All words are
+    grouped in one sort, and each word's sums still run over the
+    (k, j, term) rows in that order, so the result is bit-identical to
+    the term-by-term expansion.
     """
     if len(generators) != len(alphas):
         raise ValueError("one weight per generator required")
+    if not math.isfinite(t):
+        raise ValueError(f"rotation angle must be finite, got {t!r}")
     alphas = np.asarray(alphas, dtype=float)
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError(f"combination weights must be finite, got {alphas.tolist()}")
     if t == 0.0 or len(generators) == 0 or not np.any(alphas):
         return h.truncate(truncation_threshold) if truncation_threshold > 0 else h
     norm = float(np.sum(alphas**2))
@@ -203,36 +216,62 @@ def dress_with_combination(
     st = math.sin(t)
     fc = (1.0 - math.cos(t)) / 2.0
     active = [(a, g) for a, g in zip(alphas, generators) if a != 0.0]
-    # duplicates add up in this order: h (1 - fc), the half-commutator
-    # parts generator by generator, then the real part of T h T; each
-    # part's words are distinct, so the order within a part is free
+    m, size = len(active), len(h.c)
+    # the words to group: h's own (its h (1 - fc) rows, and every
+    # T_k w T_k), the half-commutator parts generator by generator, then
+    # T_k w T_j = i**p (x, z) for k < j in (k, j, term) order
     xs, zs, cs = [h.x], [h.z], [h.c * (1.0 - fc)]
-    # T h T in (k, j, term) order, each product gk * w * gj = i**k (x, z)
-    tx, tz, tk, tw = [], [], [], []
     for a_k, gk in active:
         part = half_commutator(gk, h)
         xs.append(part.x)
         zs.append(part.z)
         cs.append(st * a_k * part.c)
+    linear = sum(len(c) for c in cs)
+    x = np.empty(linear + m * (m - 1) // 2 * size, np.uint64)
+    z = np.empty_like(x)
+    x[:linear], z[:linear] = np.concatenate(xs), np.concatenate(zs)
+    blocks = {}  # (k, j) for k <= j: first row of its words, and p
+    start = linear
+    for k, (_, gk) in enumerate(active):
         x1, z1, k1 = _mask_product(np.uint64(gk.x), np.uint64(gk.z), h.x, h.z)
-        for a_j, gj in active:
-            x2, z2, k2 = _mask_product(x1, z1, np.uint64(gj.x), np.uint64(gj.z))
-            tx.append(x2)
-            tz.append(z2)
-            tk.append((k1 + k2) & 3)
-            tw.append(a_k * a_j * h.c)
-    ux, uz, inverse = _group_masks(np.concatenate(tx), np.concatenate(tz))
-    products = np.concatenate(tw) * np.array(I_POWERS)[np.concatenate(tk)]
-    real = np.bincount(inverse, weights=products.real, minlength=len(ux))
-    imag = np.bincount(inverse, weights=products.imag, minlength=len(ux))
+        blocks[k, k] = 0, 2 * (k1 & 1)  # T_k w T_k is -w where they anti-commute
+        for j in range(k + 1, m):
+            gj, end = active[j][1], start + size
+            x[start:end], z[start:end], k2 = _mask_product(
+                x1, z1, np.uint64(gj.x), np.uint64(gj.z)
+            )
+            blocks[k, j] = start, (k1 + k2) & 3
+            start = end
+    ux, uz, inverse = _group_masks(x, z)
+    del x, z  # the row arrays below are as large
+
+    # T h T over all ordered pairs, rows in (k, j, term) order: row (j, k)
+    # has row (k, j)'s word and weight a_k a_j c, and the conjugate phase
+    rows = np.empty((m, m, size), np.intp)
+    for (k, j), (start, _) in blocks.items():
+        rows[k, j] = rows[j, k] = inverse[start : start + size]
+
+    def pair_sum(part: np.ndarray, mirror: float) -> np.ndarray:
+        # sum_rows a_k a_j c * part[p], one weights array alive at a time
+        weights = np.empty((m, m, size))
+        for (k, j), (_, p) in blocks.items():
+            weights[k, j] = active[k][0] * active[j][0] * h.c * part[p]
+            if k != j:
+                weights[j, k] = mirror * weights[k, j]
+        return np.bincount(rows.ravel(), weights=weights.ravel(), minlength=len(ux))
+
+    powers = np.array(I_POWERS)
+    real = pair_sum(powers.real, 1.0)
+    imag = pair_sum(powers.imag, -1.0)
     scale = max(1.0, h.max_abs_coefficient())
     if np.any(np.abs(imag) > 1e-10 * scale):
         raise ValueError("T h T has a non-negligible imaginary term")
-    kept = real != 0.0
-    xs.append(ux[kept])
-    zs.append(uz[kept])
-    cs.append(fc * real[kept])
-    out = PauliSum.from_masks(h.n, np.concatenate(xs), np.concatenate(zs), np.concatenate(cs))
+    # each word adds up as from_masks would over h (1 - fc), the
+    # half-commutator parts, then fc times T h T's real part; a bincount
+    # is never -0.0, so adding fc * 0.0 where T h T is absent is exact
+    total = np.bincount(inverse[:linear], weights=np.concatenate(cs), minlength=len(ux))
+    total += fc * real
+    out = PauliSum._canonical(h.n, ux, uz, total)
     return out.truncate(truncation_threshold) if truncation_threshold > 0 else out
 
 

@@ -221,13 +221,26 @@ class PauliSum:
         out._assign(np.asarray(x, np.uint64), np.asarray(z, np.uint64), np.asarray(c, np.float64))
         return out
 
+    @classmethod
+    def _canonical(cls, n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> "PauliSum":
+        """A sum over masks already distinct and in canonical order."""
+        out = cls.__new__(cls)
+        out.n = n
+        out._adopt(x, z, c)
+        return out
+
     def _assign(self, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> None:
         ux, uz, inverse = _group_masks(x, z)
         if int((ux | uz).max(initial=0)) >> self.n:
             raise ValueError("mask bits outside the qubit range")
-        total = np.bincount(inverse, weights=c, minlength=len(ux))
-        keep = total != 0.0
-        self.x, self.z, self.c = ux[keep], uz[keep], total[keep]
+        self._adopt(ux, uz, np.bincount(inverse, weights=c, minlength=len(ux)))
+
+    def _adopt(self, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> None:
+        """Store canonical-order arrays as they are; exact zeros drop out."""
+        keep = c != 0.0
+        if not keep.all():
+            x, z, c = x[keep], z[keep], c[keep]
+        self.x, self.z, self.c = x, z, c
         for a in (self.x, self.z, self.c):
             a.flags.writeable = False
 
@@ -269,7 +282,9 @@ class PauliSum:
         return self + (-1.0) * other
 
     def __mul__(self, scalar: float) -> "PauliSum":
-        return PauliSum.from_masks(self.n, self.x, self.z, self.c * float(scalar))
+        # scaling keeps the words distinct and in order; 0.0 + v == v, so
+        # this is what from_masks would add up
+        return PauliSum._canonical(self.n, self.x, self.z, self.c * float(scalar))
 
     __rmul__ = __mul__
 
@@ -284,10 +299,10 @@ class PauliSum:
 
     def truncate(self, threshold: float) -> "PauliSum":
         """Drop every term with coefficient magnitude below ``threshold``."""
-        if threshold < 0.0:
-            raise ValueError("threshold must be non-negative")
+        if not threshold >= 0.0:
+            raise ValueError(f"threshold must be non-negative, got {threshold!r}")
         keep = np.abs(self.c) >= threshold
-        return PauliSum.from_masks(self.n, self.x[keep], self.z[keep], self.c[keep])
+        return PauliSum._canonical(self.n, self.x[keep], self.z[keep], self.c[keep])
 
     # -- text round trip ------------------------------------------------
 

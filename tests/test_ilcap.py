@@ -18,6 +18,8 @@ from qubitcc.pauli import (
     PauliSum,
     PauliWord,
     ReferenceState,
+    commutes,
+    half_commutator,
     multiply,
 )
 from qubitcc.qcc import qcc_energy_and_gradient
@@ -28,6 +30,7 @@ from conftest import (
     assert_same_sum,
     random_even_sum,
     random_sum,
+    random_word,
     reference_en_correct,
     reference_flipped_diagonal,
     reference_half_commutator,
@@ -342,6 +345,141 @@ class TestDressWithCombination:
         with pytest.raises(ValueError, match="64 qubits"):
             wide = PauliSum(65, [(PauliWord(65, 1 << 64, 0), 1.0)])
             dress_with_combination(wide, [PauliWord(65, 1, 1)], 0.5, [1.0])
+
+    def test_non_finite_inputs_rejected(self, rng):
+        h = random_even_sum(rng, 3, 8)
+        gens = random_generators(rng, 3, 2)
+        with pytest.raises(ValueError, match="nan"):
+            dress_with_combination(h, gens[:1], 0.5, [math.nan])
+        with pytest.raises(ValueError, match="inf"):
+            dress_with_combination(h, gens, 0.5, [math.inf, 0.0])
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=repr(t)):
+                dress_with_combination(h, gens[:1], t, [1.0])
+
+
+# 1 next to 1e-17 makes every sum depend on the order of its terms
+MIXED_VALUES = [1.0, -1.0, 0.5, 1e-17, -1e-17, 3e-17]
+
+
+def _shifted(word, *gens):
+    """The word whose mask is word's XOR every generator's."""
+    x, z = word.x, word.z
+    for g in gens:
+        x, z = x ^ g.x, z ^ g.z
+    return PauliWord(word.n, x, z)
+
+
+def pair_linked_sum(rng, n, gens):
+    """h holding words w and w ^ g_k ^ g_j for several pairs (k, j).
+
+    T_k (w ^ g_k ^ g_j) T_j and its mirror land on w, next to the
+    diagonal T_k w T_k, so w collects rows from several blocks.
+    """
+    terms = []
+    for _ in range(rng.randint(2, 6)):
+        w = random_word(rng, n)
+        terms.append((w, rng.choice(MIXED_VALUES)))
+        for _ in range(rng.randint(1, 4)):
+            k, j = rng.sample(range(len(gens)), 2)
+            terms.append((_shifted(w, gens[k], gens[j]), rng.choice(MIXED_VALUES)))
+    return PauliSum(n, terms)
+
+
+def unit(weights):
+    alphas = np.array(weights, dtype=float)
+    return alphas / math.sqrt(float(np.sum(alphas**2)))
+
+
+class TestDressAdditionOrder:
+    """The paired dressing adds every word's rows in the reference's order."""
+
+    def _generators(self, rng, n, low, high):
+        while True:
+            gens = random_generators(rng, n, rng.randint(low, high))
+            if len(gens) >= low:
+                return gens
+
+    def test_words_shared_across_pair_blocks(self, rng):
+        for _ in range(40):
+            n = rng.randint(4, 9)
+            gens = self._generators(rng, n, 2, 5)
+            h = pair_linked_sum(rng, n, gens)
+            if rng.random() < 0.5:
+                alphas = unit([rng.uniform(-1.0, 1.0) for _ in gens])
+            else:  # equal weights, so pair contributions cancel exactly
+                alphas = unit([rng.choice([1.0, -1.0]) for _ in gens])
+            t = rng.uniform(-3.0, 3.0)
+            assert_same_sum(
+                dress_with_combination(h, gens, t, alphas), _dress_reference(h, gens, t, alphas)
+            )
+
+    def test_roundoff_weights(self, rng):
+        # solved weights that should vanish come out as 1e-68 or 1e-18,
+        # as on the H8 workload
+        for _ in range(20):
+            n = rng.randint(4, 9)
+            gens = self._generators(rng, n, 3, 6)
+            h = pair_linked_sum(rng, n, gens) + random_even_sum(rng, n, 3)
+            alphas = np.array([rng.choice([1e-68, -1e-68, 1e-18, -1e-18]) for _ in gens])
+            big = rng.sample(range(len(gens)), 2)
+            alphas[big] = [0.6, -0.8]
+            t = rng.uniform(-3.0, 3.0)
+            assert_same_sum(
+                dress_with_combination(h, gens, t, alphas), _dress_reference(h, gens, t, alphas)
+            )
+
+    def test_tht_part_cancels_exactly(self, rng):
+        # w commutes with g0 and anti-commutes with g1: with equal weights
+        # T h T's real part on w is a^2 c - a^2 c = 0.0, and only the
+        # h (1 - fc) row stays
+        n = 4
+        gens = self._generators(rng, n, 2, 2)
+        g0, g1 = gens[:2]
+        w = next(
+            cand for cand in (PauliWord(n, x, z) for x in range(16) for z in range(16))
+            if commutes(cand, g0) and not commutes(cand, g1)
+        )
+        h = PauliSum(n, [(w, 0.7)])
+        t, alphas = 1.1, [math.sqrt(0.5), math.sqrt(0.5)]
+        got = dress_with_combination(h, [g0, g1], t, alphas)
+        assert_same_sum(got, _dress_reference(h, [g0, g1], t, alphas))
+        fc = (1.0 - math.cos(t)) / 2.0
+        assert got.coefficient(w).hex() == (0.7 * (1.0 - fc)).hex()
+
+    def test_linear_part_cancels_exactly(self, rng):
+        # v = g u: its h (1 - fc) row and its half-commutator row cancel
+        # to 0.0, and fc times T h T's real part -c_v is all that is left
+        n, t = 4, 0.9
+        g = self._generators(rng, n, 1, 1)[0]
+        u = next(
+            cand for cand in (PauliWord(n, x, z) for x in range(1, 16) for z in range(16))
+            if not commutes(cand, g)
+        )
+        v, _ = multiply(g, u)
+        sign = half_commutator(g, PauliSum(n, [(u, 1.0)])).coefficient(v)
+        st, fc = math.sin(t), (1.0 - math.cos(t)) / 2.0
+        c_v = 0.3
+        target = -c_v * (1.0 - fc)
+        q = target / st
+        while st * q != target:  # a neighbour of the quotient hits it
+            q = np.nextafter(q, math.inf if st * q < target else -math.inf)
+        h = PauliSum(n, [(v, c_v), (u, sign * float(q))])
+        got = dress_with_combination(h, [g], t, [1.0])
+        assert_same_sum(got, _dress_reference(h, [g], t, [1.0]))
+        assert got.coefficient(v).hex() == (fc * -c_v).hex()
+
+    def test_single_generator(self, rng):
+        for _ in range(20):
+            n = rng.randint(2, 9)
+            gens = self._generators(rng, n, 1, 3)
+            h = pair_linked_sum(rng, n, gens) if len(gens) > 1 else random_even_sum(rng, n, 12)
+            alphas = np.zeros(len(gens))
+            alphas[rng.randrange(len(gens))] = rng.choice([1.0, -1.0])
+            t = rng.uniform(-3.0, 3.0)
+            assert_same_sum(
+                dress_with_combination(h, gens, t, alphas), _dress_reference(h, gens, t, alphas)
+            )
 
 
 def sector_sum(rng, n, n_sectors, n_diag, *, even_y=True):

@@ -288,14 +288,23 @@ class TestPauliSum:
             sa, sb = PauliSum(n, a), PauliSum(n, b)
             want = reference_terms(n, list(sa.items()) + list(sb.items()))
             assert hex_items((sa + sb).items()) == hex_items(want)
-            scale = rng.choice([0.0, -0.0, 1e-300, -0.3])
+            # 1e-320 underflows the 1e-17 terms to exact zeros
+            scale = rng.choice([0.0, -0.0, 1e-300, 1e-320, -0.3, -1.0, math.nan])
             want = reference_terms(n, [(w, c * scale) for w, c in sa.items()])
             assert hex_items((sa * scale).items()) == hex_items(want)
-            threshold = rng.choice([0.0, 0.1, 0.2, 1.0])
+            threshold = rng.choice([0.0, 0.1, 0.2, 1.0, math.inf])
             want = reference_terms(n, [(w, c) for w, c in sa.items() if abs(c) >= threshold])
             assert hex_items(sa.truncate(threshold).items()) == hex_items(want)
+            for got in (sa * scale, -sa, sa.truncate(threshold)):
+                assert not any(a.flags.writeable for a in (got.x, got.z, got.c))
             want = max((abs(c) for _, c in sa.items()), default=0.0)
             assert sa.max_abs_coefficient().hex() == want.hex()
+
+    def test_truncate_rejects_bad_threshold(self):
+        s = PauliSum.from_text("0.1 X0\n", 1)
+        for bad in (math.nan, -0.5):
+            with pytest.raises(ValueError, match=repr(bad)):
+                s.truncate(bad)
 
     def test_coefficient_lookup(self, rng):
         s = random_sum(rng, 6, 20)
