@@ -37,6 +37,7 @@ from .pauli import (
     PauliSum,
     PauliWord,
     ReferenceState,
+    _first_of_runs,
     _group_masks,
     _mask_product,
     basis_image,
@@ -416,7 +417,8 @@ def en_correct(
     # each sector's even and odd sums at the reference, added in
     # canonical order from 0.0 as ``IsingSector.value`` adds them
     c, odd = _fold_y_phases(h)
-    masks, sector = np.unique(h.x, return_inverse=True)
+    first = _first_of_runs(h.x)  # h.x ascends: canonical order
+    masks, sector = h.x[first], np.cumsum(first) - 1
     signed = np.where(np.bitwise_count(h.z & np.uint64(occ)) & 1, -c, c)
     sums = np.bincount(2 * sector + odd, weights=signed, minlength=2 * len(masks)).reshape(-1, 2)
     e0 = 0.0

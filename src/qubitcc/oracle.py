@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .pauli import PauliSum, PauliWord, ReferenceState
+from .pauli import PauliSum, PauliWord, ReferenceState, _first_of_runs
 
 __all__ = [
     "DENSE_QUBIT_CAP",
@@ -136,7 +136,7 @@ def _sector_matrix(h: PauliSum, n_elec: int) -> tuple[np.ndarray, sp.csr_matrix]
     basis = index[np.bitwise_count(index) == n_elec]
     dim = len(basis)
     x, z, c = h.x, h.z, h.c
-    _, starts = np.unique(x, return_index=True)  # x is sorted: canonical order
+    starts = np.flatnonzero(_first_of_runs(x))  # x ascends: canonical order
     # int32 indices, and real values where a group's are, halve the parts
     rows, cols, vals = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
     leak = scale = 0.0

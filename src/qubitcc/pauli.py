@@ -14,6 +14,10 @@ the same product and order rules to uint64 mask arrays.
 Sums of words carry real coefficients and keep their terms as mask
 arrays in a canonical order (lexicographic on the ``(x, z)`` pair), so
 any two routes to the same operator accumulate bit-identical results.
+Grouping sorts one packed key ``(x << w) | z`` when the masks fit in
+w <= 32 bits, and lexsorts the two masks above that; an unstable sort
+is exact there, since duplicates are summed in input order by index,
+not in sorted order.
 """
 
 from __future__ import annotations
@@ -177,15 +181,38 @@ def _mask_product(ax, az, bx, bz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, z, k & 3
 
 
+def _first_of_runs(a: np.ndarray) -> np.ndarray:
+    """True at each entry of a sorted array that differs from the one before."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return first
+
+
 def _group_masks(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (x, z) pairs in canonical order, and each input's index among them."""
-    order = np.lexsort((z, x))
-    xs, zs = x[order], z[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+    """Distinct (x, z) pairs in canonical order, and each input's index among them.
+
+    When both masks fit in w <= 32 bits, the packed key (x << w) | z
+    orders numerically as (x, z) does lexicographically, so one argsort
+    of it replaces the two-key lexsort.  The sort need not be stable: a
+    row's group index does not depend on how ties are ordered, and the
+    callers add duplicates with ``np.bincount`` in input order.
+    """
+    w = int((x | z).max(initial=0)).bit_length()
+    if 2 * w <= 64:
+        key = (x << np.uint64(w)) | z
+        order = np.argsort(key)
+        ks = key[order]
+        first = _first_of_runs(ks)
+        uk = ks[first]
+        ux, uz = uk >> np.uint64(w), uk & np.uint64((1 << w) - 1)
+    else:
+        order = np.lexsort((z, x))
+        xs, zs = x[order], z[order]
+        first = _first_of_runs(xs) | _first_of_runs(zs)
+        ux, uz = xs[first], zs[first]
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return xs[first], zs[first], inverse
+    return ux, uz, inverse
 
 
 class PauliSum:

@@ -95,6 +95,17 @@ def reference_terms(n, terms):
     return [(w, acc[w]) for w in sorted(acc, key=lambda w: (w.x, w.z)) if acc[w] != 0.0]
 
 
+def reference_group_masks(x, z):
+    """``pauli._group_masks`` by a stable two-key ``np.lexsort`` on (x, z)."""
+    order = np.lexsort((z, x))
+    xs, zs = x[order], z[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return xs[first], zs[first], inverse
+
+
 def reference_conjugate_by_word(h, generator, t):
     """``conjugate_by_word`` term by term."""
     ct, st = math.cos(t), math.sin(t)

@@ -331,6 +331,21 @@ class TestDressWithCombination:
                 want = _dress_reference(h, generators, t, alphas, truncation_threshold=cut)
                 assert_same_sum(got, want)
 
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_matches_reference_above_32_qubits(self, rng, n):
+        # masks wider than 32 bits do not fit a packed key, so the
+        # dressing's words group through the two-key lexsort
+        masks = [rng.getrandbits(n) | 1 << (n - 1) for _ in range(8)]
+        gens = list(build_anticommuting_set(n, masks, max_generators=4).generators)
+        assert len(gens) >= 2
+        h = pair_linked_sum(rng, n, gens) + random_even_sum(rng, n, 8)
+        for _ in range(3):
+            alphas = unit([rng.uniform(-1.0, 1.0) for _ in gens])
+            t = rng.uniform(-3.0, 3.0)
+            got = dress_with_combination(h, gens, t, alphas)
+            assert int((got.x | got.z).max()).bit_length() > 32
+            assert_same_sum(got, _dress_reference(h, gens, t, alphas))
+
     def test_register_width_cap(self, rng):
         # 64 qubits fill the uint64 masks; one more is refused
         masks = [rng.getrandbits(64) | 1 << 63 for _ in range(8)]

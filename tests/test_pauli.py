@@ -15,6 +15,7 @@ from qubitcc.pauli import (
     commutes,
     conjugate_by_word,
     half_commutator,
+    _group_masks,
     _mask_product,
     multiply,
 )
@@ -26,6 +27,7 @@ from conftest import (
     random_word,
     reference_conjugate_by_word,
     reference_expectation,
+    reference_group_masks,
     reference_half_commutator,
     reference_ising_decompose,
     reference_terms,
@@ -182,6 +184,63 @@ class TestCommutes:
                 assert pab == (pba + 2) % 4
 
 
+def masks_of_width(rng, width, rows, distinct):
+    """Mask arrays over a few distinct words whose widest bit is ``width``.
+
+    The top bit goes on x, on z or on both, so either mask can be the
+    wide one.
+    """
+    pool = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(distinct)]
+    if width:
+        top = 1 << (width - 1)
+        x, z = pool[0]
+        pool[0] = rng.choice([(x | top, z), (x, z | top), (x | top, z | top)])
+    pairs = [rng.choice(pool) for _ in range(rows)]
+    x = np.array([a for a, _ in pairs], np.uint64)
+    z = np.array([b for _, b in pairs], np.uint64)
+    return x, z
+
+
+class TestGroupMasks:
+    """The packed-key sort (masks up to 32 bits) and the lexsort above it."""
+
+    def check(self, x, z, monkeypatch):
+        want = reference_group_masks(x, z)
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        got = _group_masks(x, z)
+        monkeypatch.undo()
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        width = int((x | z).max(initial=0)).bit_length()
+        assert len(calls) == (width > 32)
+
+    @pytest.mark.parametrize("width", [0, 1, 31, 32, 33, 63, 64])
+    def test_matches_lexsort(self, rng, width, monkeypatch):
+        # width 0 is all-identity rows; 300 rows over 3 words is heavy
+        # duplication
+        for rows, distinct in ((1, 1), (40, 40), (300, 3), (500, 60)):
+            x, z = masks_of_width(rng, width, rows, distinct)
+            assert int((x | z).max()).bit_length() == width
+            self.check(x, z, monkeypatch)
+
+    def test_empty(self, monkeypatch):
+        self.check(np.empty(0, np.uint64), np.empty(0, np.uint64), monkeypatch)
+
+    @pytest.mark.parametrize("width", [32, 33])
+    def test_keys_that_share_packed_bits(self, width, monkeypatch):
+        # (0, 2**w - 1) and (1, 0) pack to the neighbouring keys 2**w - 1
+        # and 2**w; each word appears once or twice, in no order
+        top = 1 << (width - 1)
+        ones = 2 * top - 1
+        pairs = [(1, 0), (0, ones), (0, 0), (top, ones), (1, 0), (0, top), (0, ones), (1, 1)]
+        x = np.array([a for a, _ in pairs], np.uint64)
+        z = np.array([b for _, b in pairs], np.uint64)
+        self.check(x, z, monkeypatch)
+
+
 class TestPauliSum:
     def test_merges_duplicates_and_drops_zeros(self):
         w = PauliWord(2, 1, 0)
@@ -239,7 +298,7 @@ class TestPauliSum:
         assert PauliSum.from_masks(64, s.x, s.z, s.c) == s
 
     def test_sum_from_masks_matches_constructor(self, rng):
-        for n in (1, 7, 63, 64):
+        for n in (1, 7, 31, 32, 33, 63, 64):
             for _ in range(40):
                 terms = awkward_terms(rng, n)
                 want = hex_items(reference_terms(n, terms))
