@@ -136,7 +136,8 @@ def transform(fcidump, output, mu, drop_threshold):
 @click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n-elec", type=int, default=None, help="Occupied qubits in the reference.")
 @click.option("--n-qubits", type=int, default=None, help="Override the inferred qubit count.")
-@click.option("--top", type=int, default=0, help="Show only the strongest sectors.")
+@click.option("--top", type=click.IntRange(min=0), default=0,
+              help="Show only the strongest sectors (0 shows all).")
 def screen(hamiltonian, n_elec, n_qubits, top):
     """Rank the X sectors of a Hamiltonian by reference gradient."""
     h, ref = _load(hamiltonian, n_qubits, _require(n_elec, "--n-elec"))

@@ -9,13 +9,12 @@ sectors back in: a Brillouin-Wigner fixed point over an effective
 downfolded matrix, or a per-sector Epstein-Nesbet denominator sum.
 
 Every matrix element involved is <b'|H|b> between the reference and
-determinants that generators or X words flip it to, which is one Ising
-sector of ``screen.ising_decompose`` at one basis state
-(``IsingSector.value``); ``pauli.basis_image`` supplies the phase a
-word picks up on the reference.  The corrections read the diagonal at
-all their flipped references in one pass over the diagonal terms, and
-EN takes its sector sums straight from the term arrays; both add in
-``IsingSector.value``'s order, so they match it bit for bit.
+determinants that generators or X words flip it to, which is the
+b' ^ b sector of ``screen.ising_decompose`` at b'.  Each bra state b'
+takes all its sectors at once (``IsingDecomposition.at``), and the
+BW/EN denominators take the diagonal at every flipped reference at once
+(``pauli._diagonal_at``); ``pauli.basis_image`` supplies the phase a
+word picks up on the reference.
 
 ``dress_with_combination`` works on the mask arrays of the
 ``PauliSum`` and multiplies out only the generator pairs k < j of its
@@ -37,14 +36,14 @@ from .pauli import (
     PauliSum,
     PauliWord,
     ReferenceState,
-    _first_of_runs,
+    _diagonal_at,
     _group_masks,
     _mask_product,
     basis_image,
     commutes,
     half_commutator,
 )
-from .screen import IsingDecomposition, _fold_y_phases, ising_decompose
+from .screen import IsingDecomposition, ising_decompose
 
 __all__ = [
     "IlcapSolution",
@@ -60,28 +59,6 @@ __all__ = [
 _IMAG_TOL = 1e-12
 
 
-def _bracket(
-    dec: IsingDecomposition,
-    ref: ReferenceState,
-    left: PauliWord | None,
-    right: PauliWord | None,
-) -> complex:
-    """<0| left * h * right |0> from the one sector that connects them.
-
-    With left|0> = i**kl |l> and right|0> = i**kr |r>, the bracket is
-    i**(kr - kl) <l|h|r>, and <l|h|r> is the l ^ r sector at l.
-    """
-    occ = ref.occupied_mask
-    l, kl = (occ, 0) if left is None else basis_image(left, occ)
-    r, kr = (occ, 0) if right is None else basis_image(right, occ)
-    sector = dec.diagonal if l == r else dec.sectors.get(l ^ r)
-    if sector is None:
-        return 0j
-    # adding to 0j turns a -0.0 from the phase product into 0.0, as a
-    # term-by-term sum from 0j would have it
-    return 0j + I_POWERS[(kr - kl) & 3] * sector.value(l)
-
-
 def _validate_generators(generators: Sequence[PauliWord], n: int) -> None:
     for i, g in enumerate(generators):
         if g.n != n:
@@ -92,6 +69,34 @@ def _validate_generators(generators: Sequence[PauliWord], n: int) -> None:
         for j in range(i + 1, len(generators)):
             if commutes(generators[i], generators[j]):
                 raise ValueError(f"generators {i} and {j} commute; set is not anti-commuting")
+
+
+def _brackets(
+    dec: IsingDecomposition,
+    generators: Sequence[PauliWord],
+    ref: ReferenceState,
+    flips: Sequence[int] = (),
+) -> list[list[complex]]:
+    """<0| L h R |0> for L in (1, T_1..T_M) and R in (1, T_1..T_M, X_f..).
+
+    The X words are those of ``flips``.  With L|0> = i**kl |l> and
+    R|0> = i**kr |r>, a bracket is i**(kr - kl) <l|h|r>; each bra state
+    l reads its whole row of <l|h|r> from one pass over the terms.
+    """
+    if dec.n != ref.n:
+        raise ValueError("qubit counts differ")
+    _validate_generators(generators, dec.n)
+    occ = ref.occupied_mask
+    bras = [(occ, 0), *(basis_image(g, occ) for g in generators)]
+    kets = bras + [(occ ^ m, 0) for m in flips]
+    states = np.array([b for b, _ in kets], dtype=np.uint64)
+    table = []
+    for l, kl in bras:
+        row = dec.row(l, states).tolist()
+        # adding to 0j turns a -0.0 from the phase product into 0.0, as a
+        # term-by-term sum from 0j would have it
+        table.append([0j + I_POWERS[(kr - kl) & 3] * v for v, (_, kr) in zip(row, kets)])
+    return table
 
 
 def build_h_matrix(
@@ -105,17 +110,11 @@ def build_h_matrix(
     against an even-Y Hamiltonian); anything above 1e-12 raises,
     since it signals a generator parity defect.
     """
-    return _h_matrix(ising_decompose(h), generators, ref)
+    return _h_matrix(_brackets(ising_decompose(h), generators, ref), len(generators))
 
 
-def _h_matrix(
-    dec: IsingDecomposition, generators: Sequence[PauliWord], ref: ReferenceState
-) -> np.ndarray:
-    """``build_h_matrix`` on a Hamiltonian already split into sectors."""
-    if dec.n != ref.n:
-        raise ValueError("qubit counts differ")
-    _validate_generators(generators, dec.n)
-    m = len(generators)
+def _h_matrix(table: list[list[complex]], m: int) -> np.ndarray:
+    """``build_h_matrix`` from the first m + 1 columns of ``_brackets``."""
     mat = np.zeros((m + 1, m + 1))
     worst_imag = 0.0
 
@@ -124,13 +123,13 @@ def _h_matrix(
         worst_imag = max(worst_imag, abs(val.imag))
         mat[i, j] = val.real
 
-    put(0, 0, _bracket(dec, ref, None, None))
-    for k, gen in enumerate(generators, start=1):
-        put(k, 0, 1j * _bracket(dec, ref, gen, None))
-        put(0, k, -1j * _bracket(dec, ref, None, gen))
-    for i, gi in enumerate(generators, start=1):
-        for j, gj in enumerate(generators, start=1):
-            put(i, j, _bracket(dec, ref, gi, gj))
+    put(0, 0, table[0][0])
+    for k in range(1, m + 1):
+        put(k, 0, 1j * table[k][0])
+        put(0, k, -1j * table[0][k])
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            put(i, j, table[i][j])
 
     scale = max(1.0, float(np.max(np.abs(mat))))
     if worst_imag > _IMAG_TOL * scale:
@@ -276,21 +275,6 @@ def dress_with_combination(
     return out.truncate(truncation_threshold) if truncation_threshold > 0 else out
 
 
-def _flipped_diagonal(h: PauliSum, occ: int, masks: np.ndarray) -> np.ndarray:
-    """<occ ^ m|h|occ ^ m> for every uint64 mask m at once.
-
-    The diagonal (x = 0) terms lead the canonical order; each one adds
-    its +-c to every state in ascending z from 0.0, the order in which
-    ``IsingSector.value`` sums a single state.
-    """
-    bits = np.uint64(occ) ^ masks
-    out = np.zeros(len(bits))
-    end = int(np.searchsorted(h.x, np.uint64(0), "right"))
-    for z, c in zip(h.z[:end], h.c[:end]):
-        out += np.where(np.bitwise_count(z & bits) & 1, -c, c)
-    return out
-
-
 @dataclass(frozen=True, slots=True)
 class BwResult:
     """Brillouin-Wigner fixed point over the downfolded matrix."""
@@ -327,21 +311,14 @@ def bw_correct(
         if m in gen_masks:
             raise ValueError(f"excluded mask {m:#x} collides with a generator")
 
-    dec = ising_decompose(h)
-    mat = _h_matrix(dec, generators, ref)
-    n_ex = len(ordered)
-    b = np.zeros((len(generators) + 1, n_ex))
-    d = _flipped_diagonal(h, ref.occupied_mask, np.array(ordered, dtype=np.uint64))
-    worst_imag = 0.0
-    for col, m in enumerate(ordered):
-        xm = PauliWord(h.n, m, 0)
-        val = _bracket(dec, ref, None, xm)
-        worst_imag = max(worst_imag, abs(val.imag))
-        b[0, col] = val.real
-        for k, gen in enumerate(generators, start=1):
-            val = 1j * _bracket(dec, ref, gen, xm)
-            worst_imag = max(worst_imag, abs(val.imag))
-            b[k, col] = val.real
+    m = len(generators)
+    table = _brackets(ising_decompose(h), generators, ref, ordered)
+    mat = _h_matrix(table, m)
+    # b[0, col] is <0| h X |0>, b[k, col] is i <0| T_k h X |0>
+    coupling = [table[0][m + 1 :], *([1j * v for v in row[m + 1 :]] for row in table[1:])]
+    b = np.array([[v.real for v in row] for row in coupling])
+    worst_imag = max((abs(v.imag) for row in coupling for v in row), default=0.0)
+    d = _diagonal_at(h, np.uint64(ref.occupied_mask) ^ np.array(ordered, dtype=np.uint64))
     scale = max(1.0, float(np.max(np.abs(mat))), float(np.max(np.abs(b), initial=0.0)))
     if worst_imag > _IMAG_TOL * scale:
         raise ValueError(
@@ -414,23 +391,15 @@ def en_correct(
     if h.n != ref.n:
         raise ValueError("qubit counts differ")
     occ = ref.occupied_mask
-    # each sector's even and odd sums at the reference, added in
-    # canonical order from 0.0 as ``IsingSector.value`` adds them
-    c, odd = _fold_y_phases(h)
-    first = _first_of_runs(h.x)  # h.x ascends: canonical order
-    masks, sector = h.x[first], np.cumsum(first) - 1
-    signed = np.where(np.bitwise_count(h.z & np.uint64(occ)) & 1, -c, c)
-    sums = np.bincount(2 * sector + odd, weights=signed, minlength=2 * len(masks)).reshape(-1, 2)
-    e0 = 0.0
-    if len(masks) and masks[0] == 0:
-        e0 = float(sums[0, 0])
-        masks, sums = masks[1:], sums[1:]
-    flipped = _flipped_diagonal(h, occ, masks)
+    dec = ising_decompose(h)
+    values = dec.at(occ)
+    e0 = float(values[0].real)
+    weights = np.hypot(values.real[1:], values.imag[1:]).tolist()  # as abs(complex) rounds
+    flipped = _diagonal_at(h, np.uint64(occ) ^ dec.masks[1:]).tolist()
     contributions: dict[int, float] = {}
     skipped: list[int] = []
     total = e0
-    for m, (even, odd_sum), diagonal in zip(masks.tolist(), sums.tolist(), flipped.tolist()):
-        weight = abs(complex(even, odd_sum))
+    for m, weight, diagonal in zip(dec.sectors, weights, flipped):
         gap = e0 - diagonal
         if abs(gap) < singular_tol:
             skipped.append(m)

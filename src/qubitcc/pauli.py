@@ -157,13 +157,6 @@ def basis_image(word: PauliWord, bits: int) -> tuple[int, int]:
     return image, (3 * word.y_count() + 2 * (word.z & image).bit_count()) & 3
 
 
-def _signed_sum(terms: Iterable[tuple[int, float]], bits: int) -> float:
-    total = 0.0
-    for z, c in terms:
-        total += -c if (z & bits).bit_count() & 1 else c
-    return total
-
-
 def _mask_product(ax, az, bx, bz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``multiply`` broadcast over uint64 masks: a*b = i**k * (x, z).
 
@@ -186,6 +179,31 @@ def _first_of_runs(a: np.ndarray) -> np.ndarray:
     first = np.ones(len(a), dtype=bool)
     first[1:] = a[1:] != a[:-1]
     return first
+
+
+def _signed_sums(z, c, keys, bits: int, size: int) -> np.ndarray:
+    """Per key, the sum over its terms of c times <bits|Z_z|bits>.
+
+    Z_z is -1 on a basis state that shares an odd number of set bits
+    with z.  ``np.bincount`` adds in input order from 0.0, so each
+    key's total is a left fold over its terms in the order given.
+    """
+    signed = np.where(np.bitwise_count(z & np.uint64(bits)) & 1, -c, c)
+    return np.bincount(keys, weights=signed, minlength=size)
+
+
+def _diagonal_at(h: PauliSum, states: np.ndarray) -> np.ndarray:
+    """<b|h|b> for every uint64 basis state b in states at once.
+
+    The diagonal (x = 0) terms lead the canonical order; each one adds
+    its +-c to every state, so each state's total is the same left fold
+    from 0.0 in ascending z that ``_signed_sums`` takes at one state.
+    """
+    out = np.zeros(len(states))
+    end = int(np.searchsorted(h.x, np.uint64(0), "right"))
+    for z, c in zip(h.z[:end], h.c[:end]):
+        out += np.where(np.bitwise_count(z & states) & 1, -c, c)
+    return out
 
 
 def _group_masks(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,7 +425,8 @@ class ReferenceState:
             raise ValueError("qubit counts differ")
         # the diagonal (x = 0) terms lead the canonical order
         end = int(np.searchsorted(h.x, np.uint64(0), "right"))
-        return _signed_sum(zip(h.z[:end].tolist(), h.c[:end].tolist()), self.occupied_mask)
+        keys = np.zeros(end, np.intp)
+        return float(_signed_sums(h.z[:end], h.c[:end], keys, self.occupied_mask, 1)[0])
 
 
 def conjugate_by_word(h: PauliSum, generator: PauliWord, t: float) -> PauliSum:

@@ -6,9 +6,11 @@ last, so conjugating the Hamiltonian applies k = 1 innermost.  The
 reference is one determinant and each T_k a Pauli word, so U|0> lies
 in the span of the D <= 2^L determinants occ ^ (XOR of a subset of the
 generators' X masks).  Energy and gradient are evaluated exactly as a
-D x D problem on that span, with matrix elements read from the Ising
-sector table; whole-Hamiltonian conjugation is used only to dress the
-Hamiltonian between iterations, where truncation happens.
+D x D problem on that span.  Row b of that matrix is every Ising sector
+of the Hamiltonian at basis state b, taken in one pass over its
+canonical term arrays (``IsingDecomposition.row``); whole-Hamiltonian
+conjugation is used only to dress the Hamiltonian between iterations,
+where truncation happens.
 """
 
 from __future__ import annotations
@@ -63,13 +65,8 @@ class _Subspace:
             for b in list(index):
                 index.setdefault(b ^ g.x, len(index))
         basis = list(index)
-        self.h = np.zeros((len(basis), len(basis)), dtype=complex)
-        # only the sectors whose masks lie in the span connect basis states
-        for m in (b ^ occ for b in basis):
-            sector = dec.sectors.get(m) if m else dec.diagonal
-            if sector is not None:
-                for i, b in enumerate(basis):
-                    self.h[i, index[b ^ m]] = sector.value(b)
+        states = np.array(basis, dtype=np.uint64)
+        self.h = np.array([dec.row(b, states) for b in basis])
         self.perms = []
         self.phases = []
         for g in generators:
@@ -119,8 +116,8 @@ def qcc_energy_and_gradient(
 
     Both come from the D x D matrix of h on the D <= 2^L determinants
     the generators reach from the reference; the cost grows with 2 to
-    the rank of the generators' X masks, not with the size of h
-    beyond one sector decomposition.
+    the rank of the generators' X masks, and h's terms are read once
+    per determinant, to build the matrix.
     """
     if len(generators) != len(amplitudes):
         raise ValueError("one amplitude per generator required")

@@ -3,17 +3,20 @@
 A Hamiltonian splits by X mask: H = I_0(z) + sum_m I_m(z) X_m, with the
 Y factors of each term factored as y_j = -i z_j x_j.  The z-side
 coefficient picks up (-i)^(y count); that phase is +-1 for even Y count
-and +-i for odd, so each sector stores an even part and an odd part as
-ascending (z_mask, coefficient) tuples with real coefficients, the odd
-part understood to carry one extra factor of i.
+and +-i for odd, so each term keeps a real folded coefficient and an
+odd flag, the odd terms understood to carry one extra factor of i.
 
+``PauliSum``'s canonical (x, z) order already groups the terms by X
+mask with z ascending, so each sector is a run of its term arrays, and
+the decomposition is a view of those arrays that copies no term out.
 Every matrix element the estimators need is one sector at one basis
-state: ``sector.value(bits)`` is <bits| I_m(z) X_m |bits ^ m>.  At the
-reference it is the gradient of the sector's canonical generator,
-which is what the screening ranks; the diagonal (m = 0) sector at a
-flipped reference gives the Epstein-Nesbet and Brillouin-Wigner
-denominators, which ``ilcap`` evaluates for all flips at once in the
-same term order.
+state, <b| I_m(z) X_m |b ^ m>, and comes from one of two kernels in
+``pauli``: ``_signed_sums`` takes every sector at one state in one
+``np.bincount`` over the terms (``IsingDecomposition.at``), and
+``_diagonal_at`` takes the diagonal (m = 0) sector at many states.  At the reference a
+sector's value is the gradient of its canonical generator, which is
+what the screening ranks; the diagonal at flipped references gives the
+Epstein-Nesbet and Brillouin-Wigner denominators.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, ReferenceState, _signed_sum
+from .pauli import PauliSum, ReferenceState, _first_of_runs, _signed_sums
 
 __all__ = [
-    "IsingSector",
     "IsingDecomposition",
     "RankedXWords",
     "ising_decompose",
@@ -33,40 +35,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class IsingSector:
-    """One X sector: I(z) stored as even-Y and odd-Y folded parts.
+@dataclass(frozen=True, slots=True, eq=False)
+class IsingDecomposition:
+    """The terms of ``h``, in canonical order, seen as Ising sectors.
 
-    A term (a, f) in even contributes f * Z_a * X to the Hamiltonian, a
-    term (a, g) in odd contributes i * g * Z_a * X, with Z_a the Z
-    word on the bits of a and X the X word on the bits of x_mask.  Both
-    f and g are real; both parts ascend in a.
+    ``masks[k]`` is sector k's X mask, ascending: slot 0 is the
+    diagonal (x = 0), kept even when h has no diagonal term, and
+    ``sectors`` lists the nonzero masks after it as ints.  Term i
+    belongs to sector ``keys[i] >> 1``, bit 0 of its key is its odd-Y
+    flag, and ``coefficients[i]`` is its folded real coefficient.
     """
 
-    x_mask: int
-    even: tuple[tuple[int, float], ...]
-    odd: tuple[tuple[int, float], ...]
+    h: PauliSum
+    coefficients: np.ndarray
+    keys: np.ndarray
+    masks: np.ndarray
+    sectors: tuple[int, ...]
 
-    def value(self, bits: int) -> complex:
-        """<bits| I(z) X |bits ^ x_mask>, in general complex."""
-        return complex(_signed_sum(self.even, bits), _signed_sum(self.odd, bits))
+    @property
+    def n(self) -> int:
+        return self.h.n
 
-    def reference_value(self, ref: ReferenceState) -> complex:
-        """<0| I(z) X |0 ^ x_mask>, the sector at the reference."""
-        return self.value(ref.occupied_mask)
+    def at(self, bits: int) -> np.ndarray:
+        """<bits| I_m(z) X_m |bits ^ m> for every m in ``masks``, as complex.
 
-    def weight(self, ref: ReferenceState) -> float:
-        """Gradient magnitude |<0| I(z) X |0 ^ x_mask>|."""
-        return abs(self.reference_value(ref))
+        Each sector's even and odd parts add from 0.0 in canonical
+        order, and each (even, odd) pair is read as one complex number.
+        """
+        sums = _signed_sums(self.h.z, self.coefficients, self.keys, bits, 2 * len(self.masks))
+        return sums.view(np.complex128)
 
+    def row(self, bits: int, kets: np.ndarray) -> np.ndarray:
+        """<bits|h|k> for every uint64 basis state k in kets.
 
-@dataclass(frozen=True, slots=True)
-class IsingDecomposition:
-    """Sector split of a Hamiltonian, the diagonal (x_mask 0) kept separate."""
-
-    n: int
-    diagonal: IsingSector
-    sectors: dict[int, IsingSector]  # keyed by nonzero x_mask, ascending
+        That is the bits ^ k sector at bits, and 0 where h has none.
+        """
+        flips = np.uint64(bits) ^ kets
+        run = np.searchsorted(self.masks, flips).clip(max=len(self.masks) - 1)
+        return np.where(self.masks[run] == flips, self.at(bits)[run], 0j)
 
 
 def _fold_y_phases(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
@@ -81,20 +87,14 @@ def _fold_y_phases(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ising_decompose(h: PauliSum) -> IsingDecomposition:
-    """Group terms by X mask and fold the Y phases onto the z side."""
+    """View h's term arrays as Ising sectors, with the Y phases folded."""
     c, odd = _fold_y_phases(h)
-    # a stable sort, so each (x, odd) run keeps the canonical ascending z
-    order = np.lexsort((odd, h.x))
-    x, odd = h.x[order], odd[order]
-    cuts = (np.flatnonzero(np.diff(x) | np.diff(odd)) + 1).tolist()
-    bounds = [0, *cuts, len(x)] if len(x) else []
-    terms = list(zip(h.z[order].tolist(), c[order].tolist()))
-    parts: dict[int, list[tuple]] = {0: [(), ()]}
-    for lo, hi in zip(bounds, bounds[1:]):
-        parts.setdefault(int(x[lo]), [(), ()])[int(odd[lo])] = tuple(terms[lo:hi])
-    sectors = {m: IsingSector(m, e, o) for m, (e, o) in parts.items()}
-    diagonal = sectors.pop(0)
-    return IsingDecomposition(h.n, diagonal, sectors)
+    # the diagonal terms lead the canonical order and make up sector 0;
+    # each later run of one X mask is the next sector
+    new = _first_of_runs(h.x) & (h.x != 0)
+    masks = np.concatenate((np.zeros(1, np.uint64), h.x[new]))
+    keys = 2 * np.cumsum(new) + odd
+    return IsingDecomposition(h, c, keys, masks, tuple(masks[1:].tolist()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,12 +127,11 @@ def gradients(
     """
     if dec.n != ref.n:
         raise ValueError("qubit counts differ")
-    pairs = [(x, sector.weight(ref)) for x, sector in dec.sectors.items()]
+    values = dec.at(ref.occupied_mask)[1:]
+    # np.hypot rounds as abs(complex) does; np.abs on complex may not
+    masks, weights = dec.masks[1:], np.hypot(values.real, values.imag)
     if drop_zero:
-        pairs = [(x, w) for x, w in pairs if w > zero_tol]
-    pairs.sort(key=lambda p: (-p[1], p[0]))
-    return RankedXWords(
-        dec.n,
-        tuple(x for x, _ in pairs),
-        tuple(w for _, w in pairs),
-    )
+        keep = weights > zero_tol
+        masks, weights = masks[keep], weights[keep]
+    order = np.lexsort((masks, -weights))
+    return RankedXWords(dec.n, tuple(masks[order].tolist()), tuple(weights[order].tolist()))

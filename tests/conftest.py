@@ -16,7 +16,6 @@ from qubitcc.pauli import (
     commutes,
     multiply,
 )
-from qubitcc.screen import IsingDecomposition, IsingSector, ising_decompose
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -143,33 +142,46 @@ def reference_expectation(ref, h):
     return total
 
 
-def reference_ising_decompose(h):
-    """``screen.ising_decompose`` term by term."""
-    parts = {0: ([], [])}
+def reference_sector_value(h, mask, bits):
+    """<bits| I_m(z) X_m |bits ^ mask> term by term, for the sector m = mask.
+
+    Each Y is folded as y = -i z x; the even-Y and odd-Y terms add
+    separately from 0.0 in canonical order, the odd total carrying the
+    one factor of i that is left.
+    """
+    parts = [0.0, 0.0]
     for w, c in h.items():
-        part = parts.get(w.x)
-        if part is None:
-            part = parts[w.x] = ([], [])
-        k = w.y_count() & 3
-        part[k & 1].append((w.z, -c if k == 1 or k == 2 else c))
-    sectors = {x: IsingSector(x, tuple(e), tuple(o)) for x, (e, o) in parts.items()}
-    diagonal = sectors.pop(0)
-    return IsingDecomposition(h.n, diagonal, sectors)
+        if w.x == mask:
+            k = w.y_count() & 3
+            f = -c if k == 1 or k == 2 else c
+            parts[k & 1] += -f if (w.z & bits).bit_count() & 1 else f
+    return complex(*parts)
+
+
+def reference_sectors(h):
+    """The nonzero X masks of h, ascending."""
+    return sorted({w.x for w in h.words()} - {0})
+
+
+def reference_gradients(h, ref):
+    """``screen.gradients`` term by term: (-weight, mask) order."""
+    pairs = [(m, abs(reference_sector_value(h, m, ref.occupied_mask))) for m in reference_sectors(h)]
+    pairs.sort(key=lambda p: (-p[1], p[0]))
+    return [m for m, _ in pairs], [w for _, w in pairs]
 
 
 def reference_en_correct(h, ref, *, singular_tol=1e-8):
-    """``ilcap.en_correct`` sector by sector, through ``IsingSector.value``."""
+    """``ilcap.en_correct`` sector by sector, through ``reference_sector_value``."""
     if h.n != ref.n:
         raise ValueError("qubit counts differ")
-    dec = ising_decompose(h)
     occ = ref.occupied_mask
-    e0 = dec.diagonal.reference_value(ref).real
+    e0 = reference_sector_value(h, 0, occ).real
     contributions = {}
     skipped = []
     total = e0
-    for m, sector in dec.sectors.items():
-        weight = sector.weight(ref)
-        gap = e0 - dec.diagonal.value(occ ^ m).real
+    for m in reference_sectors(h):
+        weight = abs(reference_sector_value(h, m, occ))
+        gap = e0 - reference_sector_value(h, 0, occ ^ m).real
         if abs(gap) < singular_tol:
             skipped.append(m)
             warnings.warn(
@@ -183,10 +195,9 @@ def reference_en_correct(h, ref, *, singular_tol=1e-8):
     return EnResult(total, e0, contributions, tuple(skipped))
 
 
-def reference_flipped_diagonal(h, occ, masks):
-    """``ilcap._flipped_diagonal`` one state at a time, by ``IsingSector.value``."""
-    diagonal = ising_decompose(h).diagonal
-    return np.array([diagonal.value(occ ^ m).real for m in masks.tolist()])
+def reference_diagonal_at(h, states):
+    """``pauli._diagonal_at`` one state at a time, by ``reference_sector_value``."""
+    return np.array([reference_sector_value(h, 0, b).real for b in states.tolist()])
 
 
 def assert_same_sum(got, want):

@@ -110,6 +110,11 @@ class TestScreen:
         res = ok(runner, ["screen", h2_text, "--n-elec", "2", "--top", "1"])
         assert len(res.output.strip().splitlines()) == 2
 
+    def test_negative_top_rejected(self, runner, h2_text):
+        res = runner.invoke(main, ["screen", h2_text, "--n-elec", "2", "--top", "-1"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--top'" in res.output
+
     def test_n_elec_required(self, runner, h2_text):
         res = runner.invoke(main, ["screen", h2_text])
         assert res.exit_code == 2

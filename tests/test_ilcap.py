@@ -22,8 +22,8 @@ from qubitcc.pauli import (
     half_commutator,
     multiply,
 )
-from qubitcc.qcc import qcc_energy_and_gradient
-from qubitcc.screen import ising_decompose
+from qubitcc.qcc import optimize_amplitudes, qcc_energy_and_gradient
+from qubitcc.screen import gradients, ising_decompose
 
 from qubitcc import ilcap
 from conftest import (
@@ -31,9 +31,10 @@ from conftest import (
     random_even_sum,
     random_sum,
     random_word,
+    reference_diagonal_at,
     reference_en_correct,
-    reference_flipped_diagonal,
     reference_half_commutator,
+    reference_sector_value,
     reference_terms,
 )
 
@@ -555,13 +556,13 @@ class TestBw:
         singular = 1 << 45
         excluded.append(singular)
 
-        masks = np.array(sorted(excluded), dtype=np.uint64)
-        got = ilcap._flipped_diagonal(h, ref.occupied_mask, masks)
-        want = reference_flipped_diagonal(h, ref.occupied_mask, masks)
+        states = np.uint64(ref.occupied_mask) ^ np.array(sorted(excluded), dtype=np.uint64)
+        got = ilcap._diagonal_at(h, states)
+        want = reference_diagonal_at(h, states)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
         res = outcome(bw_correct, h, gens, excluded, ref)
-        monkeypatch.setattr(ilcap, "_flipped_diagonal", reference_flipped_diagonal)
+        monkeypatch.setattr(ilcap, "_diagonal_at", reference_diagonal_at)
         assert res == outcome(bw_correct, h, gens, excluded, ref)
         assert res[2] and res[4] == (singular,)
         assert res[5] == [
@@ -596,9 +597,8 @@ class TestBw:
                 continue
             m = ranked.masks[0]
             e00 = ref.expectation(h)
-            sector = dec.sectors[m]
-            w = sector.reference_value(ref).real  # even part couples
-            dm = dec.diagonal.value(ref.occupied_mask ^ m).real
+            w = reference_sector_value(h, m, ref.occupied_mask).real  # even part couples
+            dm = reference_sector_value(h, 0, ref.occupied_mask ^ m).real
             if dm <= e00 + 1e-3:
                 # the fixed point tracks the root adjacent to the
                 # reference; only a positive gap selects the lower one
@@ -631,7 +631,7 @@ class TestBw:
                 continue
             e0 = ref.expectation(h)
             if any(
-                dec.diagonal.value(ref.occupied_mask ^ m).real <= e0 + 1e-6
+                reference_sector_value(h, 0, ref.occupied_mask ^ m).real <= e0 + 1e-6
                 for m in dec.sectors
             ):
                 continue
@@ -669,6 +669,47 @@ class TestBw:
         assert res.energy == pytest.approx(res.uncorrected_energy)
 
 
+class TestWithoutDiagonal:
+    """A sum with no diagonal (x = 0) run, and the empty sum.
+
+    The hop 0.3 X0 X1 + 0.2 Y0 Y1 couples |01> and |10> by 0.5 and has
+    no diagonal: the reference energy is 0.0 and the one-electron
+    ground energy -0.5.
+    """
+
+    @pytest.mark.parametrize("text, sectors, weights", [
+        ("0.3 X0 X1\n0.2 Y0 Y1\n", (0b11,), (0.5,)),
+        ("", (), ()),
+    ])
+    def test_estimators_match_oracle(self, text, sectors, weights):
+        h = PauliSum.from_text(text, 2)
+        ref = ReferenceState(2, 1)
+        e_ref = float(oracle.expectation(h, oracle.reference_vector(ref)))
+        exact = oracle.ground_energy(h, n_elec=1)
+        assert e_ref == 0.0 and exact == pytest.approx(-sum(weights), abs=1e-12)
+        dec = ising_decompose(h)
+        assert dec.sectors == sectors
+        ranked = gradients(dec, ref)
+        assert ranked.masks == sectors and ranked.weights == weights
+
+        gens = [canonical_generator(2, 0b11)]
+        assert build_h_matrix(h, [], ref).tolist() == [[0.0]]
+        mat = build_h_matrix(h, gens, ref)
+        assert mat.tolist() == [[0.0, -sum(weights)], [-sum(weights), 0.0]]
+        assert solve_ilcap(h, gens, ref).energy == pytest.approx(exact, abs=1e-12)
+        bw = bw_correct(h, gens, [], ref)
+        assert bw.converged and bw.energy == pytest.approx(exact, abs=1e-12)
+        assert optimize_amplitudes(h, gens, ref).energy == pytest.approx(exact, abs=1e-12)
+
+        # the diagonal gap of the hop is 0.0 - 0.0, so EN skips it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            en = en_correct(h, ref)
+        assert en.reference_energy == en.energy == e_ref
+        assert en.contributions == {} and en.skipped_sectors == sectors
+        assert len(caught) == len(sectors)
+
+
 class TestEn:
     def test_two_level_upper_reference(self):
         # reference sits on the upper state: E = 1 + 0.09 / (1 - (-1))
@@ -686,15 +727,16 @@ class TestEn:
             h = random_even_sum(rng, n, 10)
             ref = ReferenceState(n, rng.randint(0, n))
             dec = ising_decompose(h)
-            e0 = dec.diagonal.reference_value(ref).real
+            values = dec.at(ref.occupied_mask)
+            e0 = values[0].real
             want = e0
             skip = False
-            for m, sector in dec.sectors.items():
-                gap = e0 - dec.diagonal.value(ref.occupied_mask ^ m).real
+            for m, value in zip(dec.sectors, values[1:]):
+                gap = e0 - reference_sector_value(h, 0, ref.occupied_mask ^ m).real
                 if abs(gap) < 1e-8:
                     skip = True
                     break
-                want += sector.weight(ref) ** 2 / gap
+                want += abs(value) ** 2 / gap
             if skip:
                 continue
             res = en_correct(h, ref)

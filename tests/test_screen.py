@@ -2,30 +2,36 @@ import numpy as np
 import pytest
 
 from qubitcc import oracle
-from qubitcc.acset import canonical_generator
+from qubitcc.acset import build_anticommuting_set, canonical_generator
+from qubitcc.chemio import hf_reference, jw_hamiltonian, load_fcidump
+from qubitcc.ilcap import dress_with_combination, solve_ilcap
 from qubitcc.pauli import I_POWERS, PauliSum, PauliWord, ReferenceState, multiply
 from qubitcc.screen import gradients, ising_decompose
 
 from conftest import (
+    DATA_DIR,
     random_even_sum,
     random_sum,
     random_word,
-    reference_ising_decompose,
+    reference_gradients,
+    reference_sector_value,
     word_expectation,
 )
 
 
 def recompose(dec):
-    """Invert ising_decompose exactly (pure sign bookkeeping)."""
+    """Invert ising_decompose exactly: unfold each term's Y phase (pure sign bookkeeping)."""
     terms = []
-    for x, sector in [(0, dec.diagonal), *dec.sectors.items()]:
-        for z, f in sector.even:
-            y = (x & z).bit_count()
-            terms.append((PauliWord(dec.n, x, z), f if y % 4 == 0 else -f))
-        for z, g in sector.odd:
-            y = (x & z).bit_count()
-            terms.append((PauliWord(dec.n, x, z), g if y % 4 == 3 else -g))
+    for key, z, f in zip(dec.keys.tolist(), dec.h.z.tolist(), dec.coefficients.tolist()):
+        x = int(dec.masks[key >> 1])
+        y = (x & z).bit_count()
+        keep = y % 4 == 3 if key & 1 else y % 4 == 0
+        terms.append((PauliWord(dec.n, x, z), f if keep else -f))
     return PauliSum(dec.n, terms)
+
+
+def hexes(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
 
 
 def gradient_single(h, generator, ref):
@@ -42,25 +48,26 @@ class TestDecompose:
     def test_splits_diagonal_from_sectors(self):
         h = PauliSum.from_text("1.0 Z0\n0.5 Z0 Z1\n0.3 X0 X1\n0.2 Y0 Y1\n", 2)
         dec = ising_decompose(h)
-        assert dec.diagonal.x_mask == 0
-        assert dec.diagonal.even == ((0b01, 1.0), (0b11, 0.5))
-        assert dec.diagonal.odd == ()
-        assert list(dec.sectors) == [0b11]
+        assert dec.sectors == (0b11,)
+        assert dec.masks.tolist() == [0, 0b11]
+        # slot 0 is the diagonal: 1.0 Z0 + 0.5 Z0 Z1 at each basis state
+        assert [dec.at(b)[0] for b in range(4)] == [1.5, -1.5, 0.5, -0.5]
+        # Y0 Y1 = -Z0 Z1 X0 X1, so the sector's even part is 0.3 - 0.2 Z0 Z1
+        assert [dec.at(b)[1] for b in range(4)] == [0.3 - 0.2, 0.3 + 0.2, 0.3 + 0.2, 0.3 - 0.2]
 
     def test_y_phase_folding(self):
-        # y0 = -i z0 x0, so the sector stores the coefficient on the odd side
+        # y0 = -i z0 x0, so the coefficient lands on the odd (imaginary) side
         h = PauliSum.from_text("0.7 Y0\n", 1)
         dec = ising_decompose(h)
-        sector = dec.sectors[1]
-        assert sector.even == ()
-        assert sector.odd == ((1, -0.7),)
+        assert dec.sectors == (1,)
+        assert dec.coefficients.tolist() == [-0.7] and dec.keys.tolist() == [2 + 1]
+        assert dec.at(0)[1] == -0.7j and dec.at(1)[1] == 0.7j
 
     def test_two_y_fold_to_even_with_sign(self):
         h = PauliSum.from_text("0.4 Y0 Y1\n", 2)
         dec = ising_decompose(h)
-        sector = dec.sectors[0b11]
-        assert sector.even == ((0b11, -0.4),)
-        assert sector.odd == ()
+        assert dec.coefficients.tolist() == [-0.4] and dec.keys.tolist() == [2]
+        assert [dec.at(b)[1] for b in range(4)] == [-0.4, 0.4, 0.4, -0.4]
 
     def test_round_trip_random(self, rng):
         for _ in range(100):
@@ -79,7 +86,8 @@ class TestDecompose:
 
     @pytest.mark.parametrize("n", [1, 7, 63, 64])
     def test_matches_term_by_term(self, rng, n):
-        # few distinct x masks, so sectors hold several words of both parities
+        # few distinct x masks, so sectors hold several words of both
+        # parities; every sector at a few basis states, bit for bit
         for _ in range(30):
             xs = [0] + [rng.getrandbits(n) for _ in range(3)]
             terms = [
@@ -87,9 +95,15 @@ class TestDecompose:
                 for _ in range(rng.randint(0, 40))
             ] + [(random_word(rng, n), 0.5)]
             h = PauliSum(n, terms)
-            got, want = ising_decompose(h), reference_ising_decompose(h)
-            # repr shows every mask, the exact coefficients and the sector order
-            assert repr(got) == repr(want)
+            dec = ising_decompose(h)
+            assert dec.sectors == tuple(sorted({w.x for w in h.words()} - {0}))
+            masks = [0, *dec.sectors]
+            for bits in [0, (1 << n) - 1, rng.getrandbits(n)]:
+                want = [reference_sector_value(h, m, bits) for m in masks]
+                assert hexes(dec.at(bits).tolist()) == hexes(want)
+                kets = np.array([bits ^ m for m in xs], dtype=np.uint64)
+                want = [reference_sector_value(h, m, bits) if m in masks else 0j for m in xs]
+                assert hexes(dec.row(bits, kets).tolist()) == hexes(want)
 
 
 class TestSectorWeight:
@@ -102,10 +116,11 @@ class TestSectorWeight:
             dec = ising_decompose(h)
             vec = oracle.reference_vector(ref)
             hm = oracle.to_dense(h)
-            for x, sector in dec.sectors.items():
+            values = dec.at(ref.occupied_mask)
+            for x, value in zip(dec.sectors, values[1:]):
                 flip = oracle.to_dense(PauliSum(n, [(PauliWord(n, x, 0), 1.0)]))
                 val = vec.conj() @ hm @ (flip @ vec)
-                assert sector.weight(ref) == pytest.approx(abs(val), abs=1e-12)
+                assert abs(value) == pytest.approx(abs(val), abs=1e-12)
 
     def test_gradient_single_even_hamiltonian(self, rng):
         # for even-Y Hamiltonians the canonical generator reproduces the weight
@@ -114,9 +129,10 @@ class TestSectorWeight:
             h = random_even_sum(rng, n, 12)
             ref = ReferenceState(n, rng.randint(0, n))
             dec = ising_decompose(h)
-            for x, sector in dec.sectors.items():
+            values = dec.at(ref.occupied_mask)
+            for x, value in zip(dec.sectors, values[1:]):
                 g = canonical_generator(n, x)
-                assert gradient_single(h, g, ref) == pytest.approx(sector.weight(ref), abs=1e-12)
+                assert gradient_single(h, g, ref) == pytest.approx(abs(value), abs=1e-12)
 
     def test_gradient_single_is_commutator_slope(self, rng):
         from qubitcc.pauli import half_commutator
@@ -163,6 +179,51 @@ class TestRanking:
         dropped = gradients(ising_decompose(h), ref, drop_zero=True)
         assert len(dropped) == 0
 
+    def test_equal_weights_rank_by_ascending_mask(self, rng):
+        # 40 sectors in three weights, shuffled over the masks; every
+        # fourth 0.5 is 0.3 + 0.2 from two terms, equal to 0.5 exactly
+        n = 9
+        masks = rng.sample(range(1, 1 << (n - 1)), 40)
+        terms = []
+        for i, m in enumerate(masks):
+            if i % 4 == 3:
+                terms += [(PauliWord(n, m, 0), 0.3), (PauliWord(n, m, 1 << (n - 1)), 0.2)]
+            else:
+                terms.append((PauliWord(n, m, 0), (0.5, 0.25, 0.125)[i % 4]))
+        ranked = gradients(ising_decompose(PauliSum(n, terms)), ReferenceState(n, 0))
+        groups = [sorted(m for i, m in enumerate(masks) if i % 4 in keep) for keep in ((0, 3), (1,), (2,))]
+        assert ranked.masks == tuple(groups[0] + groups[1] + groups[2])
+        assert ranked.weights == (0.5,) * 20 + (0.25,) * 10 + (0.125,) * 10
+
+    def test_matches_term_by_term_with_y(self, rng):
+        # masks and weights equal the term-by-term ranking bit for bit
+        y_seen = 0
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            h = random_sum(rng, n, 20)
+            y_seen += sum(w.y_count() % 2 for w in h.words())
+            ref = ReferenceState(n, rng.randint(0, n))
+            ranked = gradients(ising_decompose(h), ref)
+            masks, weights = reference_gradients(h, ref)
+            assert list(ranked.masks) == masks
+            assert [w.hex() for w in ranked.weights] == [w.hex() for w in weights]
+        assert y_seen
+
+    def test_matches_term_by_term_on_dressed_h4(self):
+        # linear H4 at 2.0 bohr, the RHF orbitals of bench/hchain.py
+        data = load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump"))
+        h, ref = jw_hamiltonian(data), hf_reference(data)
+        ranked = gradients(ising_decompose(h), ref)
+        acs = build_anticommuting_set(h.n, list(ranked.masks))
+        sol = solve_ilcap(h, acs.generators, ref)
+        dressed = dress_with_combination(h, acs.generators, sol.t, sol.alphas)
+        assert len(dressed) > 10 * len(h)
+        for op in (h, dressed):
+            ranked = gradients(ising_decompose(op), ref)
+            masks, weights = reference_gradients(op, ref)
+            assert list(ranked.masks) == masks
+            assert [w.hex() for w in ranked.weights] == [w.hex() for w in weights]
+
     def test_qubit_count_mismatch(self):
         h = PauliSum.from_text("1.0 X0\n", 1)
         with pytest.raises(ValueError):
@@ -171,20 +232,19 @@ class TestRanking:
 
 class TestSectorValue:
     def test_matches_oracle(self, rng):
-        # value(bits) is <bits| h |bits ^ x> for the diagonal and every sector
+        # at(bits)[k] is <bits| h |bits ^ masks[k]> for the diagonal and every sector
         odd_seen = 0
         for _ in range(60):
             n = rng.randint(1, 6)
             h = random_sum(rng, n, 12)
             dec = ising_decompose(h)
             hm = oracle.to_dense(h)
-            for sector in [dec.diagonal, *dec.sectors.values()]:
-                odd_seen += len(sector.odd)
-                for _ in range(3):
-                    bits = rng.getrandbits(n)
-                    ket = oracle.apply_to_basis_state(PauliWord(n, sector.x_mask, 0), bits)
+            odd_seen += int(np.sum(dec.keys & 1))
+            for _ in range(3):
+                bits = rng.getrandbits(n)
+                for mask, got in zip(dec.masks.tolist(), dec.at(bits).tolist()):
+                    ket = oracle.apply_to_basis_state(PauliWord(n, mask, 0), bits)
                     want = hm[bits] @ ket
-                    got = sector.value(bits)
                     assert got.real == pytest.approx(want.real, abs=1e-12)
                     assert got.imag == pytest.approx(want.imag, abs=1e-12)
         assert odd_seen
@@ -192,8 +252,9 @@ class TestSectorValue:
     def test_identity_flip(self):
         h = PauliSum.from_text("2.0 Z0\n", 2)
         ref = ReferenceState(2, 1)
-        diagonal = ising_decompose(h).diagonal
+        dec = ising_decompose(h)
         occ = ref.occupied_mask
-        assert diagonal.value(occ) == pytest.approx(ref.expectation(h))
-        assert diagonal.value(occ ^ 0b01) == pytest.approx(-ref.expectation(h))
-        assert diagonal.reference_value(ref) == diagonal.value(occ)
+        assert dec.at(occ)[0] == ref.expectation(h) == -2.0
+        assert dec.at(occ ^ 0b01)[0] == -ref.expectation(h)
+        kets = np.array([occ, occ ^ 0b01, occ ^ 0b10], dtype=np.uint64)
+        assert dec.row(occ, kets).tolist() == [-2.0, 0j, 0j]
