@@ -32,9 +32,9 @@ _RUN = RunConfig()
 
 # The RunConfig options of ilcap and scan; parameter names are the INI keys.
 _RUN_OPTIONS = (
-    click.option("--max-generators", type=int, default=_RUN.max_generators),
-    click.option("--gens", type=int, default=_RUN.generators_per_iteration),
-    click.option("--iterations", type=int, default=_RUN.iterations),
+    click.option("--max-generators", type=click.IntRange(min=0), default=_RUN.max_generators),
+    click.option("--gens", type=click.IntRange(min=1), default=_RUN.generators_per_iteration),
+    click.option("--iterations", type=click.IntRange(min=0), default=_RUN.iterations),
     click.option("--grad-tol", type=float, default=_RUN.gradient_tol),
     click.option("--trunc-threshold", type=float, default=_RUN.truncation_threshold),
     click.option("--seed", type=int, default=_RUN.seed),
@@ -155,7 +155,8 @@ def screen(hamiltonian, n_elec, n_qubits, top):
 @click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n-elec", type=int, default=None)
 @click.option("--n-qubits", type=int, default=None)
-@click.option("--max-generators", type=int, default=None, help="Keep only the first M generators.")
+@click.option("--max-generators", type=click.IntRange(min=0), default=None,
+              help="Keep only the first M generators.")
 @click.option("--drop-zero/--keep-zero", default=False,
               help="Drop zero-gradient X words before building the set.")
 def acset_cmd(hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
@@ -172,9 +173,10 @@ def acset_cmd(hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
 @click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n-elec", type=int, default=None)
 @click.option("--n-qubits", type=int, default=None)
-@click.option("--gens", type=int, default=1,
+@click.option("--gens", type=click.IntRange(min=1), default=1,
               help="Generators optimized jointly per iteration (default 1).")
-@click.option("--iterations", type=int, default=10, help="Outer-loop cap (default 10).")
+@click.option("--iterations", type=click.IntRange(min=0), default=10,
+              help="Outer-loop cap (default 10).")
 @click.option("--grad-tol", type=float, default=1e-7)
 @click.option("--trunc-threshold", type=float, default=1e-8)
 @click.option("--seed", type=int, default=0)
@@ -255,7 +257,8 @@ def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, list[str]
 @click.option("--scheme", type=click.Choice(SCHEMES), default=_RUN.scheme)
 @click.option("--mu", type=float, default=0.0, help="Spin penalty weight.")
 @_run_options
-@click.option("--workers", type=int, default=1, help="Parallel scan workers (default 1).")
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              help="Parallel scan workers (default 1).")
 def scan(fcidumps, radii, output, mu, workers, **run_options):
     """Run an estimator family over a bond scan and write a CSV."""
     try:

@@ -17,9 +17,10 @@ BW/EN denominators take the diagonal at every flipped reference at once
 word picks up on the reference.
 
 ``dress_with_combination`` works on the mask arrays of the
-``PauliSum`` and multiplies out only the generator pairs k < j of its
-M^2; its output is the same, bit for bit, as the term-by-term
-expansion.
+``PauliSum``: of the M^2 generator pairs it multiplies out only k < j,
+and keeps only the products with a real phase, since T h T is Hermitian
+and the imaginary ones cancel between (k, j) and (j, k).  Its output is
+the same, bit for bit, as the term-by-term expansion.
 """
 
 from __future__ import annotations
@@ -192,12 +193,14 @@ def dress_with_combination(
     h - (i/2) sin(t) [h, T] + (1 - cos t)/2 (T h T - h).
 
     T h T sums a_k a_j T_k w T_j over the ordered pairs (k, j) of active
-    generators and the terms w of h, but only the k < j products are
-    formed: T_j w T_k is the Hermitian conjugate of T_k w T_j, the same
-    word with the conjugate phase, and T_k w T_k is +-w.  All words are
-    grouped in one sort, and each word's sums still run over the
-    (k, j, term) rows in that order, so the result is bit-identical to
-    the term-by-term expansion.
+    generators and the terms w of h.  T_k w T_k is +-w, and only the
+    k < j products T_k w T_j = i**p word are formed: T_j w T_k is their
+    Hermitian conjugate, so an odd-p product is imaginary and cancels
+    its mirror, and only the even-p rows are kept, each serving both
+    (k, j) and (j, k).  All words are grouped in one sort, and each
+    word's sums still run over the (k, j, term) rows in that order (an
+    odd row only ever added 0.0), so the result is bit-identical to the
+    term-by-term expansion.
     """
     if len(generators) != len(alphas):
         raise ValueError("one weight per generator required")
@@ -219,7 +222,8 @@ def dress_with_combination(
     m, size = len(active), len(h.c)
     # the words to group: h's own (its h (1 - fc) rows, and every
     # T_k w T_k), the half-commutator parts generator by generator, then
-    # T_k w T_j = i**p (x, z) for k < j in (k, j, term) order
+    # the even-p rows of T_k w T_j = i**p (x, z) for k < j in (k, j,
+    # term) order
     xs, zs, cs = [h.x], [h.z], [h.c * (1.0 - fc)]
     for a_k, gk in active:
         part = half_commutator(gk, h)
@@ -230,42 +234,30 @@ def dress_with_combination(
     x = np.empty(linear + m * (m - 1) // 2 * size, np.uint64)
     z = np.empty_like(x)
     x[:linear], z[:linear] = np.concatenate(xs), np.concatenate(zs)
-    blocks = {}  # (k, j) for k <= j: first row of its words, and p
+    blocks = {}  # (k, j) for k <= j: first row of its words, and a_k a_j c i**p
+    sign = np.array(I_POWERS).real
     start = linear
-    for k, (_, gk) in enumerate(active):
+    for k, (a_k, gk) in enumerate(active):
         x1, z1, k1 = _mask_product(np.uint64(gk.x), np.uint64(gk.z), h.x, h.z)
-        blocks[k, k] = 0, 2 * (k1 & 1)  # T_k w T_k is -w where they anti-commute
+        # T_k w T_k is -w where they anti-commute
+        blocks[k, k] = 0, a_k * a_k * h.c * sign[2 * (k1 & 1)]
         for j in range(k + 1, m):
-            gj, end = active[j][1], start + size
-            x[start:end], z[start:end], k2 = _mask_product(
-                x1, z1, np.uint64(gj.x), np.uint64(gj.z)
-            )
-            blocks[k, j] = start, (k1 + k2) & 3
+            a_j, gj = active[j]
+            x2, z2, k2 = _mask_product(x1, z1, np.uint64(gj.x), np.uint64(gj.z))
+            p = (k1 + k2) & 3
+            even = (p & 1) == 0
+            end = start + int(np.count_nonzero(even))
+            x[start:end], z[start:end] = x2[even], z2[even]
+            blocks[k, j] = start, a_k * a_j * h.c[even] * sign[p[even]]
             start = end
-    ux, uz, inverse = _group_masks(x, z)
-    del x, z  # the row arrays below are as large
+    ux, uz, inverse = _group_masks(x[:start], z[:start])
+    del x, z
 
-    # T h T over all ordered pairs, rows in (k, j, term) order: row (j, k)
-    # has row (k, j)'s word and weight a_k a_j c, and the conjugate phase
-    rows = np.empty((m, m, size), np.intp)
-    for (k, j), (start, _) in blocks.items():
-        rows[k, j] = rows[j, k] = inverse[start : start + size]
-
-    def pair_sum(part: np.ndarray, mirror: float) -> np.ndarray:
-        # sum_rows a_k a_j c * part[p], one weights array alive at a time
-        weights = np.empty((m, m, size))
-        for (k, j), (_, p) in blocks.items():
-            weights[k, j] = active[k][0] * active[j][0] * h.c * part[p]
-            if k != j:
-                weights[j, k] = mirror * weights[k, j]
-        return np.bincount(rows.ravel(), weights=weights.ravel(), minlength=len(ux))
-
-    powers = np.array(I_POWERS)
-    real = pair_sum(powers.real, 1.0)
-    imag = pair_sum(powers.imag, -1.0)
-    scale = max(1.0, h.max_abs_coefficient())
-    if np.any(np.abs(imag) > 1e-10 * scale):
-        raise ValueError("T h T has a non-negligible imaginary term")
+    # T h T's real part over all ordered pairs, rows in (k, j, term)
+    # order: row (j, k) has row (k, j)'s word and its real weight
+    pairs = [blocks[min(k, j), max(k, j)] for k in range(m) for j in range(m)]
+    rows = np.concatenate([inverse[first : first + len(w)] for first, w in pairs])
+    real = np.bincount(rows, weights=np.concatenate([w for _, w in pairs]), minlength=len(ux))
     # each word adds up as from_masks would over h (1 - fc), the
     # half-commutator parts, then fc times T h T's real part; a bincount
     # is never -0.0, so adding fc * 0.0 where T h T is absent is exact

@@ -363,6 +363,33 @@ class TestBadInput:
                          "Invalid value for 'FCIDUMP': integral line")
 
 
+class TestIntegerBounds:
+    """Out-of-range integer flags and INI values are usage errors, not tracebacks."""
+
+    @pytest.mark.parametrize("command, options, ini, flag", [
+        ("ilcap", ["--scheme", "ilcap-post", "--gens", "0"], "", "--gens"),
+        ("ilcap", ["--iterations", "-1"], "", "--iterations"),
+        ("ilcap", ["--max-generators", "-1"], "", "--max-generators"),
+        ("ilcap", [], "gens = 0\n", "--gens"),
+        ("iqcc", ["--gens", "0"], "", "--gens"),
+        ("iqcc", ["--iterations", "-1"], "", "--iterations"),
+        ("acset", ["--max-generators", "-1"], "", "--max-generators"),
+        ("scan", ["--workers", "-2"], "", "--workers"),
+    ], ids=["ilcap-gens", "ilcap-iterations", "ilcap-max-generators", "ini-gens",
+            "iqcc-gens", "iqcc-iterations", "acset-max-generators", "scan-workers"])
+    def test_out_of_range_rejected(self, runner, tmp_path, h2_text, command, options, ini,
+                                   flag):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\n" + ini, encoding="utf-8")
+        if command == "scan":
+            target = [R14, "--radii", "1.4", "-o", str(tmp_path / "scan.csv")]
+        else:
+            target = [h2_text, "--n-elec", "2"]
+        res = runner.invoke(main, ["--config", str(cfg), command, *target, *options])
+        assert res.exit_code == 2
+        assert f"Invalid value for '{flag}'" in res.output
+
+
 class TestConfig:
     def test_run_section_fallback(self, runner, tmp_path, h2_text):
         cfg = tmp_path / "cfg.ini"

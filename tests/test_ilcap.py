@@ -485,6 +485,39 @@ class TestDressAdditionOrder:
         assert_same_sum(got, _dress_reference(h, [g], t, [1.0]))
         assert got.coefficient(v).hex() == (fc * -c_v).hex()
 
+    def test_groups_only_even_phase_pair_rows(self, rng, monkeypatch):
+        # an odd-phase T_k w T_j (k < j) is imaginary and cancels its
+        # (j, k) mirror, so one grouping sees h's rows, the half-commutator
+        # parts and the even-phase k < j rows, and nothing else
+        group_masks, calls = ilcap._group_masks, []
+
+        def counting(x, z):
+            calls.append(len(x))
+            return group_masks(x, z)
+
+        monkeypatch.setattr(ilcap, "_group_masks", counting)
+        checked = 0
+        while checked < 10:
+            n = rng.randint(4, 8)
+            gens = self._generators(rng, n, 3, 5)
+            h = random_even_sum(rng, n, rng.randint(4, 20))
+            parities = []
+            for k, gk in enumerate(gens):
+                for gj in gens[k + 1 :]:
+                    for w in h.words():
+                        v1, k1 = multiply(gk, w)
+                        parities.append((k1 + multiply(v1, gj)[1]) % 2)
+            if len(set(parities)) < 2:
+                continue
+            alphas = unit([rng.choice([1.0, -1.0]) * rng.uniform(0.1, 1.0) for _ in gens])
+            t = rng.uniform(-3.0, 3.0)
+            calls.clear()
+            got = dress_with_combination(h, gens, t, alphas)
+            linear = len(h) + sum(len(half_commutator(g, h)) for g in gens)
+            assert calls == [linear + parities.count(0)]
+            assert_same_sum(got, _dress_reference(h, gens, t, alphas))
+            checked += 1
+
     def test_single_generator(self, rng):
         for _ in range(20):
             n = rng.randint(2, 9)
