@@ -4,7 +4,12 @@ Every command reads defaults from an INI config (section named after
 the command, falling back to [run]) with explicit flags winning, and
 takes a seed so optimizer randomness is reproducible.  The INI values
 reach the options through Click's default_map, so they pass the same
-type and choice checks as flags.
+type and choice checks as flags; float options reject nan and inf, and
+tolerances must be >= 0.
+
+Importing this module loads no scipy: the oracle (scipy.sparse) is
+imported by the commands that call it, ``scan`` and ``exact``, and
+scipy.optimize by the iQCC optimizer and the Morse fit.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import click
 
-from . import oracle
 from .acset import build_anticommuting_set
 from .chemio import add_spin_penalty, hf_reference, jw_hamiltonian, load_fcidump
 from .morse import fit_morse
@@ -30,13 +34,26 @@ __all__ = ["main"]
 
 _RUN = RunConfig()
 
+
+class _FiniteFloat(click.FloatRange):
+    """A FloatRange that also rejects nan and inf, which FloatRange lets through."""
+
+    def convert(self, value, param, ctx):
+        result = super().convert(value, param, ctx)
+        if not math.isfinite(result):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return result
+
+
+_TOLERANCE = _FiniteFloat(min=0)
+
 # The RunConfig options of ilcap and scan; parameter names are the INI keys.
 _RUN_OPTIONS = (
     click.option("--max-generators", type=click.IntRange(min=0), default=_RUN.max_generators),
     click.option("--gens", type=click.IntRange(min=1), default=_RUN.generators_per_iteration),
     click.option("--iterations", type=click.IntRange(min=0), default=_RUN.iterations),
-    click.option("--grad-tol", type=float, default=_RUN.gradient_tol),
-    click.option("--trunc-threshold", type=float, default=_RUN.truncation_threshold),
+    click.option("--grad-tol", type=_TOLERANCE, default=_RUN.gradient_tol),
+    click.option("--trunc-threshold", type=_TOLERANCE, default=_RUN.truncation_threshold),
     click.option("--seed", type=int, default=_RUN.seed),
 )
 
@@ -106,8 +123,9 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 @click.argument("fcidump", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
               help="Output text Hamiltonian (stdout when omitted).")
-@click.option("--mu", type=float, default=0.0, help="Spin penalty weight, folded as mu/2 W.")
-@click.option("--drop-threshold", type=float, default=1e-12,
+@click.option("--mu", type=_FiniteFloat(), default=0.0,
+              help="Spin penalty weight, folded as mu/2 W.")
+@click.option("--drop-threshold", type=_TOLERANCE, default=1e-12,
               help="Drop transformed terms below this magnitude (default 1e-12).")
 def transform(fcidump, output, mu, drop_threshold):
     """Map an FCIDUMP to a qubit Hamiltonian in the text word format."""
@@ -177,8 +195,8 @@ def acset_cmd(hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
               help="Generators optimized jointly per iteration (default 1).")
 @click.option("--iterations", type=click.IntRange(min=0), default=10,
               help="Outer-loop cap (default 10).")
-@click.option("--grad-tol", type=float, default=1e-7)
-@click.option("--trunc-threshold", type=float, default=1e-8)
+@click.option("--grad-tol", type=_TOLERANCE, default=1e-7)
+@click.option("--trunc-threshold", type=_TOLERANCE, default=1e-8)
 @click.option("--seed", type=int, default=0)
 @click.option("--checkpoint-dir", type=click.Path(file_okay=False), default=None)
 def iqcc(hamiltonian, n_elec, n_qubits, gens, iterations, grad_tol, trunc_threshold, seed,
@@ -225,6 +243,8 @@ def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, list[str]
     The estimators and the oracle fail independently: either one's cells
     still come through when the other raises.
     """
+    from . import oracle  # imported here: scipy.sparse loads only for oracle commands
+
     index, path, mu, cfg = payload
     try:
         data = load_fcidump(path)
@@ -255,7 +275,7 @@ def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, list[str]
               help="Comma-separated bond lengths, one per FCIDUMP, in bohr.")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True)
 @click.option("--scheme", type=click.Choice(SCHEMES), default=_RUN.scheme)
-@click.option("--mu", type=float, default=0.0, help="Spin penalty weight.")
+@click.option("--mu", type=_FiniteFloat(), default=0.0, help="Spin penalty weight.")
 @_run_options
 @click.option("--workers", type=click.IntRange(min=1), default=1,
               help="Parallel scan workers (default 1).")
@@ -305,20 +325,27 @@ def scan(fcidumps, radii, output, mu, workers, **run_options):
 @main.command("fit-morse")
 @click.argument("scan_csv", type=click.Path(exists=True, dir_okay=False))
 @click.option("--column", default="E_exact", help="Energy column to fit (default E_exact).")
-@click.option("--mu-amu", type=float, default=None, help="Reduced mass in amu.")
+@click.option("--mu-amu", type=_FiniteFloat(min=0, min_open=True), default=None,
+              help="Reduced mass in amu.")
 def fit_morse_cmd(scan_csv, column, mu_amu):
     """Fit a Morse well to a scan CSV column and report constants."""
     mu_amu = _require(mu_amu, "--mu-amu")
     with open(scan_csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise click.UsageError(f"column {column!r} not present in {scan_csv}")
+        for name in ("r", column):
+            if reader.fieldnames is None or name not in reader.fieldnames:
+                raise click.UsageError(f"column {name!r} not present in {scan_csv}")
         r, e = [], []
-        for record in reader:
-            if record[column]:
-                r.append(float(record["r"]))
-                e.append(float(record[column]))
-    fit = fit_morse(r, e, mu_amu)
+        try:  # too few points, repeated radii, or a cell that is not a number
+            for record in reader:
+                if record[column]:
+                    r.append(float(record["r"]))
+                    e.append(float(record[column]))
+            fit = fit_morse(r, e, mu_amu)
+        except (TypeError, ValueError) as exc:
+            raise click.BadParameter(f"{scan_csv}: {exc}", param_hint="'SCAN_CSV'") from None
+        except RuntimeError as exc:  # the fit did not converge to a physical well
+            raise click.ClickException(f"{scan_csv}: {exc}") from None
     click.echo(f"D_e (hartree):        {_fmt(fit.d_e)}")
     click.echo(f"a (1/bohr):           {_fmt(fit.a)}")
     click.echo(f"r_e (bohr):           {_fmt(fit.r_e)}")
@@ -335,6 +362,8 @@ def fit_morse_cmd(scan_csv, column, mu_amu):
 @click.option("--n-qubits", type=int, default=None)
 def exact(hamiltonian, n_elec, n_qubits):
     """Oracle ground-state energy of a text Hamiltonian."""
+    from . import oracle  # imported here: scipy.sparse loads only for oracle commands
+
     h, ref = _load(hamiltonian, n_qubits, n_elec)
     try:
         energy = oracle.ground_energy(h, n_elec=n_elec)

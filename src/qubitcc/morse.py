@@ -4,7 +4,8 @@ E(r) = D_e (1 - exp(-a (r - r_e)))^2 + E_min, fit with
 Levenberg-Marquardt using the analytic Jacobian.  The harmonic
 frequency and anharmonicity follow from the fitted parameters:
 omega = a sqrt(2 D_e / mu) in atomic units, omega x = omega^2 / (4 D_e),
-both reported as wavenumbers.
+both reported as wavenumbers.  scipy.optimize is imported at the first
+fit, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import AMU_TO_ELECTRON_MASS, HARTREE_TO_INVCM
 
@@ -99,6 +99,9 @@ def fit_morse(r, e, mu_amu: float) -> MorseFit:
         jac[:, 2] = -2.0 * d_e * one_m_u * a * u
         jac[:, 3] = 1.0
         return jac
+
+    # imported here: scipy.optimize costs ~0.3 s of start-up that only the fit needs
+    from scipy.optimize import least_squares
 
     res = least_squares(residuals, _initial_guess(r, e), jac=jacobian, method="lm")
     if not res.success:

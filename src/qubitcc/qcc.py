@@ -10,7 +10,8 @@ D x D problem on that span.  Row b of that matrix is every Ising sector
 of the Hamiltonian at basis state b, taken in one pass over its
 canonical term arrays (``IsingDecomposition.row``); whole-Hamiltonian
 conjugation is used only to dress the Hamiltonian between iterations,
-where truncation happens.
+where truncation happens.  scipy.optimize (BFGS) is imported at the
+first amplitude optimization, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .pauli import (
     I_POWERS,
@@ -159,6 +159,8 @@ def optimize_amplitudes(
     if L == 0:
         e0 = ref.expectation(h)
         return AmplitudeOptimization(np.zeros(0), e0, True, 0, 0)
+    # imported here: scipy.optimize costs ~0.3 s of start-up that ilcap-pre never needs
+    from scipy.optimize import minimize
 
     space = _Subspace(ising_decompose(h), generators, ref)
     e_start = ref.expectation(h)
@@ -274,6 +276,10 @@ def run_iqcc(
         raise ValueError("need at least one generator per iteration")
     if max_iterations < 0:
         raise ValueError("max_iterations must be non-negative")
+    for name, tol in (("gradient_tol", gradient_tol),
+                      ("truncation_threshold", truncation_threshold)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {tol}")
     state = IqccState(hamiltonian=h, ref=ref)
     state.energy_history.append(ref.expectation(h))
     for it in range(1, max_iterations + 1):

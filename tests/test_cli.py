@@ -316,6 +316,37 @@ class TestFitMorse:
         assert res.exit_code == 2
         assert "E_other" in res.output
 
+    def test_missing_radius_column(self, runner, tmp_path):
+        src = tmp_path / "scan.csv"
+        src.write_text("R,E_exact\n1.0,-1.0\n", encoding="utf-8")
+        res = runner.invoke(main, ["fit-morse", str(src), "--mu-amu", "1.0"])
+        assert res.exit_code == 2
+        assert "column 'r' not present" in res.output
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(1.0, -1.0), (1.4, -1.1), (1.8, -1.05)], "needs at least four points"),
+        ([(1.0, -1.0), (1.4, "abc"), (1.8, -1.05), (2.2, -1.0)],
+         "could not convert string to float: 'abc'"),
+        ([(1.0, -1.0), (1.4, -1.1), (1.4, -1.05), (2.2, -1.0)], "must be distinct"),
+    ], ids=["three-points", "not-a-number", "repeated-radius"])
+    def test_bad_points_are_usage_errors(self, runner, tmp_path, rows, message):
+        src = tmp_path / "bad.csv"
+        src.write_text("r,E\n" + "".join(f"{r},{e}\n" for r, e in rows), encoding="utf-8")
+        res = runner.invoke(main, ["fit-morse", str(src), "--column", "E", "--mu-amu", "1.0"])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # click's exit, not a traceback
+        assert f"Invalid value for 'SCAN_CSV': {src}: " in res.output
+        assert message in res.output
+
+    def test_failed_fit_is_one_line_error(self, runner, tmp_path):
+        src = tmp_path / "flat.csv"
+        src.write_text("r,E\n" + "".join(f"{r},-1.0\n" for r in (1.0, 1.5, 2.0, 2.5)),
+                       encoding="utf-8")
+        res = runner.invoke(main, ["fit-morse", str(src), "--column", "E", "--mu-amu", "1.0"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == f"Error: {src}: Morse fit landed on a non-physical well\n"
+
 
 class TestBadInput:
     """Malformed input files and out-of-range values are usage errors: exit 2, no traceback."""
@@ -387,6 +418,43 @@ class TestIntegerBounds:
             target = [h2_text, "--n-elec", "2"]
         res = runner.invoke(main, ["--config", str(cfg), command, *target, *options])
         assert res.exit_code == 2
+        assert f"Invalid value for '{flag}'" in res.output
+
+
+class TestToleranceBounds:
+    """nan, inf and out-of-range float values are usage errors, not silent wrong answers."""
+
+    @pytest.mark.parametrize("command, options, ini, flag", [
+        ("iqcc", ["--grad-tol", "nan"], "", "--grad-tol"),
+        ("iqcc", ["--trunc-threshold", "inf"], "", "--trunc-threshold"),
+        ("iqcc", ["--grad-tol", "-1e-9"], "", "--grad-tol"),
+        ("ilcap", ["--scheme", "ilcap-post", "--trunc-threshold", "nan"], "",
+         "--trunc-threshold"),
+        ("ilcap", ["--grad-tol", "inf"], "", "--grad-tol"),
+        ("ilcap", [], "grad_tol = nan\n", "--grad-tol"),
+        ("scan", ["--trunc-threshold", "-1"], "", "--trunc-threshold"),
+        ("scan", ["--mu", "inf"], "", "--mu"),
+        ("fit-morse", ["--mu-amu", "nan"], "", "--mu-amu"),
+        ("transform", ["--drop-threshold", "nan"], "", "--drop-threshold"),
+        ("transform", ["--mu", "nan"], "", "--mu"),
+    ], ids=["iqcc-grad-nan", "iqcc-trunc-inf", "iqcc-grad-negative", "ilcap-trunc-nan",
+            "ilcap-grad-inf", "ini-grad-nan", "scan-trunc-negative", "scan-mu-inf",
+            "fit-morse-mu-nan", "transform-drop-nan", "transform-mu-nan"])
+    def test_rejected(self, runner, tmp_path, h2_text, command, options, ini, flag):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\n" + ini, encoding="utf-8")
+        if command == "scan":
+            target = [R14, "--radii", "1.4", "-o", str(tmp_path / "scan.csv")]
+        elif command == "transform":
+            target = [R14]
+        elif command == "fit-morse":
+            src = tmp_path / "scan.csv"
+            src.write_text("r,E_exact\n1.0,-1.0\n", encoding="utf-8")
+            target = [str(src)]
+        else:
+            target = [h2_text, "--n-elec", "2"]
+        res = runner.invoke(main, ["--config", str(cfg), command, *target, *options])
+        assert res.exit_code == 2, res.output
         assert f"Invalid value for '{flag}'" in res.output
 
 

@@ -16,3 +16,30 @@ def test_library_import_leaves_out_cli():
     out = subprocess.run([sys.executable, "-c", check], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _fresh_interpreter(code: str) -> str:
+    src = str(Path(qubitcc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_library_and_cli_import_leave_out_scipy():
+    # scipy loads only once a command calls the optimizer, the Morse fit or the oracle
+    check = ("import sys, qubitcc, qubitcc.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_interpreter(check) == "[]"
+
+
+def test_ilcap_pre_leaves_out_scipy_optimize():
+    fcidump = Path(__file__).parent / "data" / "h2_r1p4.fcidump"
+    check = (
+        "import sys; "
+        "from qubitcc import RunConfig, hf_reference, jw_hamiltonian, load_fcidump, run_scheme; "
+        f"data = load_fcidump({str(fcidump)!r}); "
+        "run_scheme(jw_hamiltonian(data), hf_reference(data), RunConfig(scheme='ilcap-pre')); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    assert _fresh_interpreter(check) == "False"

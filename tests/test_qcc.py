@@ -291,3 +291,11 @@ class TestRunIqcc:
             run_iqcc(h, ref, generators_per_iteration=0, max_iterations=1)
         with pytest.raises(ValueError):
             run_iqcc(h, ref, generators_per_iteration=1, max_iterations=-1)
+
+    @pytest.mark.parametrize("option", ["gradient_tol", "truncation_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-9])
+    def test_tolerances_must_be_finite_and_non_negative(self, rng, option, value):
+        h = random_sum(rng, 3, 6)
+        ref = ReferenceState(3, 1)
+        with pytest.raises(ValueError, match=option):
+            run_iqcc(h, ref, generators_per_iteration=1, max_iterations=1, **{option: value})
