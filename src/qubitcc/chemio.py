@@ -9,6 +9,7 @@ aufbau determinant occupies a contiguous low block of qubits.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -71,7 +72,8 @@ def parse_fcidump(text: str) -> FcidumpData:
     Indices are 1-based; (0,0,0,0) is the core energy, (i,j,0,0) a
     one-body integral, anything else a chemists'-notation two-body
     integral stored with its full 8-fold symmetry.  A repeated entry
-    overwrites the earlier value with a warning.
+    overwrites the earlier value with a warning; a nan or inf value
+    raises.
     """
     fields, body_start = _parse_header(text)
     for required in ("NORB", "NELEC"):
@@ -91,7 +93,9 @@ def parse_fcidump(text: str) -> FcidumpData:
     two = np.zeros((n_orb,) * 4)
     seen: set[tuple[int, int, int, int]] = set()
     have_core = False
-    for lineno, raw in enumerate(text[body_start:].splitlines(), start=1):
+    # lineno counts lines of the whole file, so messages point at the entry
+    first = text.count("\n", 0, body_start) + 1
+    for lineno, raw in enumerate(text[body_start:].splitlines(), start=first):
         line = raw.strip()
         if not line:
             continue
@@ -103,6 +107,8 @@ def parse_fcidump(text: str) -> FcidumpData:
             i, j, k, l = (int(p) for p in parts[1:])
         except ValueError:
             raise ValueError(f"integral line {lineno}: malformed entry {line!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"integral line {lineno}: non-finite value {parts[0]!r}")
         if not all(0 <= idx <= n_orb for idx in (i, j, k, l)):
             raise ValueError(f"integral line {lineno}: index outside 1..{n_orb}")
         if i == j == k == l == 0:
@@ -152,6 +158,7 @@ def load_fcidump(path: str) -> FcidumpData:
 # factor, first factor slowest.
 
 JW_QUBIT_CAP = SUM_QUBIT_CAP  # checked on NORB, before any expansion
+_DROP_THRESHOLD = 1e-12  # mapped terms at or below this magnitude are dropped
 
 _I_POWERS = np.array(I_POWERS)
 _LADDER_COEFFS = {True: np.array([0.5, -0.5j]), False: np.array([0.5, 0.5j])}
@@ -220,7 +227,7 @@ def _check_width(n_orb: int) -> None:
         )
 
 
-def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = 1e-12) -> PauliSum:
+def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = _DROP_THRESHOLD) -> PauliSum:
     """Qubit Hamiltonian on 2*n_orb qubits, interleaved alpha/beta.
 
     H = E_core + sum f_pq a+_ps a_qs
@@ -264,13 +271,14 @@ def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = 1e-12) -> Pauli
     return _fold_real(n_q, acc, drop_threshold)
 
 
-def spin_penalty(n_orb: int, *, drop_threshold: float = 1e-12) -> PauliSum:
+def spin_penalty(n_orb: int) -> PauliSum:
     """Singlet penalty operator W = S^2 - S_z = S_- S_+ + S_z^2.
 
     Vanishes on any singlet; its reference expectation exposes spin
     contamination.  Add mu/2 times this to a Hamiltonian to push
-    non-singlet states up by mu/2 per unit of W.  Capped at
-    JW_QUBIT_CAP qubits, as the mapping is.
+    non-singlet states up by mu/2 per unit of W.  Terms at or below
+    1e-12 in magnitude are dropped, and the operator is capped at
+    JW_QUBIT_CAP qubits, as in the mapping.
     """
     if n_orb < 1:
         raise ValueError("need at least one spatial orbital")
@@ -288,7 +296,7 @@ def spin_penalty(n_orb: int, *, drop_threshold: float = 1e-12) -> PauliSum:
           np.tile([0.25 + 0j, -0.25 + 0j], (1, n_orb)))
     # S_z^2 sums on its own before the merge, as the summation order matters
     sz_sq = _merge(None, _expand(one, [sz, sz]))
-    return _fold_real(2 * n_orb, _merge(acc, sz_sq), drop_threshold)
+    return _fold_real(2 * n_orb, _merge(acc, sz_sq), _DROP_THRESHOLD)
 
 
 def add_spin_penalty(h: PauliSum, n_orb: int, mu: float) -> PauliSum:

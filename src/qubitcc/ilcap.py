@@ -8,13 +8,13 @@ symmetric eigenproblem.  The corrections fold the remaining Ising
 sectors back in: a Brillouin-Wigner fixed point over an effective
 downfolded matrix, or a per-sector Epstein-Nesbet denominator sum.
 
-Every matrix element involved is <b'|H|b> between the reference and
-determinants that generators or X words flip it to, which is the
-b' ^ b sector of ``screen.ising_decompose`` at b'.  Each bra state b'
-takes all its sectors at once (``IsingDecomposition.at``), and the
-BW/EN denominators take the diagonal at every flipped reference at once
-(``pauli._diagonal_at``); ``pauli.basis_image`` supplies the phase a
-word picks up on the reference.
+The ansatz matrix and the BW couplings are one table of <v|h|w> over
+states i**p |b>: the reference (p = 0), each -i T_k|0> (p from
+``pauli.basis_image``) and each flipped reference X_f|0> (p = 0).  An
+entry is i**(p_w - p_v) <b_v|h|b_w>, the b_v ^ b_w sector of
+``screen.ising_decompose`` at b_v; each bra takes all its sectors at
+once (``IsingDecomposition.at``), and the BW/EN denominators take the
+diagonal at every flipped reference at once (``pauli._diagonal_at``).
 
 ``dress_with_combination`` works on the mask arrays of the
 ``PauliSum``: of the M^2 generator pairs it multiplies out only k < j,
@@ -58,6 +58,10 @@ __all__ = [
 ]
 
 _IMAG_TOL = 1e-12
+_I_POWERS = np.array(I_POWERS)
+_SINGULAR_TOL = 1e-8  # BW and EN skip a sector whose denominator is smaller
+_BW_TOL = 1e-12  # a BW step that moves E by less has converged
+_BW_MAX_ITERATIONS = 200
 
 
 def _validate_generators(generators: Sequence[PauliWord], n: int) -> None:
@@ -77,27 +81,37 @@ def _brackets(
     generators: Sequence[PauliWord],
     ref: ReferenceState,
     flips: Sequence[int] = (),
-) -> list[list[complex]]:
-    """<0| L h R |0> for L in (1, T_1..T_M) and R in (1, T_1..T_M, X_f..).
+) -> np.ndarray:
+    """<v_i|h|v_j> over the ILCAP states v and the X words of ``flips``.
 
-    The X words are those of ``flips``.  With L|0> = i**kl |l> and
-    R|0> = i**kr |r>, a bracket is i**(kr - kl) <l|h|r>; each bra state
-    l reads its whole row of <l|h|r> from one pass over the terms.
+    Rows run over v_0 = |0> and v_k = -i T_k|0>, columns over the same
+    states and then X_f|0>.  Each state is i**p |b> for a basis state
+    b: p = 0 for |0> and X_f|0>, and p = k + 3 for v_k, with
+    T_k|0> = i**k |b_k>.  Entry (i, j) is i**(p_j - p_i) <b_i|h|b_j>;
+    each bra b_i reads its whole row from one pass over the terms.
     """
     if dec.n != ref.n:
         raise ValueError("qubit counts differ")
     _validate_generators(generators, dec.n)
     occ = ref.occupied_mask
-    bras = [(occ, 0), *(basis_image(g, occ) for g in generators)]
-    kets = bras + [(occ ^ m, 0) for m in flips]
-    states = np.array([b for b, _ in kets], dtype=np.uint64)
-    table = []
-    for l, kl in bras:
-        row = dec.row(l, states).tolist()
-        # adding to 0j turns a -0.0 from the phase product into 0.0, as a
-        # term-by-term sum from 0j would have it
-        table.append([0j + I_POWERS[(kr - kl) & 3] * v for v, (_, kr) in zip(row, kets)])
-    return table
+    images = [basis_image(g, occ) for g in generators]
+    bras = [occ, *(b for b, _ in images)]
+    kets = np.array(bras + [occ ^ m for m in flips], dtype=np.uint64)
+    p = np.array([0, *(k + 3 for _, k in images), *(0 for _ in flips)])
+    rows = np.array([dec.row(b, kets) for b in bras])
+    # adding to 0j turns a -0.0 from the phase product into 0.0, as a
+    # term-by-term sum from 0j would have it
+    return 0j + _I_POWERS[(p - p[: len(bras), None]) & 3] * rows
+
+
+def _check_real(values: np.ndarray, scale: float, what: str) -> None:
+    """Raise if an imaginary part of values exceeds 1e-12 * scale."""
+    worst = float(np.max(np.abs(values.imag), initial=0.0))
+    if worst > _IMAG_TOL * scale:
+        raise ValueError(
+            f"{what} entries have imaginary parts up to {worst:.3e}; "
+            "check generator Y parity"
+        )
 
 
 def build_h_matrix(
@@ -105,39 +119,21 @@ def build_h_matrix(
 ) -> np.ndarray:
     """(M+1) x (M+1) real symmetric matrix of the combination ansatz.
 
-    Row and column 0 belong to the reference; entry (k, 0) is
-    i <0| T_k h |0>, entry (0, k) is -i <0| h T_k |0>, and (k', k) is
-    <0| T_k' h T_k |0>.  Imaginary parts must vanish (odd-Y generators
-    against an even-Y Hamiltonian); anything above 1e-12 raises,
-    since it signals a generator parity defect.
+    Entry (i, j) is <v_i|h|v_j> over v_0 = |0> and v_k = -i T_k|0>, so
+    (k, 0) is i <0| T_k h |0>, (0, k) is -i <0| h T_k |0>, and (k', k)
+    is <0| T_k' h T_k |0>.  Imaginary parts must vanish (odd-Y
+    generators against an even-Y Hamiltonian); anything above 1e-12
+    raises, since it signals a generator parity defect.
     """
-    return _h_matrix(_brackets(ising_decompose(h), generators, ref), len(generators))
+    return _h_matrix(_brackets(ising_decompose(h), generators, ref))
 
 
-def _h_matrix(table: list[list[complex]], m: int) -> np.ndarray:
-    """``build_h_matrix`` from the first m + 1 columns of ``_brackets``."""
-    mat = np.zeros((m + 1, m + 1))
-    worst_imag = 0.0
-
-    def put(i: int, j: int, val: complex) -> None:
-        nonlocal worst_imag
-        worst_imag = max(worst_imag, abs(val.imag))
-        mat[i, j] = val.real
-
-    put(0, 0, table[0][0])
-    for k in range(1, m + 1):
-        put(k, 0, 1j * table[k][0])
-        put(0, k, -1j * table[0][k])
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            put(i, j, table[i][j])
-
+def _h_matrix(table: np.ndarray) -> np.ndarray:
+    """``build_h_matrix`` from the square block of ``_brackets``."""
+    square = table[:, : len(table)]
+    mat = square.real
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if worst_imag > _IMAG_TOL * scale:
-        raise ValueError(
-            f"matrix entries have imaginary parts up to {worst_imag:.3e}; "
-            "check generator Y parity"
-        )
+    _check_real(square, scale, "matrix")
     asym = float(np.max(np.abs(mat - mat.T)))
     if asym > _IMAG_TOL * scale:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
@@ -283,17 +279,14 @@ def bw_correct(
     generators: Sequence[PauliWord],
     excluded_masks: Sequence[int],
     ref: ReferenceState,
-    *,
-    tol: float = 1e-12,
-    max_iterations: int = 200,
-    singular_tol: float = 1e-8,
 ) -> BwResult:
     """Fold the excluded Ising sectors into the ansatz matrix.
 
     Solves E = lambda_min(H - b (D - E)^-1 b^T) by fixed-point
-    iteration from E = lambda_min(H).  Columns whose denominator falls
-    within singular_tol of E are skipped with a warning; three
-    consecutive growing steps raise, since the iteration is diverging.
+    iteration from E = lambda_min(H), for at most 200 steps, until a
+    step moves E by less than 1e-12.  Columns whose denominator falls
+    within 1e-8 of E are skipped with a warning; three consecutive
+    growing steps raise, since the iteration is diverging.
     """
     gen_masks = {g.x for g in generators}
     ordered = sorted(set(excluded_masks))
@@ -303,20 +296,13 @@ def bw_correct(
         if m in gen_masks:
             raise ValueError(f"excluded mask {m:#x} collides with a generator")
 
-    m = len(generators)
     table = _brackets(ising_decompose(h), generators, ref, ordered)
-    mat = _h_matrix(table, m)
-    # b[0, col] is <0| h X |0>, b[k, col] is i <0| T_k h X |0>
-    coupling = [table[0][m + 1 :], *([1j * v for v in row[m + 1 :]] for row in table[1:])]
-    b = np.array([[v.real for v in row] for row in coupling])
-    worst_imag = max((abs(v.imag) for row in coupling for v in row), default=0.0)
+    mat = _h_matrix(table)
+    coupling = table[:, len(table) :]  # <v_i|h X|0> for each excluded X
+    b = coupling.real
     d = _diagonal_at(h, np.uint64(ref.occupied_mask) ^ np.array(ordered, dtype=np.uint64))
     scale = max(1.0, float(np.max(np.abs(mat))), float(np.max(np.abs(b), initial=0.0)))
-    if worst_imag > _IMAG_TOL * scale:
-        raise ValueError(
-            f"coupling entries have imaginary parts up to {worst_imag:.3e}; "
-            "check generator Y parity"
-        )
+    _check_real(coupling, scale, "coupling")
 
     e0 = float(np.linalg.eigh(mat)[0][0])
     energy = e0
@@ -325,15 +311,15 @@ def bw_correct(
     growth = 0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _BW_MAX_ITERATIONS + 1):
         denom = d - energy
-        usable = np.abs(denom) >= singular_tol
+        usable = np.abs(denom) >= _SINGULAR_TOL
         for col in np.nonzero(~usable)[0]:
             mask = ordered[col]
             if mask not in skipped:
                 warnings.warn(
                     f"sector {mask:#x} skipped: denominator within "
-                    f"{singular_tol:g} of the current energy",
+                    f"{_SINGULAR_TOL:g} of the current energy",
                     stacklevel=2,
                 )
                 skipped.add(mask)
@@ -342,7 +328,7 @@ def bw_correct(
         new_energy = float(np.linalg.eigh(eff)[0][0])
         step = abs(new_energy - energy)
         energy = new_energy
-        if step < tol:
+        if step < _BW_TOL:
             converged = True
             break
         if step > prev_step:
@@ -368,17 +354,12 @@ class EnResult:
     skipped_sectors: tuple[int, ...]
 
 
-def en_correct(
-    h: PauliSum,
-    ref: ReferenceState,
-    *,
-    singular_tol: float = 1e-8,
-) -> EnResult:
+def en_correct(h: PauliSum, ref: ReferenceState) -> EnResult:
     """Second-order sector sum with diagonal-difference denominators.
 
     E = <0|h|0> + sum_m |<0|I_m|0>|^2 / (<0|h|0> - <0|X_m h X_m|0>),
-    one term per nonzero X sector.  Near-degenerate denominators are
-    skipped with a warning.
+    one term per nonzero X sector.  Denominators within 1e-8 of zero
+    are skipped with a warning.
     """
     if h.n != ref.n:
         raise ValueError("qubit counts differ")
@@ -393,7 +374,7 @@ def en_correct(
     total = e0
     for m, weight, diagonal in zip(dec.sectors, weights, flipped):
         gap = e0 - diagonal
-        if abs(gap) < singular_tol:
+        if abs(gap) < _SINGULAR_TOL:
             skipped.append(m)
             warnings.warn(
                 f"sector {m:#x} skipped: degenerate diagonal gap {gap:.3e}",

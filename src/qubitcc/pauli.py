@@ -358,8 +358,9 @@ class PauliSum:
         Each non-blank line is a decimal coefficient followed by either
         the literal ``I`` or whitespace-separated factors ``X<j>``,
         ``Y<j>``, ``Z<j>`` with strictly increasing 0-based qubit
-        indices.  Lines starting with ``#`` are skipped.  The qubit
-        count is inferred as one past the largest index unless given.
+        indices.  Lines starting with ``#`` are skipped, and a nan or
+        inf coefficient raises.  The qubit count is inferred as one past
+        the largest index unless given.
         """
         parsed: list[tuple[float, list[tuple[str, int]]]] = []
         max_index = -1
@@ -372,6 +373,8 @@ class PauliSum:
                 coeff = float(tokens[0])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad coefficient {tokens[0]!r}") from None
+            if not math.isfinite(coeff):
+                raise ValueError(f"line {lineno}: non-finite coefficient {tokens[0]!r}")
             if len(tokens) < 2:
                 raise ValueError(f"line {lineno}: missing Pauli word")
             factors: list[tuple[str, int]] = []

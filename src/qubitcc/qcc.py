@@ -43,6 +43,9 @@ __all__ = [
     "run_iqcc",
 ]
 
+_MAX_RESTARTS = 4  # optimize_amplitudes: seeded restarts after a stalled zero start
+_GTOL = 1e-9  # and the gradient norm at which BFGS stops
+
 
 class _Subspace:
     """H and the generators on the determinants the ansatz can reach.
@@ -142,16 +145,15 @@ def optimize_amplitudes(
     ref: ReferenceState,
     *,
     seed: int | None = 0,
-    max_restarts: int = 4,
-    gtol: float = 1e-9,
 ) -> AmplitudeOptimization:
     """Quasi-Newton minimization of the QCC energy from a zero start.
 
     If the zero start makes no progress (a saddle or a flat spot, which
-    happens when every first-order gradient vanishes), up to
-    max_restarts seeded random perturbations are tried and the best
-    result kept.  h is split into sectors and its subspace matrix
-    built once; each BFGS step then costs O(D^2 + L D) on D <= 2^L states.
+    happens when every first-order gradient vanishes), up to four
+    seeded random perturbations are tried and the best result kept;
+    BFGS stops at a gradient norm of 1e-9.  h is split into sectors and
+    its subspace matrix built once; each BFGS step then costs
+    O(D^2 + L D) on D <= 2^L states.
     The matrix takes 16 D^2 <= 16 * 4^L bytes, so large L is out of
     reach (L = 16 would ask for 64 GiB); only L <= 4 has been tested.
     """
@@ -168,9 +170,9 @@ def optimize_amplitudes(
     best = None
     restarts_used = 0
     x0 = np.zeros(L)
-    for attempt in range(max_restarts + 1):
+    for attempt in range(_MAX_RESTARTS + 1):
         res = minimize(
-            space.energy_and_gradient, x0, jac=True, method="BFGS", options={"gtol": gtol}
+            space.energy_and_gradient, x0, jac=True, method="BFGS", options={"gtol": _GTOL}
         )
         if best is None or res.fun < best.fun:
             best = res
@@ -290,9 +292,7 @@ def run_iqcc(
             break
         masks = ranked.top(generators_per_iteration)
         gens = tuple(canonical_generator(h.n, m) for m in masks)
-        opt = optimize_amplitudes(
-            state.hamiltonian, gens, ref, seed=seed + it, max_restarts=4
-        )
+        opt = optimize_amplitudes(state.hamiltonian, gens, ref, seed=seed + it)
         state.hamiltonian = dress(
             state.hamiltonian,
             gens,

@@ -96,6 +96,12 @@ class TestParse:
         with pytest.raises(ValueError, match="NELEC"):
             parse_fcidump("&FCI NORB=1,NELEC=5 &END\n")
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", "1D999"])
+    def test_non_finite_integral_rejected(self, value):
+        # before the check a nan dropped every term it touched from the mapping
+        with pytest.raises(ValueError, match=f"integral line 3: non-finite value '{value}'"):
+            parse_fcidump(f"&FCI NORB=1,NELEC=1 &END\n0.5 1 1 0 0\n{value} 1 1 1 1\n")
+
     def test_fixture_round_trip(self, h2_fcidump):
         data = load_fcidump(str(h2_fcidump))
         assert data.n_orb == 2 and data.n_elec == 2

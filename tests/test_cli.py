@@ -393,6 +393,41 @@ class TestBadInput:
         self.usage_error(runner, ["transform", str(path)],
                          "Invalid value for 'FCIDUMP': integral line")
 
+    @staticmethod
+    def non_finite_fcidump(tmp_path, value):
+        """The r = 1.4 fixture with its (11|11) integral, file line 5, replaced by value."""
+        lines = open(R14, encoding="utf-8").read().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.split()[1:] == ["1", "1", "1", "1"])
+        lines[at] = f"{value} 1 1 1 1"
+        path = tmp_path / f"{value}.fcidump"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1D999"])
+    def test_non_finite_fcidump_integral(self, runner, tmp_path, value):
+        path = self.non_finite_fcidump(tmp_path, value)
+        self.usage_error(runner, ["transform", path],
+                         f"Invalid value for 'FCIDUMP': integral line 5: non-finite value '{value}'")
+
+    def test_scan_warns_for_a_non_finite_integral(self, runner, tmp_path):
+        out = tmp_path / "scan.csv"
+        res = ok(runner, ["scan", R10, self.non_finite_fcidump(tmp_path, "nan"),
+                          "--radii", "1.0,1.4", "-o", str(out)])
+        assert "integral line 5: non-finite value 'nan'" in res.output
+        rows = read_csv(out)
+        assert rows[1][-1] == FCI_R10
+        assert rows[2][0] == "1.4" and all(cell == "" for cell in rows[2][1:])
+
+    @pytest.mark.parametrize("command", ["ilcap", "exact"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_text_coefficient(self, runner, tmp_path, h2_text, command, value):
+        path = tmp_path / "bad.txt"
+        text = open(h2_text, encoding="utf-8").read()
+        path.write_text(text + f"{value} Z0 Z1\n", encoding="utf-8")
+        line = len(text.splitlines()) + 1
+        self.usage_error(runner, [command, str(path), "--n-elec", "2"],
+                         f"line {line}: non-finite coefficient '{value}'")
+
 
 class TestIntegerBounds:
     """Out-of-range integer flags and INI values are usage errors, not tracebacks."""

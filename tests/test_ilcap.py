@@ -147,6 +147,27 @@ class TestBuildMatrix:
         gram = np.array([[bi.conj() @ bj for bj in basis] for bi in basis])
         assert np.allclose(gram, np.eye(len(basis)), atol=1e-12)
 
+    def test_bracket_table_matches_dense_states(self, rng):
+        # every entry of the table, the coupling block to the X_f|0>
+        # included, is <v_i|h|w_j> with v = (|0>, -i T_k|0>) and w = v
+        # followed by X_f|0>; random sums with odd-Y terms give complex
+        # entries, so the phase of each state shows in both parts
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            h = random_sum(rng, n, 14)
+            ref = ReferenceState(n, rng.randint(0, n))
+            gens = random_generators(rng, n, rng.randint(0, 4))
+            flips = rng.sample(range(1, 1 << n), rng.randint(0, min(6, (1 << n) - 1)))
+            table = ilcap._brackets(ising_decompose(h), gens, ref, flips)
+            hm = oracle.to_dense(h)
+            v0 = oracle.reference_vector(ref)
+            bras = [v0] + [-1j * (oracle.to_dense(PauliSum(n, [(g, 1.0)])) @ v0) for g in gens]
+            kets = bras + [oracle.to_dense(PauliSum(n, [(PauliWord(n, m, 0), 1.0)])) @ v0
+                           for m in flips]
+            want = np.array([[bi.conj() @ hm @ kj for kj in kets] for bi in bras])
+            assert table.shape == want.shape
+            assert np.max(np.abs(table - want), initial=0.0) < 1e-12
+
     def test_rejects_even_y_generator(self, rng):
         h = random_even_sum(rng, 3, 6)
         bad = PauliWord(3, 0b11, 0b11)  # two Y factors
@@ -680,6 +701,29 @@ class TestBw:
             assert res.energy <= res.uncorrected_energy + 1e-12
             assert res.uncorrected_energy <= e0 + 1e-12
         assert found >= 30
+
+    def test_iteration_cap_leaves_result_unconverged(self, rng, monkeypatch):
+        # a case whose fixed point needs several steps, stopped after one
+        for _ in range(200):
+            n = rng.randint(3, 5)
+            ref = ReferenceState(n, rng.randint(0, n))
+            h = gapped_sum(rng, n, ref)
+            dec = ising_decompose(h)
+            ranked = gradients(dec, ref, drop_zero=True)
+            if len(ranked) < 2:
+                continue
+            gens = [canonical_generator(n, ranked.masks[0])]
+            excluded = [m for m in dec.sectors if m != ranked.masks[0]]
+            full = bw_correct(h, gens, excluded, ref)
+            if full.converged and full.iterations > 2:
+                break
+        else:
+            pytest.fail("no case needing more than two BW steps")
+        monkeypatch.setattr(ilcap, "_BW_MAX_ITERATIONS", 1)
+        capped = bw_correct(h, gens, excluded, ref)
+        assert capped.converged is False and capped.iterations == 1
+        assert capped.uncorrected_energy == full.uncorrected_energy
+        assert capped.energy != full.energy
 
     def test_excluded_mask_validation(self, rng):
         h = random_even_sum(rng, 3, 8)

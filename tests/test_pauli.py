@@ -279,6 +279,11 @@ class TestPauliSum:
         with pytest.raises(ValueError):
             PauliSum.from_text("X0 1.0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "-nan", "inf", "-inf", "1e999"])
+    def test_from_text_rejects_non_finite_coefficients(self, value):
+        with pytest.raises(ValueError, match=f"line 2: non-finite coefficient '{value}'"):
+            PauliSum.from_text(f"1.0 Z0\n{value} X0\n")
+
     def test_from_text_respects_explicit_width(self):
         s = PauliSum.from_text("1.0 Z0\n", 6)
         assert s.n == 6
