@@ -14,8 +14,17 @@ the standard chains below realize it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .gf2 import BinaryMatrix, apply_transpose, classify_columns, rref_with_transform
+import numpy as np
+
+from .gf2 import (
+    BinaryMatrix,
+    _uint64_or_none,
+    apply_transpose,
+    classify_columns,
+    rref_with_transform,
+)
 from .pauli import PauliWord
 
 __all__ = [
@@ -47,6 +56,31 @@ def standard_f(i: int, n: int) -> PauliWord:
         raise ValueError("index must lie in 1..n-1")
     full = (1 << n) - 1
     return PauliWord(n, (1 << i) | 1, full ^ ((1 << i) - 1))
+
+
+def _checked_masks(n: int, x_masks: Sequence[int]) -> Sequence[int]:
+    """The masks, as a uint64 array up to 64 qubits, once each is checked.
+
+    Valid masks are checked as one array.  Above 64 qubits, or when the
+    array check fails, a pass in input order names the first mask that
+    is empty, outside n qubits or equal to an earlier one.
+    """
+    full = (1 << n) - 1
+    masks = _uint64_or_none(x_masks) if n <= 64 else None
+    if (
+        masks is not None
+        and not np.any((masks == 0) | (masks > full))
+        and len(np.unique(masks)) == len(masks)
+    ):
+        return masks
+    seen: set[int] = set()
+    for m in x_masks:
+        if m <= 0 or m & ~full:
+            raise ValueError(f"X mask {m:#x} empty or outside {n} qubits")
+        if m in seen:
+            raise ValueError(f"duplicate X mask {m:#x}")
+        seen.add(m)
+    return list(x_masks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,17 +129,11 @@ def build_anticommuting_set(
     if max_generators is not None and max_generators < 0:
         raise ValueError("max_generators must be non-negative")
     full = (1 << n) - 1
-    seen: set[int] = set()
-    for m in x_masks:
-        if m <= 0 or m & ~full:
-            raise ValueError(f"X mask {m:#x} empty or outside {n} qubits")
-        if m in seen:
-            raise ValueError(f"duplicate X mask {m:#x}")
-        seen.add(m)
-    if not x_masks:
+    columns = _checked_masks(n, x_masks)
+    if not len(columns):
         return AnticommutingSet(n, (), (), (), ())
 
-    res = rref_with_transform(BinaryMatrix.from_columns(n, list(x_masks)))
+    res = rref_with_transform(BinaryMatrix.from_columns(n, columns))
     classes = classify_columns(res)
 
     gens: list[PauliWord] = []

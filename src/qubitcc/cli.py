@@ -181,7 +181,7 @@ def acset_cmd(hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
     """Build the anti-commuting generator set from ranked X words."""
     h, ref = _load(hamiltonian, n_qubits, _require(n_elec, "--n-elec"))
     ranked = gradients(ising_decompose(h), ref, drop_zero=drop_zero)
-    acs = build_anticommuting_set(h.n, list(ranked.masks), max_generators)
+    acs = build_anticommuting_set(h.n, ranked.masks, max_generators)
     click.echo(f"{len(acs)} generators from {len(ranked)} ranked X words on {h.n} qubits")
     for gen, col, kind in zip(acs.generators, acs.source_columns, acs.kinds):
         click.echo(f"{kind:>9}  rank {col + 1:>3}  {gen.to_text()}")

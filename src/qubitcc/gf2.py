@@ -9,7 +9,9 @@ transform R with R @ M = M_rref over GF(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "BinaryMatrix",
@@ -19,6 +21,14 @@ __all__ = [
     "classify_columns",
     "apply_transpose",
 ]
+
+
+def _uint64_or_none(values: Sequence[int]) -> np.ndarray | None:
+    """values as a uint64 array, or None if one is negative or wider."""
+    try:
+        return np.asarray(values, dtype=np.uint64)
+    except OverflowError:
+        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,10 +52,23 @@ class BinaryMatrix:
     def from_columns(cls, n_rows: int, columns: Sequence[int]) -> "BinaryMatrix":
         """Build from column bitsets (bit j of column k is entry (j, k)).
 
-        Rows are assembled in bytearrays so the cost stays linear in the
+        Up to 64 rows, the columns go into one uint64 array and row j is
+        bit j of every column, packed by ``np.packbits``.  Wider matrices,
+        and columns that do not fit, go bit by bit into bytearrays (which
+        name the first bad column), so the cost stays linear in the
         column count; setting bits on a wide int directly would copy the
         whole row every time.
         """
+        cols = _uint64_or_none(columns) if 0 < n_rows <= 64 else None
+        if cols is not None and not np.any(cols > (1 << n_rows) - 1):
+            rows = tuple(
+                int.from_bytes(
+                    np.packbits((cols >> j & 1).astype(np.uint8), bitorder="little").tobytes(),
+                    "little",
+                )
+                for j in range(n_rows)
+            )
+            return cls(n_rows, len(cols), rows)
         width = (len(columns) + 7) // 8
         bufs = [bytearray(width) for _ in range(n_rows)]
         for k, col in enumerate(columns):

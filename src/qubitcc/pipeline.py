@@ -38,7 +38,7 @@ def _ilcap_family(h: PauliSum, ref: ReferenceState, cfg: RunConfig, prefix: str,
     """E_prefix, +BW, and optionally +EN for the combination ansatz on h."""
     dec = ising_decompose(h)
     ranked = gradients(dec, ref)
-    acs = build_anticommuting_set(h.n, list(ranked.masks), cfg.max_generators)
+    acs = build_anticommuting_set(h.n, ranked.masks, cfg.max_generators)
     sol = solve_ilcap(h, acs.generators, ref)
     used = {g.x for g in acs.generators}
     excluded = [m for m in dec.sectors if m not in used]

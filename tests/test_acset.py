@@ -21,6 +21,18 @@ def all_pairwise_anticommute(gens):
     )
 
 
+def first_mask_error(n, masks):
+    """The message for the first empty, out-of-range or repeated mask."""
+    seen = set()
+    for m in masks:
+        if m <= 0 or m >> n:
+            return f"X mask {m:#x} empty or outside {n} qubits"
+        if m in seen:
+            return f"duplicate X mask {m:#x}"
+        seen.add(m)
+    return None
+
+
 class TestStandardChains:
     def test_d_shapes(self):
         assert standard_majorana_d(0, 4) == PauliWord(4, 0b0001, 0b0001)
@@ -104,6 +116,22 @@ class TestBuildSet:
             build_anticommuting_set(0, [])
         with pytest.raises(ValueError):
             build_anticommuting_set(2, [1], max_generators=-1)
+
+    def test_first_bad_mask_named_in_input_order(self, rng):
+        # the checks run on a uint64 array up to 64 qubits; the error
+        # must name the mask a one-by-one pass would stop at
+        for _ in range(300):
+            n = rng.choice([3, 8, 63, 64, 70])
+            masks = [rng.getrandbits(n) | 1 for _ in range(rng.randint(1, 12))]
+            for _ in range(rng.randint(0, 2)):
+                i = rng.randrange(len(masks))
+                masks[i] = rng.choice([0, -1, 1 << n, 1 << 64, rng.choice(masks)])
+            try:
+                build_anticommuting_set(n, masks)
+            except ValueError as err:
+                assert str(err) == first_mask_error(n, masks)
+            else:
+                assert first_mask_error(n, masks) is None
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_standard_masks_reach_the_bound(self, n):

@@ -28,6 +28,16 @@ def transform_apply(transform, rows):
     return tuple(out)
 
 
+def rows_bit_by_bit(n_rows, columns):
+    """Row bitsets set one column bit at a time, the check for the packer."""
+    bufs = [bytearray((len(columns) + 7) // 8) for _ in range(n_rows)]
+    for k, col in enumerate(columns):
+        for j in range(n_rows):
+            if col >> j & 1:
+                bufs[j][k >> 3] |= 1 << (k & 7)
+    return tuple(int.from_bytes(buf, "little") for buf in bufs)
+
+
 class TestBinaryMatrix:
     def test_from_columns_round_trips(self):
         mat = BinaryMatrix.from_columns(4, EXAMPLE_COLUMNS)
@@ -48,6 +58,33 @@ class TestBinaryMatrix:
             BinaryMatrix(0, 1, ())
         with pytest.raises(ValueError):
             BinaryMatrix(1, 2, (0b100,))
+
+    def test_packed_rows_match_bit_loop(self, rng):
+        # up to 64 rows the columns are packed as uint64 arrays; the rows
+        # must equal the ones set bit by bit from the int columns
+        sizes = [(n, rng.randint(1, 300)) for n in range(1, 65)]
+        sizes += [(16, 10_000), (63, 10_000), (64, 10_000)]
+        for n, m in sizes:
+            full = (1 << n) - 1
+            cols = [rng.getrandbits(n) for _ in range(m)]
+            cols[rng.randrange(m)] = full  # all ones, bit 63 too at n = 64
+            cols[rng.randrange(m)] = 1 << (n - 1)
+            assert BinaryMatrix.from_columns(n, cols).rows == rows_bit_by_bit(n, cols)
+
+    def test_rejects_columns_no_uint64_holds(self):
+        for n in (3, 64):
+            with pytest.raises(ValueError, match="column 1 has bits outside"):
+                BinaryMatrix.from_columns(n, [1, -1, 1 << 64])
+            with pytest.raises(ValueError, match="column 1 has bits outside"):
+                BinaryMatrix.from_columns(n, [1, 1 << 64, -1])
+        with pytest.raises(ValueError, match="column 2 has bits outside 63 rows"):
+            BinaryMatrix.from_columns(63, [1, 1 << 62, 1 << 63])
+
+    def test_wide_rows_keep_the_int_path(self, rng):
+        cols = [rng.getrandbits(100) for _ in range(50)]
+        mat = BinaryMatrix.from_columns(100, cols)
+        assert mat.rows == rows_bit_by_bit(100, cols)
+        assert [mat.column(k) for k in range(50)] == cols
 
     def test_column_index_check(self):
         mat = BinaryMatrix(2, 2, (1, 2))

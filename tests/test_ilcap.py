@@ -6,6 +6,7 @@ import pytest
 
 from qubitcc import oracle
 from qubitcc.acset import build_anticommuting_set, canonical_generator
+from qubitcc.chemio import hf_reference, jw_hamiltonian, load_fcidump
 from qubitcc.ilcap import (
     build_h_matrix,
     bw_correct,
@@ -18,6 +19,7 @@ from qubitcc.pauli import (
     PauliSum,
     PauliWord,
     ReferenceState,
+    basis_image,
     commutes,
     half_commutator,
     multiply,
@@ -27,6 +29,7 @@ from qubitcc.screen import gradients, ising_decompose
 
 from qubitcc import ilcap
 from conftest import (
+    DATA_DIR,
     assert_same_sum,
     random_even_sum,
     random_sum,
@@ -250,6 +253,57 @@ class TestSolve:
                 assert float(np.sum(sol.alphas**2)) == pytest.approx(1.0, abs=1e-10)
 
 
+ALPHA_BITS = int("01" * 32, 2)  # even qubits hold the alpha spin orbitals
+
+
+def _n_and_sz(bits):
+    """(electron count, 2 S_z) of a determinant in the interleaved JW order."""
+    n_alpha = bin(bits & ALPHA_BITS).count("1")
+    n_beta = bin(bits & ~ALPHA_BITS).count("1")
+    return n_alpha + n_beta, n_alpha - n_beta
+
+
+class TestWeightFloor:
+    @staticmethod
+    def _chain(name):
+        data = load_fcidump(str(DATA_DIR / name))
+        h, ref = jw_hamiltonian(data), hf_reference(data)
+        ranked = gradients(ising_decompose(h), ref)
+        return h, ref, build_anticommuting_set(h.n, list(ranked.masks)).generators
+
+    @pytest.mark.parametrize("name", ["h4_r2p0.fcidump", "h6_r1p805.fcidump"])
+    def test_symmetry_forbidden_generators_get_zero(self, name):
+        # a generator whose image of the reference has another N or S_z
+        # reaches the ansatz states only through roundoff
+        h, ref, gens = self._chain(name)
+        sol = solve_ilcap(h, gens, ref)
+        want = _n_and_sz(ref.occupied_mask)
+        forbidden = [_n_and_sz(basis_image(g, ref.occupied_mask)[0]) != want for g in gens]
+        assert 0 < sum(forbidden) < len(gens)
+        for a, f in zip(sol.alphas.tolist(), forbidden):
+            assert (a == 0.0) if f else (a != 0.0)
+        assert float(np.sum(sol.alphas**2)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["h4_r2p0.fcidump", "h6_r1p805.fcidump"])
+    def test_floor_does_not_depend_on_energy_scale(self, name):
+        h, ref, gens = self._chain(name)
+        zeros = np.flatnonzero(solve_ilcap(h, gens, ref).alphas == 0.0)
+        small = np.flatnonzero(solve_ilcap(h * 1e-12, gens, ref).alphas == 0.0)
+        assert zeros.size and zeros.tolist() == small.tolist()
+
+    def test_small_real_weight_is_kept(self):
+        # the second generator couples to the reference 1e-6 times as
+        # strongly as the first, and the two images do not couple
+        n = 4
+        gens = build_anticommuting_set(n, [0b0101, 0b1010]).generators
+        diag = "1.0 Z0\n0.7 Z1\n0.4 Z2\n0.2 Z3\n"
+        h = PauliSum.from_text(diag + "0.3 X0 X2\n3e-7 X1 X3\n", n)
+        sol = solve_ilcap(h, gens, ReferenceState(n, 2))
+        small = sol.coefficients[2] / math.sin(sol.t / 2.0)
+        assert 1e-7 < abs(small) < 1e-5
+        assert sol.alphas[1] == small
+
+
 class TestDressWithCombination:
     def test_matches_sequential_for_single_generator(self, rng):
         # with one generator the combination reduces to a plain rotation
@@ -326,7 +380,7 @@ class TestDressWithCombination:
 
     def test_matches_reference_on_solved_weights(self, rng):
         # the ILCAP solution, as the pipeline dresses with it: weights
-        # that should vanish may come out as exact zeros or roundoff
+        # that should vanish come out as exact zeros
         for n in range(2, 11):
             for _ in range(4):
                 h = random_even_sum(rng, n, 3 * n)
@@ -452,8 +506,8 @@ class TestDressAdditionOrder:
             )
 
     def test_roundoff_weights(self, rng):
-        # solved weights that should vanish come out as 1e-68 or 1e-18,
-        # as on the H8 workload
+        # weights at roundoff, 1e-68 or 1e-18, as eigh leaves them on the
+        # H8 workload before solve_ilcap's floor; a caller may pass them
         for _ in range(20):
             n = rng.randint(4, 9)
             gens = self._generators(rng, n, 3, 6)
