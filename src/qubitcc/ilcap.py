@@ -39,10 +39,10 @@ from .pauli import (
     ReferenceState,
     _diagonal_at,
     _group_masks,
+    _half_commutator_rows,
     _mask_product,
     basis_image,
     commutes,
-    half_commutator,
 )
 from .screen import IsingDecomposition, ising_decompose
 
@@ -235,10 +235,10 @@ def dress_with_combination(
     # term) order
     xs, zs, cs = [h.x], [h.z], [h.c * (1.0 - fc)]
     for a_k, gk in active:
-        part = half_commutator(gk, h)
-        xs.append(part.x)
-        zs.append(part.z)
-        cs.append(st * a_k * part.c)
+        _, part_x, part_z, part_c = _half_commutator_rows(gk, h)
+        xs.append(part_x)
+        zs.append(part_z)
+        cs.append(st * a_k * part_c)
     linear = sum(len(c) for c in cs)
     x = np.empty(linear + m * (m - 1) // 2 * size, np.uint64)
     z = np.empty_like(x)
@@ -380,21 +380,18 @@ def en_correct(h: PauliSum, ref: ReferenceState) -> EnResult:
     dec = ising_decompose(h)
     values = dec.at(occ)
     e0 = float(values[0].real)
-    weights = np.hypot(values.real[1:], values.imag[1:]).tolist()  # as abs(complex) rounds
-    flipped = _diagonal_at(h, np.uint64(occ) ^ dec.masks[1:]).tolist()
-    contributions: dict[int, float] = {}
-    skipped: list[int] = []
-    total = e0
-    for m, weight, diagonal in zip(dec.sectors, weights, flipped):
-        gap = e0 - diagonal
-        if abs(gap) < _SINGULAR_TOL:
-            skipped.append(m)
-            warnings.warn(
-                f"sector {m:#x} skipped: degenerate diagonal gap {gap:.3e}",
-                stacklevel=2,
-            )
-            continue
-        term = weight * weight / gap
-        contributions[m] = term
-        total += term
+    masks = dec.masks[1:]
+    weights = np.hypot(values.real[1:], values.imag[1:])  # as abs(complex) rounds
+    gaps = e0 - _diagonal_at(h, np.uint64(occ) ^ masks)
+    skip = np.abs(gaps) < _SINGULAR_TOL
+    skipped = masks[skip].tolist()
+    for m, gap in zip(skipped, gaps[skip].tolist()):
+        warnings.warn(
+            f"sector {m:#x} skipped: degenerate diagonal gap {gap:.3e}",
+            stacklevel=2,
+        )
+    terms = (weights * weights)[~skip] / gaps[~skip]
+    # cumsum adds left to right, the sum e0 + term_1 + term_2 + ...
+    total = float(np.cumsum(np.concatenate(([e0], terms)))[-1])
+    contributions = dict(zip(masks[~skip].tolist(), terms.tolist()))
     return EnResult(total, e0, contributions, tuple(skipped))

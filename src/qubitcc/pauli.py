@@ -438,20 +438,34 @@ def conjugate_by_word(h: PauliSum, generator: PauliWord, t: float) -> PauliSum:
     Terms commuting with the generator pass through unchanged; the
     anti-commuting ones are scaled by cos(t), and sin(t) times the half
     commutator is added.  A word meets at most two contributions (its
-    own term and one product), so the order of addition cannot change
-    the result.  No truncation happens here.
+    own term, then one product), and all rows are grouped in one sort.
+    No truncation happens here.
     """
     if generator.n != h.n:
         raise ValueError("qubit counts differ")
-    # generator * w carries an odd power of i exactly when w anti-commutes
-    anti = _mask_product(np.uint64(generator.x), np.uint64(generator.z), h.x, h.z)[2] & 1
-    comm = half_commutator(generator, h)
+    anti, x, z, c = _half_commutator_rows(generator, h)
     return PauliSum.from_masks(
         h.n,
-        np.concatenate((h.x, comm.x)),
-        np.concatenate((h.z, comm.z)),
-        np.concatenate((np.where(anti, h.c * math.cos(t), h.c), math.sin(t) * comm.c)),
+        np.concatenate((h.x, x)),
+        np.concatenate((h.z, z)),
+        np.concatenate((np.where(anti, h.c * math.cos(t), h.c), math.sin(t) * c)),
     )
+
+
+def _half_commutator_rows(
+    generator: PauliWord, h: PauliSum
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``half_commutator`` as rows in h's term order, unsorted.
+
+    Returns the anti-commuting flags of h's terms and the (x, z, c)
+    rows of their products with the generator; the rows' words are
+    distinct, since multiplying by one word is a bijection.
+    """
+    x, z, k = _mask_product(np.uint64(generator.x), np.uint64(generator.z), h.x, h.z)
+    anti = (k & 1).astype(bool)  # an odd power of i exactly when w anti-commutes
+    c = h.c[anti]
+    # i * i**k for odd k is -1 (k=1) or +1 (k=3)
+    return anti, x[anti], z[anti], np.where(k[anti] == 1, -c, c)
 
 
 def half_commutator(generator: PauliWord, h: PauliSum) -> PauliSum:
@@ -463,8 +477,5 @@ def half_commutator(generator: PauliWord, h: PauliSum) -> PauliSum:
     """
     if generator.n != h.n:
         raise ValueError("qubit counts differ")
-    x, z, k = _mask_product(np.uint64(generator.x), np.uint64(generator.z), h.x, h.z)
-    anti = (k & 1).astype(bool)
-    c = h.c[anti]
-    # i * i**k for odd k is -1 (k=1) or +1 (k=3)
-    return PauliSum.from_masks(h.n, x[anti], z[anti], np.where(k[anti] == 1, -c, c))
+    _, x, z, c = _half_commutator_rows(generator, h)
+    return PauliSum.from_masks(h.n, x, z, c)

@@ -6,12 +6,14 @@ last, so conjugating the Hamiltonian applies k = 1 innermost.  The
 reference is one determinant and each T_k a Pauli word, so U|0> lies
 in the span of the D <= 2^L determinants occ ^ (XOR of a subset of the
 generators' X masks).  Energy and gradient are evaluated exactly as a
-D x D problem on that span.  Row b of that matrix is every Ising sector
-of the Hamiltonian at basis state b, taken in one pass over its
-canonical term arrays (``IsingDecomposition.row``); whole-Hamiltonian
+D x D problem on that span.  Its entries are the Hamiltonian's Ising
+sectors b ^ b', the D XORs of those masks, so only the terms of these
+sectors are read (``IsingDecomposition.row``); whole-Hamiltonian
 conjugation is used only to dress the Hamiltonian between iterations,
-where truncation happens.  scipy.optimize (BFGS) is imported at the
-first amplitude optimization, so importing this module loads no scipy.
+where truncation happens.  One generator gives E(t) = A + B cos t +
+C sin t, minimized in closed form; two or more are minimized by BFGS,
+and scipy.optimize is imported only then, so importing this module and
+single-generator iQCC load no scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .pauli import (
     basis_image,
     conjugate_by_word,
 )
-from .screen import IsingDecomposition, gradients, ising_decompose
+from .screen import gradients, ising_decompose
 from .acset import canonical_generator
 
 __all__ = [
@@ -43,7 +45,7 @@ __all__ = [
     "run_iqcc",
 ]
 
-_MAX_RESTARTS = 4  # optimize_amplitudes: seeded restarts after a stalled zero start
+_MAX_RESTARTS = 4  # optimize_amplitudes, L >= 2: seeded restarts after a stalled zero start
 _GTOL = 1e-9  # and the gradient norm at which BFGS stops
 
 
@@ -57,10 +59,8 @@ class _Subspace:
 
     __slots__ = ("h", "perms", "phases")
 
-    def __init__(
-        self, dec: IsingDecomposition, generators, ref: ReferenceState
-    ) -> None:
-        if ref.n != dec.n or any(g.n != dec.n for g in generators):
+    def __init__(self, h: PauliSum, generators, ref: ReferenceState) -> None:
+        if ref.n != h.n or any(g.n != h.n for g in generators):
             raise ValueError("qubit counts differ")
         occ = ref.occupied_mask
         index = {occ: 0}
@@ -69,6 +69,13 @@ class _Subspace:
                 index.setdefault(b ^ g.x, len(index))
         basis = list(index)
         states = np.array(basis, dtype=np.uint64)
+        # <b|H|b'> is sector b ^ b', one of the D masks occ ^ b; each
+        # sector keeps its terms in canonical order, so its sums are
+        # the ones the whole decomposition gives
+        flips = np.unique(np.uint64(occ) ^ states)
+        lo, hi = np.searchsorted(h.x, flips, "left"), np.searchsorted(h.x, flips, "right")
+        rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+        dec = ising_decompose(PauliSum._canonical(h.n, h.x[rows], h.z[rows], h.c[rows]))
         self.h = np.array([dec.row(b, states) for b in basis])
         self.perms = []
         self.phases = []
@@ -119,12 +126,12 @@ def qcc_energy_and_gradient(
 
     Both come from the D x D matrix of h on the D <= 2^L determinants
     the generators reach from the reference; the cost grows with 2 to
-    the rank of the generators' X masks, and h's terms are read once
-    per determinant, to build the matrix.
+    the rank of the generators' X masks, and only the terms of the D
+    sectors between those determinants are read, to build the matrix.
     """
     if len(generators) != len(amplitudes):
         raise ValueError("one amplitude per generator required")
-    space = _Subspace(ising_decompose(h), generators, ref)
+    space = _Subspace(h, generators, ref)
     return space.energy_and_gradient(amplitudes)
 
 
@@ -139,6 +146,17 @@ class AmplitudeOptimization:
     restarts_used: int
 
 
+def _closed_form_step(space: _Subspace) -> AmplitudeOptimization:
+    """Exact minimum of a one-generator energy E(t) = A + B cos t + C sin t."""
+    e_zero, grad = space.energy_and_gradient([0.0])
+    e_pi, _ = space.energy_and_gradient([math.pi])
+    b, c = 0.5 * (e_zero - e_pi), float(grad[0])
+    # the 0.0 turns a -0.0 from atan2 into 0.0
+    t = math.atan2(-c, -b) + 0.0 if b or c else 0.0
+    energy, _ = space.energy_and_gradient([t])
+    return AmplitudeOptimization(np.array([t]), energy, True, 0, 0)
+
+
 def optimize_amplitudes(
     h: PauliSum,
     generators,
@@ -146,25 +164,32 @@ def optimize_amplitudes(
     *,
     seed: int | None = 0,
 ) -> AmplitudeOptimization:
-    """Quasi-Newton minimization of the QCC energy from a zero start.
+    """Minimize the QCC energy over the amplitudes.
 
-    If the zero start makes no progress (a saddle or a flat spot, which
-    happens when every first-order gradient vanishes), up to four
-    seeded random perturbations are tried and the best result kept;
-    BFGS stops at a gradient norm of 1e-9.  h is split into sectors and
-    its subspace matrix built once; each BFGS step then costs
-    O(D^2 + L D) on D <= 2^L states.
-    The matrix takes 16 D^2 <= 16 * 4^L bytes, so large L is out of
-    reach (L = 16 would ask for 64 GiB); only L <= 4 has been tested.
+    One generator is solved in closed form: E(t) = A + B cos t + C sin t
+    with B = (E(0) - E(pi))/2 and C = E'(0), so t = atan2(-C, -B) is the
+    one minimum per period (t = 0 only when B = C = 0 exactly); this
+    costs three energy evaluations, reports zero iterations and needs no
+    scipy.  Two or more run BFGS from a zero start, stopping at a
+    gradient norm of 1e-9; if the zero start makes no progress (a saddle
+    or a flat spot, which happens when every first-order gradient
+    vanishes), up to four seeded random perturbations are tried and the
+    best result kept.  The subspace matrix is built once, from the
+    terms of h in the D sectors it spans; each energy and gradient then
+    costs O(D^2 + L D) on D <= 2^L states.  The matrix takes 16 D^2 <= 16 * 4^L bytes, so
+    large L is out of reach (L = 16 would ask for 64 GiB); only L <= 4
+    has been tested.
     """
     L = len(generators)
     if L == 0:
         e0 = ref.expectation(h)
         return AmplitudeOptimization(np.zeros(0), e0, True, 0, 0)
+    space = _Subspace(h, generators, ref)
+    if L == 1:
+        return _closed_form_step(space)
     # imported here: scipy.optimize costs ~0.3 s of start-up that ilcap-pre never needs
     from scipy.optimize import minimize
 
-    space = _Subspace(ising_decompose(h), generators, ref)
     e_start = ref.expectation(h)
     rng = np.random.default_rng(seed)
     best = None

@@ -43,3 +43,17 @@ def test_ilcap_pre_leaves_out_scipy_optimize():
         "print('scipy.optimize' in sys.modules)"
     )
     assert _fresh_interpreter(check) == "False"
+
+
+def test_single_generator_iqcc_leaves_out_scipy_optimize(tmp_path):
+    # the default --gens 1 takes every step in closed form
+    fcidump = Path(__file__).parent / "data" / "h2_r1p4.fcidump"
+    text = tmp_path / "h2.txt"
+    check = (
+        "import sys; "
+        "from qubitcc.cli import main; "
+        f"main(['transform', {str(fcidump)!r}, '-o', {str(text)!r}], standalone_mode=False); "
+        f"main(['iqcc', {str(text)!r}, '--n-elec', '2'], standalone_mode=False); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    assert _fresh_interpreter(check).splitlines()[-1] == "False"

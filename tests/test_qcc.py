@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qubitcc import oracle
+from qubitcc import oracle, qcc
 from qubitcc.pauli import PauliSum, PauliWord, ReferenceState, commutes, half_commutator
+from qubitcc.screen import ising_decompose
 from qubitcc.qcc import (
     dress,
     optimize_amplitudes,
@@ -144,6 +145,22 @@ class TestSubspaceMatchesConjugation:
             ts = [rng.uniform(-2.0, 2.0) for _ in range(L)]
             assert_matches_conjugation(h, gens, ts, ReferenceState(n, n if filled else 0))
 
+    def test_matrix_equals_whole_decomposition(self, rng):
+        # only the reachable sectors' terms are decomposed, and their sums keep every bit
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            h = random_sum(rng, n, 30)
+            gens = [random_word(rng, n) for _ in range(rng.randint(1, 3))]
+            ref = ReferenceState(n, rng.randint(0, n))
+            index = {ref.occupied_mask: 0}
+            for g in gens:
+                for b in list(index):
+                    index.setdefault(b ^ g.x, len(index))
+            states = np.array(list(index), dtype=np.uint64)
+            dec = ising_decompose(h)
+            want = np.array([dec.row(b, states) for b in index])
+            assert qcc._Subspace(h, gens, ref).h.tobytes() == want.tobytes()
+
     def test_qubit_count_mismatch(self, rng):
         h = random_sum(rng, 3, 6)
         with pytest.raises(ValueError, match="qubit counts differ"):
@@ -209,6 +226,47 @@ class TestOptimize:
         b = optimize_amplitudes(h, gens, ref, seed=7)
         assert a.energy == b.energy
         assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+class TestClosedFormStep:
+    """One generator: the minimum of E(t) = A + B cos t + C sin t, no BFGS."""
+
+    def test_matches_analytic_minimum(self, rng):
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            h = random_sum(rng, n, 12)
+            assert {w.y_count() % 2 for w in h.words()} == {0, 1}
+            g = random_word(rng, n)
+            ref = ReferenceState(n, rng.randint(0, n))
+            a, b, c = energy_curve_coefficients(h, g, ref)
+            # E(t) = a + c + b sin t - c cos t: at its minimum r (sin t, cos t) = (-b, c)
+            r = math.hypot(b, c)
+            opt = optimize_amplitudes(h, [g], ref)
+            assert opt.amplitudes.shape == (1,) and abs(opt.amplitudes[0]) <= math.pi
+            t = float(opt.amplitudes[0])
+            assert abs(r * math.sin(t) + b) <= 1e-12 and abs(r * math.cos(t) - c) <= 1e-12
+            assert abs(opt.energy - (a + c - r)) <= 1e-12
+            assert abs(qcc_energy(h, [g], opt.amplitudes, ref) - (a + c - r)) <= 1e-12
+            assert (opt.converged, opt.iterations, opt.restarts_used) == (True, 0, 0)
+
+    def test_maximum_at_zero_turns_by_pi(self):
+        # E(t) = cos t on the empty reference: c = 0 and b = 1
+        h = PauliSum.from_text("1.0 Z0\n0.25 Z1\n", 2)
+        ref = ReferenceState(2, 0)
+        opt = optimize_amplitudes(h, [PauliWord.from_factors(2, [("X", 0)])], ref)
+        assert abs(opt.amplitudes[0]) == pytest.approx(math.pi, abs=1e-15)
+        assert opt.energy == pytest.approx(-0.75, abs=1e-15)
+
+    def test_flat_curve_stays_at_zero(self, rng):
+        for _ in range(10):
+            n = rng.randint(2, 5)
+            h = random_sum(rng, n, 12)
+            ref = ReferenceState(n, rng.randint(0, n))
+            g = PauliWord(n, 0, rng.getrandbits(n) or 1)  # Z only: G|0> = +-|0>
+            opt = optimize_amplitudes(h, [g], ref)
+            assert opt.amplitudes.tolist() == [0.0]
+            assert opt.energy == qcc_energy_and_gradient(h, [g], [0.0], ref)[0]
+            assert opt.energy == pytest.approx(ref.expectation(h), abs=1e-12)
 
 
 class TestDress:
