@@ -9,7 +9,8 @@ tolerances must be >= 0.
 
 Importing this module loads no scipy: the oracle (scipy.sparse) is
 imported by the commands that call it, ``scan`` and ``exact``, and
-scipy.optimize by the iQCC optimizer and the Morse fit.
+scipy.optimize by the Morse fit and by iQCC steps with three or more
+generators (one and two are solved exactly).
 """
 
 from __future__ import annotations

@@ -11,9 +11,11 @@ sectors b ^ b', the D XORs of those masks, so only the terms of these
 sectors are read (``IsingDecomposition.row``); whole-Hamiltonian
 conjugation is used only to dress the Hamiltonian between iterations,
 where truncation happens.  One generator gives E(t) = A + B cos t +
-C sin t, minimized in closed form; two or more are minimized by BFGS,
-and scipy.optimize is imported only then, so importing this module and
-single-generator iQCC load no scipy.
+C sin t, minimized in closed form; two give a 4 x 4 quadratic form in
+the half-angle products, minimized exactly through a one-angle
+reduction; three or more are minimized by BFGS, and scipy.optimize is
+imported only then, so importing this module and iQCC at one or two
+generators per step load no scipy.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ __all__ = [
     "run_iqcc",
 ]
 
-_MAX_RESTARTS = 4  # optimize_amplitudes, L >= 2: seeded restarts after a stalled zero start
-_GTOL = 1e-9  # and the gradient norm at which BFGS stops
+_MAX_RESTARTS = 4  # optimize_amplitudes, L >= 3: seeded restarts after a stalled zero start
+_GTOL = 1e-9  # and the gradient norm at which BFGS stops, or a pair step counts as converged
+_NEWTON_STEPS = 8  # most Newton steps polishing the roots of a pair step
 
 
 class _Subspace:
@@ -157,6 +160,118 @@ def _closed_form_step(space: _Subspace) -> AmplitudeOptimization:
     return AmplitudeOptimization(np.array([t]), energy, True, 0, 0)
 
 
+def _pair_curves(space: _Subspace) -> list[list[float]]:
+    """Rows A, B, C of E(t1, t2) = A + B cos t1 + C sin t1, on (1, cos t2, sin t2).
+
+    With c_k = cos(t_k/2) and s_k = sin(t_k/2) the state is U|0> = V w,
+    V = [|0>, -i T2|0>, -i T1|0>, -T1 T2|0>] and w = (c1 c2, c1 s2,
+    s1 c2, s1 s2), so E = w^T M w with M = Re(V^dag H V); this holds
+    for any D <= 4, dependent X masks included.  Each column of V is one
+    basis state times a phase.  The 2 x 2 blocks of M at t1 = 0 (P),
+    t1 = pi (Q) and across (R) are first-harmonic in t2, and
+    A = (P + Q)/2, B = (P - Q)/2, C = R.
+    """
+    (p1, p2), (f1, f2) = space.perms, space.phases
+    i = [0, p2[0], p1[0], p1[p2[0]]]
+    phase = np.array([1.0, -1j * f2[0], -1j * f1[0], -f2[0] * f1[p2[0]]])
+    m = (phase.conj()[:, None] * space.h[np.ix_(i, i)] * phase).real.tolist()
+
+    def block(i: int, j: int) -> list[float]:
+        # (c2, s2) X (c2, s2)^T for the block X at rows i, i + 1 and columns j, j + 1
+        a, b, c, d = m[i][j], m[i][j + 1], m[i + 1][j], m[i + 1][j + 1]
+        return [0.5 * (a + d), 0.5 * (a - d), 0.5 * (b + c)]
+
+    p, q = block(0, 0), block(2, 2)
+    return [[0.5 * (x + y) for x, y in zip(p, q)], [0.5 * (x - y) for x, y in zip(p, q)],
+            block(0, 2)]
+
+
+def _stationary_polynomial(curves) -> np.ndarray:
+    """Coefficients of z^4 g(t2), z = exp(i t2), highest power first.
+
+    g = A'^2 (B^2 + C^2) - (B B' + C C')^2 is real, so its coefficients
+    for exp(i k t2), k = -4..4, are conjugate-symmetric.
+    """
+    x = np.array([[0.5 * (x1 + 1j * x2), x0, 0.5 * (x1 - 1j * x2)] for x0, x1, x2 in curves])
+    dx = x * np.array([-1j, 0.0, 1j])
+    conv = np.convolve
+    rr = conv(x[1], x[1]) + conv(x[2], x[2])
+    rdr = conv(x[1], dx[1]) + conv(x[2], dx[2])
+    return (conv(conv(dx[0], dx[0]), rr) - conv(rdr, rdr))[::-1]
+
+
+def _reduced(curves, t2: float) -> tuple[float, float, float, float, float]:
+    """A, B, C at t2, and f' and f'' of f = A - hypot(B, C) (nan where B = C = 0)."""
+    cos, sin = math.cos(t2), math.sin(t2)
+    (a, da, dda), (b, db, ddb), (c, dc, ddc) = (
+        (x0 + x1 * cos + x2 * sin, x2 * cos - x1 * sin, -x1 * cos - x2 * sin)
+        for x0, x1, x2 in curves
+    )
+    r = math.hypot(b, c)
+    if r == 0.0:
+        return a, b, c, math.nan, math.nan
+    dr = (b * db + c * dc) / r
+    ddr = (db * db + b * ddb + dc * dc + c * ddc - dr * dr) / r
+    return a, b, c, da - dr, dda - ddr
+
+
+def _wrap(t: float) -> float:
+    """t in (-pi, pi], with no -0.0."""
+    t = math.remainder(t, 2.0 * math.pi)
+    return (t + 2.0 * math.pi if t <= -math.pi else t) + 0.0
+
+
+def _pair_step(space: _Subspace) -> AmplitudeOptimization:
+    """Exact minimum of a two-generator energy.
+
+    For fixed t2, E = A + B cos t1 + C sin t1 with A, B, C first-harmonic
+    in t2 (``_pair_curves``), so its minimum over t1 is
+    f(t2) = A - hypot(B, C), at t1 = atan2(-C, -B) as in the
+    one-generator step.  No minimum of f is missed: at one, either
+    r = hypot(B, C) > 0 and f' = A' - r' = 0, or r = 0 (a cusp, where -r
+    kinks downwards, so in general a maximum); both are zeros of
+    g = r^2 (A'^2 - r'^2), a trigonometric polynomial of degree 4 with at
+    most 8 zeros per period, the roots of a degree-8 polynomial in
+    exp(i t2).  If g vanishes identically, then r = 0 everywhere or
+    A' = +-r' throughout, and f is constant, or 2A plus a constant
+    wherever it is below its maximum: t2 = 0 or argmin A is a minimum,
+    and both are always candidates, unpolished.  Each root is polished
+    by Newton steps on f', taken only where f'' > 0 and at most 0.25 long.
+    Of the points (t1*, t2) and (0, t2), the latter for an energy that
+    t1 moves only by roundoff, the lowest energy wins; among those
+    within 1e-12 max(1, |E|) of it, the smallest t1^2 + t2^2 on
+    (-pi, pi]^2, then the lexicographic order, pick the minimum nearest
+    zero, where a descent from a zero start usually ends.
+    """
+    curves = _pair_curves(space)
+    (_, a1, a2), _, _ = curves
+    roots = np.roots(_stationary_polynomial(curves))
+    polished = []
+    for t2 in np.angle(roots).tolist():
+        for _ in range(_NEWTON_STEPS):
+            *_, df, ddf = _reduced(curves, t2)
+            if not ddf > 0.0:
+                break
+            step = max(-0.25, min(0.25, df / ddf))
+            t2 -= step
+            if abs(step) <= 1e-15:
+                break
+        polished.append(t2)
+    points = []
+    for t2 in [0.0, math.atan2(-a2, -a1), *polished]:
+        t2 = _wrap(t2)
+        a, b, c, *_ = _reduced(curves, t2)
+        points.append((a + b, 0.0, t2))
+        if b or c:
+            points.append((a - math.hypot(b, c), _wrap(math.atan2(-c, -b)), t2))
+    low = min(e for e, _, _ in points)
+    tol = 1e-12 * max(1.0, abs(low))
+    t = min((t1 * t1 + t2 * t2, t1, t2) for e, t1, t2 in points if e <= low + tol)[1:]
+    energy, grad = space.energy_and_gradient(t)
+    converged = bool(np.max(np.abs(grad)) <= _GTOL)
+    return AmplitudeOptimization(np.array(t), energy, converged, 0, 0)
+
+
 def optimize_amplitudes(
     h: PauliSum,
     generators,
@@ -170,7 +285,9 @@ def optimize_amplitudes(
     with B = (E(0) - E(pi))/2 and C = E'(0), so t = atan2(-C, -B) is the
     one minimum per period (t = 0 only when B = C = 0 exactly); this
     costs three energy evaluations, reports zero iterations and needs no
-    scipy.  Two or more run BFGS from a zero start, stopping at a
+    scipy.  Two generators are solved exactly by ``_pair_step``: no
+    iterations, and converged when the gradient norm at the answer is
+    at most 1e-9.  Three or more run BFGS from a zero start, stopping at a
     gradient norm of 1e-9; if the zero start makes no progress (a saddle
     or a flat spot, which happens when every first-order gradient
     vanishes), up to four seeded random perturbations are tried and the
@@ -187,6 +304,8 @@ def optimize_amplitudes(
     space = _Subspace(h, generators, ref)
     if L == 1:
         return _closed_form_step(space)
+    if L == 2:
+        return _pair_step(space)
     # imported here: scipy.optimize costs ~0.3 s of start-up that ilcap-pre never needs
     from scipy.optimize import minimize
 

@@ -5,8 +5,9 @@ without the spin penalty, the repr of every estimator of all three
 schemes, iQCC checkpoint files, and combination-dressed Hamiltonians
 for H2 and for a seeded 6-qubit random Hamiltonian.  A refactor that
 keeps the arithmetic order must leave every byte unchanged.  The
-eigensolver and BFGS lines depend on the LAPACK build, so regenerate
-the file only when the platform changes, never to absorb a code change:
+eigensolver and polynomial-root (two-generator iQCC) lines depend on
+the LAPACK build, so regenerate the file only when the platform
+changes, never to absorb a code change:
 
     PYTHONPATH=src:tests python -c "import test_golden as g; g.GOLDEN.write_text(g.render())"
 """

@@ -1,9 +1,12 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import qubitcc
+
+from conftest import random_even_sum
 
 
 def test_library_import_leaves_out_cli():
@@ -57,3 +60,26 @@ def test_single_generator_iqcc_leaves_out_scipy_optimize(tmp_path):
         "print('scipy.optimize' in sys.modules)"
     )
     assert _fresh_interpreter(check).splitlines()[-1] == "False"
+
+
+def test_two_generator_iqcc_leaves_out_scipy_optimize(tmp_path):
+    # --gens 2 takes every step as an exact pair step; on H2 only one generator has a
+    # nonzero gradient, so the golden random6 Hamiltonian is the input
+    h = random_even_sum(random.Random(20240817), 6, 24)
+    text = tmp_path / "random6.txt"
+    text.write_text(h.to_text() + "\n", encoding="utf-8")
+    ckdir = tmp_path / "ck"
+    check = (
+        "import sys; "
+        "from qubitcc.cli import main; "
+        f"main(['iqcc', {str(text)!r}, '--n-elec', '3', '--n-qubits', '6', '--gens', '2', "
+        f"'--iterations', '2', '--checkpoint-dir', {str(ckdir)!r}], standalone_mode=False); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    assert _fresh_interpreter(check).splitlines()[-1] == "False"
+    checkpoints = sorted(ckdir.iterdir())
+    assert len(checkpoints) == 2
+    for path in checkpoints:
+        generators = next(line for line in path.read_text().splitlines()
+                          if line.startswith("# generators: "))
+        assert len(generators.split(" | ")) == 2

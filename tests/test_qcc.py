@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from qubitcc import oracle, qcc
 from qubitcc.pauli import PauliSum, PauliWord, ReferenceState, commutes, half_commutator
@@ -267,6 +269,111 @@ class TestClosedFormStep:
             assert opt.amplitudes.tolist() == [0.0]
             assert opt.energy == qcc_energy_and_gradient(h, [g], [0.0], ref)[0]
             assert opt.energy == pytest.approx(ref.expectation(h), abs=1e-12)
+
+
+def pair_form(h, generators, ref):
+    """M = Re(V^dag H V), V = [|0>, -i T2|0>, -i T1|0>, -T1 T2|0>], from dense matrices.
+
+    E(t1, t2) = w^T M w with w = (c1 c2, c1 s2, s1 c2, s1 s2), c_k and s_k
+    the cosine and sine of t_k / 2.
+    """
+    t1, t2 = (oracle.to_dense(g) for g in generators)
+    ket = oracle.reference_vector(ref)
+    v = np.stack([ket, -1j * t2 @ ket, -1j * t1 @ ket, -t1 @ t2 @ ket], axis=1)
+    return (v.conj().T @ oracle.to_dense(h) @ v).real
+
+
+def brute_force_minimum(h, generators, ref):
+    """Best point of a 721 x 721 grid on [-pi, pi)^2, refined by BFGS."""
+    m = pair_form(h, generators, ref)
+    grid = np.arange(721) * (2.0 * math.pi / 721) - math.pi
+    half = np.stack([np.cos(0.5 * grid), np.sin(0.5 * grid)])
+    over_t1 = np.einsum("ai,ci,abcd->ibd", half, half, m.reshape(2, 2, 2, 2))
+    energies = np.einsum("ibd,bj,dj->ij", over_t1, half, half)
+    i, j = np.unravel_index(np.argmin(energies), energies.shape)
+
+    def energy_and_gradient(ts):
+        v = [np.array([math.cos(0.5 * t), math.sin(0.5 * t)]) for t in ts]
+        dv = [0.5 * np.array([-x[1], x[0]]) for x in v]
+        w = np.kron(*v)
+        mw = m @ w
+        return w @ mw, np.array([2.0 * np.kron(dv[0], v[1]) @ mw, 2.0 * np.kron(v[0], dv[1]) @ mw])
+
+    res = minimize(energy_and_gradient, [grid[i], grid[j]], jac=True, method="BFGS",
+                   options={"gtol": 1e-12})
+    return min(float(res.fun), float(energies[i, j]))
+
+
+def wrap(t):
+    return math.remainder(t, 2.0 * math.pi) or 0.0
+
+
+def partner(rng, g, kind):
+    """A second generator for g: random, same X mask, commuting or anti-commuting."""
+    if kind == "same_x":
+        return PauliWord(g.n, g.x, rng.getrandbits(g.n))
+    while True:
+        w = random_word(rng, g.n)
+        if kind == "random" or commutes(w, g) == (kind == "commuting"):
+            return w
+
+
+class TestPairStep:
+    """Two generators: every minimum of E(t1, t2) is found without BFGS."""
+
+    @pytest.mark.parametrize("kind", ["random", "same_x", "commuting", "anticommuting"])
+    def test_matches_brute_force(self, rng, kind):
+        for case in range(50):
+            n = rng.randint(1, 5)
+            h = random_sum(rng, n, 12)
+            gens = [random_word(rng, n)]
+            gens.append(partner(rng, gens[0], kind))
+            ref = ReferenceState(n, (0, n, rng.randint(0, n))[case % 3])
+            ts = [rng.uniform(-math.pi, math.pi) for _ in range(2)]
+            w = np.kron(*([math.cos(0.5 * t), math.sin(0.5 * t)] for t in ts))
+            assert abs(w @ pair_form(h, gens, ref) @ w
+                       - qcc_energy_and_gradient(h, gens, ts, ref)[0]) <= 1e-12
+            opt = optimize_amplitudes(h, gens, ref)
+            assert opt.energy <= brute_force_minimum(h, gens, ref) + 1e-12
+            energy, grad = qcc_energy_and_gradient(h, gens, opt.amplitudes, ref)
+            assert energy == opt.energy
+            assert np.max(np.abs(grad)) <= 1e-9
+            assert (opt.converged, opt.iterations, opt.restarts_used) == (True, 0, 0)
+            assert opt.amplitudes.shape == (2,)
+            assert all(-math.pi < t <= math.pi for t in opt.amplitudes)
+
+    def test_flat_energy_stays_at_zero(self, rng):
+        # H commutes with both generators, so U leaves every energy at the reference's
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            gens = [random_word(rng, n) for _ in range(2)]
+            terms = {PauliWord(n, 0, 0): rng.uniform(-1.0, 1.0)}
+            for _ in range(30):
+                w = random_word(rng, n)
+                if all(commutes(w, g) for g in gens):
+                    terms[w] = rng.uniform(-1.0, 1.0)
+            h = PauliSum(n, list(terms.items()))
+            ref = ReferenceState(n, rng.randint(0, n))
+            opt = optimize_amplitudes(h, gens, ref)
+            assert opt.amplitudes.tolist() == [0.0, 0.0]
+            assert opt.energy == qcc_energy_and_gradient(h, gens, [0.0, 0.0], ref)[0]
+            assert opt.energy == pytest.approx(ref.expectation(h), abs=1e-12)
+            assert (opt.converged, opt.iterations, opt.restarts_used) == (True, 0, 0)
+
+    @pytest.mark.parametrize("signs", list(itertools.product((1.0, -1.0), repeat=3)))
+    def test_mirror_minima_take_the_one_nearest_zero(self, signs):
+        # on the empty reference, Y0 and Y1 rotate each qubit, so
+        # E = b cos t2 + c sin t1 + d cos t1 sin t2, which (t1, t2) -> (pi - t1, -t2) keeps
+        b, c, d = (s * v for s, v in zip(signs, (1.0, 0.5, 0.8)))
+        h = PauliSum.from_text(f"{b} Z1\n{c} X0\n{d} Z0 X1\n", 2)
+        ref = ReferenceState(2, 0)
+        gens = [PauliWord.from_factors(2, [("Y", 0)]), PauliWord.from_factors(2, [("Y", 1)])]
+        opt = optimize_amplitudes(h, gens, ref)
+        t1, t2 = opt.amplitudes
+        mirror = [wrap(math.pi - t1), wrap(-t2)]
+        assert opt.energy <= brute_force_minimum(h, gens, ref) + 1e-12
+        assert abs(qcc_energy_and_gradient(h, gens, mirror, ref)[0] - opt.energy) <= 1e-12
+        assert t1 * t1 + t2 * t2 < mirror[0] ** 2 + mirror[1] ** 2 - 0.1
 
 
 class TestDress:
