@@ -20,6 +20,7 @@ generators per step load no scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -49,7 +50,14 @@ __all__ = [
 
 _MAX_RESTARTS = 4  # optimize_amplitudes, L >= 3: seeded restarts after a stalled zero start
 _GTOL = 1e-9  # and the gradient norm at which BFGS stops, or a pair step counts as converged
-_NEWTON_STEPS = 8  # most Newton steps polishing the roots of a pair step
+_NEWTON_STEPS = 8  # most Newton steps polishing the stationary angles of a pair step
+_ROOT_STEPS = 100  # most false-position steps for one root of a pair step's polynomial
+# row k + 4: the coefficients, by ascending power of u = tan(t/2), of
+# (1 + i u)^(4 + k) (1 - i u)^(4 - k) = exp(i k t) (1 + u^2)^4
+_HALF_TANGENT = np.array([
+    functools.reduce(np.convolve, [[1.0, 1j]] * (4 + k) + [[1.0, -1j]] * (4 - k), [1.0 + 0j])
+    for k in range(-4, 5)
+])
 
 
 class _Subspace:
@@ -186,18 +194,94 @@ def _pair_curves(space: _Subspace) -> list[list[float]]:
             block(0, 2)]
 
 
-def _stationary_polynomial(curves) -> np.ndarray:
-    """Coefficients of z^4 g(t2), z = exp(i t2), highest power first.
+def _stationary_harmonics(curves) -> np.ndarray:
+    """Coefficients of g(t2) on exp(i k t2), k = -4..4.
 
-    g = A'^2 (B^2 + C^2) - (B B' + C C')^2 is real, so its coefficients
-    for exp(i k t2), k = -4..4, are conjugate-symmetric.
+    g = A'^2 (B^2 + C^2) - (B B' + C C')^2 is real, so they are
+    conjugate-symmetric.
     """
     x = np.array([[0.5 * (x1 + 1j * x2), x0, 0.5 * (x1 - 1j * x2)] for x0, x1, x2 in curves])
     dx = x * np.array([-1j, 0.0, 1j])
     conv = np.convolve
     rr = conv(x[1], x[1]) + conv(x[2], x[2])
     rdr = conv(x[1], dx[1]) + conv(x[2], dx[2])
-    return (conv(conv(dx[0], dx[0]), rr) - conv(rdr, rdr))[::-1]
+    return conv(conv(dx[0], dx[0]), rr) - conv(rdr, rdr)
+
+
+def _horner(p, x: float) -> float:
+    """p (ascending coefficients) at x."""
+    value = 0.0
+    for c in reversed(p):
+        value = value * x + c
+    return value
+
+
+def _false_position(p, a: float, b: float, fa: float, fb: float) -> float:
+    """The root of p in [a, b], where p(a) and p(b) differ in sign (Illinois rule)."""
+    x, side = a, 0
+    for _ in range(_ROOT_STEPS):
+        x = (a * fb - b * fa) / (fb - fa)
+        if not a < x < b:  # the bracket is as narrow as the floats allow
+            break
+        fx = _horner(p, x)
+        if fx == 0.0:
+            break
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = x, fx
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return x
+
+
+def _real_roots(p, lo: float, hi: float) -> tuple[list[float], list[float]]:
+    """Roots in [lo, hi] of the real polynomial p (ascending coefficients), and of p'.
+
+    The roots of p', found the same way, split [lo, hi] into pieces on
+    which p is monotone, so each piece holds at most one root of p, and
+    only where p changes sign.  A root of even multiplicity changes no
+    sign, but it is a root of p', so those are returned too.
+    """
+    while p and p[-1] == 0.0:
+        p = p[:-1]
+    if len(p) <= 1:
+        return [], []
+    critical = _real_roots([k * c for k, c in enumerate(p)][1:], lo, hi)[0]
+    ends = [lo, *critical, hi]
+    roots = []
+    fa = _horner(p, lo)
+    for a, b in zip(ends, ends[1:]):
+        fb = _horner(p, b)
+        if fa == 0.0:
+            roots.append(a)
+        elif fa * fb < 0.0:
+            roots.append(_false_position(p, a, b, fa, fb))
+        fa = fb
+    if fa == 0.0:
+        roots.append(hi)
+    return roots, critical
+
+
+def _stationary_angles(harmonics: np.ndarray) -> list[float]:
+    """Every t2 at which g, or g', vanishes, from its harmonics on k = -4..4.
+
+    On the arc |t2 - shift| <= 2 atan 2, for shift 0 and pi,
+    (1 + u^2)^4 g is a real polynomial of degree <= 8 in
+    u = tan((t2 - shift)/2) on [-2, 2]; the two arcs overlap, so every
+    angle lies inside one of them.  No eigenvalue solver is needed.
+    """
+    angles = []
+    # exp(i k t2) = (-1)^k exp(i k (t2 - pi))
+    for shift, signs in ((0.0, 1.0), (math.pi, (-1.0) ** np.arange(-4, 5))):
+        poly = (harmonics * signs) @ _HALF_TANGENT
+        roots, critical = _real_roots(poly.real.tolist(), -2.0, 2.0)
+        angles += [shift + 2.0 * math.atan(u) for u in roots + critical]
+    return angles
 
 
 def _reduced(curves, t2: float) -> tuple[float, float, float, float, float]:
@@ -231,23 +315,25 @@ def _pair_step(space: _Subspace) -> AmplitudeOptimization:
     r = hypot(B, C) > 0 and f' = A' - r' = 0, or r = 0 (a cusp, where -r
     kinks downwards, so in general a maximum); both are zeros of
     g = r^2 (A'^2 - r'^2), a trigonometric polynomial of degree 4 with at
-    most 8 zeros per period, the roots of a degree-8 polynomial in
-    exp(i t2).  If g vanishes identically, then r = 0 everywhere or
-    A' = +-r' throughout, and f is constant, or 2A plus a constant
-    wherever it is below its maximum: t2 = 0 or argmin A is a minimum,
-    and both are always candidates, unpolished.  Each root is polished
-    by Newton steps on f', taken only where f'' > 0 and at most 0.25 long.
-    Of the points (t1*, t2) and (0, t2), the latter for an energy that
-    t1 moves only by roundoff, the lowest energy wins; among those
-    within 1e-12 max(1, |E|) of it, the smallest t1^2 + t2^2 on
-    (-pi, pi]^2, then the lexicographic order, pick the minimum nearest
-    zero, where a descent from a zero start usually ends.
+    most 8 zeros per period, found with those of g' as real roots of
+    polynomials in tan(t2/2) (``_stationary_angles``).  If g vanishes
+    identically, then r = 0 everywhere or A' = +-r' throughout, and f is
+    constant, or 2A plus a constant wherever it is below its maximum:
+    t2 = 0 or argmin A is a minimum, and both are always candidates,
+    unpolished.  Each angle is polished by Newton steps on f', taken only
+    where f'' > 0 and at most 0.25 long.  Of the points (t1*, t2) and
+    (0, t2), the latter for an energy that t1 moves only by roundoff, the
+    one nearest zero (smallest t1^2 + t2^2 on (-pi, pi]^2, then the
+    lexicographic order) among those within 1e-12 max(1, |E|) of the
+    lowest energy and stationary to 1e-9 wins: of mirror minima, the one
+    a descent from a zero start usually ends in.  So (0, 0) does not
+    stand in for a minimum a small gradient away from it.  If none of
+    them is stationary, the lowest wins, reported unconverged.
     """
     curves = _pair_curves(space)
     (_, a1, a2), _, _ = curves
-    roots = np.roots(_stationary_polynomial(curves))
     polished = []
-    for t2 in np.angle(roots).tolist():
+    for t2 in _stationary_angles(_stationary_harmonics(curves)):
         for _ in range(_NEWTON_STEPS):
             *_, df, ddf = _reduced(curves, t2)
             if not ddf > 0.0:
@@ -264,12 +350,15 @@ def _pair_step(space: _Subspace) -> AmplitudeOptimization:
         points.append((a + b, 0.0, t2))
         if b or c:
             points.append((a - math.hypot(b, c), _wrap(math.atan2(-c, -b)), t2))
-    low = min(e for e, _, _ in points)
-    tol = 1e-12 * max(1.0, abs(low))
-    t = min((t1 * t1 + t2 * t2, t1, t2) for e, t1, t2 in points if e <= low + tol)[1:]
-    energy, grad = space.energy_and_gradient(t)
-    converged = bool(np.max(np.abs(grad)) <= _GTOL)
-    return AmplitudeOptimization(np.array(t), energy, converged, 0, 0)
+    low = min(points)
+    tol = 1e-12 * max(1.0, abs(low[0]))
+    for _, t1, t2 in sorted((t1 * t1 + t2 * t2, t1, t2) for e, t1, t2 in points
+                            if e <= low[0] + tol):
+        energy, grad = space.energy_and_gradient((t1, t2))
+        if np.max(np.abs(grad)) <= _GTOL:
+            return AmplitudeOptimization(np.array([t1, t2]), energy, True, 0, 0)
+    energy, _ = space.energy_and_gradient(low[1:])
+    return AmplitudeOptimization(np.array(low[1:]), energy, False, 0, 0)
 
 
 def optimize_amplitudes(

@@ -360,6 +360,24 @@ class TestPairStep:
             assert opt.energy == pytest.approx(ref.expectation(h), abs=1e-12)
             assert (opt.converged, opt.iterations, opt.restarts_used) == (True, 0, 0)
 
+    @pytest.mark.parametrize("grad", [1e-7, -1e-7, 3e-7])
+    def test_small_gradients_still_move_the_amplitudes(self, grad):
+        # on the empty reference, Y0 and Y1 rotate each qubit; the minimum lies
+        # about grad/0.8 from zero and only ~grad^2 below E(0, 0), well inside
+        # the 1e-12 tie tolerance, yet (0, 0) is not stationary and must not win
+        h = PauliSum.from_text(f"-1.0 Z0\n-1.0 Z1\n0.2 Z0 Z1\n{grad} X0\n{grad} X1\n", 2)
+        ref = ReferenceState(2, 0)
+        gens = [PauliWord.from_factors(2, [("Y", 0)]), PauliWord.from_factors(2, [("Y", 1)])]
+        e_zero, g_zero = qcc_energy_and_gradient(h, gens, [0.0, 0.0], ref)
+        assert np.allclose(np.abs(g_zero), abs(grad), rtol=1e-6)
+        opt = optimize_amplitudes(h, gens, ref)
+        assert all(0.5 * abs(grad) < abs(t) < 2.0 * abs(grad) for t in opt.amplitudes)
+        assert opt.energy < e_zero
+        assert opt.energy <= brute_force_minimum(h, gens, ref) + 1e-12
+        _, g = qcc_energy_and_gradient(h, gens, opt.amplitudes, ref)
+        assert np.max(np.abs(g)) <= 1e-9
+        assert (opt.converged, opt.iterations, opt.restarts_used) == (True, 0, 0)
+
     @pytest.mark.parametrize("signs", list(itertools.product((1.0, -1.0), repeat=3)))
     def test_mirror_minima_take_the_one_nearest_zero(self, signs):
         # on the empty reference, Y0 and Y1 rotate each qubit, so
@@ -423,6 +441,18 @@ class TestRunIqcc:
         assert state.converged
         assert state.records == []
         assert state.energy == pytest.approx(-1.5)
+
+    def test_two_generators_per_iteration_converge_at_small_gradients(self):
+        # both gradients start at 1e-6, above the default tolerance of 1e-7, and one
+        # exact pair step leaves none above it
+        h = PauliSum.from_text("-1.0 Z0\n-1.0 Z1\n0.2 Z0 Z1\n1e-6 X0\n1e-6 X1\n", 2)
+        state = run_iqcc(h, ReferenceState(2, 0), generators_per_iteration=2, max_iterations=5)
+        assert state.converged
+        assert len(state.records) == 1
+        (record,) = state.records
+        assert len(record.generators) == 2
+        assert all(abs(t) > 1e-7 for t in record.amplitudes)
+        assert state.energy < state.energy_history[0]
 
     def test_checkpoints_written_and_parseable(self, rng, tmp_path):
         h = random_sum(rng, 4, 10)
