@@ -9,21 +9,13 @@ aufbau determinant occupies a contiguous low block of qubits.
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import (
-    I_POWERS,
-    SUM_QUBIT_CAP,
-    PauliSum,
-    ReferenceState,
-    _group_masks,
-    _mask_product,
-)
+from .pauli import SUM_QUBIT_CAP, PauliSum, ReferenceState, _group_masks
 
 __all__ = [
     "JW_QUBIT_CAP",
@@ -35,6 +27,8 @@ __all__ = [
     "add_spin_penalty",
     "hf_reference",
 ]
+
+JW_QUBIT_CAP = SUM_QUBIT_CAP  # checked on NORB, before any allocation or expansion
 
 
 @dataclass(slots=True)
@@ -66,6 +60,74 @@ def _parse_header(text: str) -> tuple[dict[str, str], int]:
     return fields, body_start
 
 
+def _convert(tokens: list[str], n_orb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and (i, j, k, l) index rows of `value i j k l` token groups.
+
+    An index too large for int64 is clipped to n_orb + 1, still out of range.
+    """
+    values = np.fromiter(map(float, tokens[0::5]), np.float64, len(tokens) // 5)
+    indices = tokens.copy()
+    del indices[0::5]
+    try:
+        idx = np.fromiter(map(int, indices), np.int64, len(indices))
+    except OverflowError:
+        idx = np.clip(np.array(list(map(int, indices)), dtype=object), -1, n_orb + 1).astype(np.int64)
+    return values, idx.reshape(-1, 4).T
+
+
+def _converts(tokens: list[str]) -> bool:
+    try:
+        _convert(tokens, 0)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_body(text: str, body_start: int, n_orb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """File line numbers, values and (i, j, k, l) indices of the integral lines.
+
+    The body is read as one token array and every check runs on whole
+    columns; the first line that fails any of them raises the message
+    that reading line by line would give.
+    """
+    body = text[body_start:]
+    lines = body.splitlines()
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    # lineno counts lines of the whole file, so messages point at the entry
+    first = text.count("\n", 0, body_start) + 1
+    failures: list[tuple[int, str]] = []  # (line index, message), in check order within a line
+    wrong = np.flatnonzero((counts != 0) & (counts != 5))
+    stop = int(wrong[0]) if len(wrong) else len(lines)
+    if len(wrong):
+        failures.append((stop, f"expected 5 fields, got {counts[stop]}"))
+    at = np.flatnonzero(counts[:stop])
+    # Fortran D exponents; in an index a D or an E is malformed alike
+    tokens = body.replace("D", "E").replace("d", "e").split()[: 5 * len(at)]
+    try:
+        values, idx = _convert(tokens, n_orb)
+    except ValueError:
+        bad = next(r for r in range(len(at)) if not _converts(tokens[5 * r: 5 * r + 5]))
+        failures.append((at[bad], f"malformed entry {lines[at[bad]].strip()!r}"))
+        values, idx = _convert(tokens[: 5 * bad], n_orb)
+    i, j, k, l = idx
+    core = (idx == 0).all(axis=0)
+    one = ~core & (k == 0) & (l == 0)
+    for mask, message in (
+        (~np.isfinite(values), lambda r: f"non-finite value {lines[at[r]].split()[0]!r}"),
+        (((idx < 0) | (idx > n_orb)).any(axis=0), lambda r: f"index outside 1..{n_orb}"),
+        (one & ((i == 0) | (j == 0)), lambda r: "one-body entry with a zero index"),
+        (~core & ~one & (idx == 0).any(axis=0), lambda r: "two-body entry with a zero index"),
+    ):
+        hits = np.flatnonzero(mask)
+        if len(hits):
+            failures.append((at[hits[0]], message(hits[0])))
+    if failures:
+        # min is stable: at one line the earlier check's message wins
+        line, message = min(failures, key=lambda f: f[0])
+        raise ValueError(f"integral line {first + line}: {message}")
+    return first + at, values, idx
+
+
 def parse_fcidump(text: str) -> FcidumpData:
     """Parse FCIDUMP text: header, then `value i j k l` lines.
 
@@ -73,7 +135,8 @@ def parse_fcidump(text: str) -> FcidumpData:
     one-body integral, anything else a chemists'-notation two-body
     integral stored with its full 8-fold symmetry.  A repeated entry
     overwrites the earlier value with a warning; a nan or inf value
-    raises.
+    raises.  NORB above JW_QUBIT_CAP // 2 raises before any array is
+    allocated.
     """
     fields, body_start = _parse_header(text)
     for required in ("NORB", "NELEC"):
@@ -84,62 +147,46 @@ def parse_fcidump(text: str) -> FcidumpData:
     ms2 = int(fields.get("MS2", "0"))
     if n_orb < 1:
         raise ValueError("NORB must be positive")
+    if n_orb > JW_QUBIT_CAP // 2:
+        raise ValueError(
+            f"NORB={n_orb} is above the cap of {JW_QUBIT_CAP // 2} orbitals "
+            f"({JW_QUBIT_CAP} qubits)"
+        )
     if not 0 <= n_elec <= 2 * n_orb:
         raise ValueError("NELEC outside 0..2*NORB")
     metadata = {k: v for k, v in fields.items() if k not in {"NORB", "NELEC", "MS2"}}
 
-    e_core = 0.0
-    one = np.zeros((n_orb, n_orb))
-    two = np.zeros((n_orb,) * 4)
-    seen: set[tuple[int, int, int, int]] = set()
-    have_core = False
-    # lineno counts lines of the whole file, so messages point at the entry
-    first = text.count("\n", 0, body_start) + 1
-    for lineno, raw in enumerate(text[body_start:].splitlines(), start=first):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"integral line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            value = float(parts[0].replace("D", "E").replace("d", "e"))
-            i, j, k, l = (int(p) for p in parts[1:])
-        except ValueError:
-            raise ValueError(f"integral line {lineno}: malformed entry {line!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"integral line {lineno}: non-finite value {parts[0]!r}")
-        if not all(0 <= idx <= n_orb for idx in (i, j, k, l)):
-            raise ValueError(f"integral line {lineno}: index outside 1..{n_orb}")
-        if i == j == k == l == 0:
-            if have_core:
-                warnings.warn(f"integral line {lineno}: core energy repeated; keeping the last value")
-            e_core = value
-            have_core = True
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise ValueError(f"integral line {lineno}: one-body entry with a zero index")
-            key = (max(i, j), min(i, j), 0, 0)
-            if key in seen:
-                warnings.warn(f"integral line {lineno}: one-body ({i},{j}) repeated; keeping the last value")
-            seen.add(key)
-            one[i - 1, j - 1] = value
-            one[j - 1, i - 1] = value
-        else:
-            if 0 in (i, j, k, l):
-                raise ValueError(f"integral line {lineno}: two-body entry with a zero index")
-            a, bb, c, dd = i - 1, j - 1, k - 1, l - 1
-            perms = {
-                (a, bb, c, dd), (bb, a, c, dd), (a, bb, dd, c), (bb, a, dd, c),
-                (c, dd, a, bb), (dd, c, a, bb), (c, dd, bb, a), (dd, c, bb, a),
-            }
-            key = min(perms)
-            if key in seen:
-                warnings.warn(f"integral line {lineno}: two-body ({i},{j},{k},{l}) repeated; keeping the last value")
-            seen.add(key)
-            for p in perms:
-                two[p] = value
-    return FcidumpData(n_orb, n_elec, ms2, e_core, one, two, metadata)
+    lineno, values, idx = _read_body(text, body_start, n_orb)
+    i, j, k, l = idx
+    core = (idx == 0).all(axis=0)
+    one = ~core & (k == 0) & (l == 0)
+    # one key per symmetry orbit: each index pair as a sorted number, then the two sorted
+    base = n_orb + 1
+    ij = np.minimum(i, j) * base + np.maximum(i, j)
+    kl = np.minimum(k, l) * base + np.maximum(k, l)
+    key = np.minimum(ij, kl) * base**2 + np.maximum(ij, kl)
+    repeated = np.ones(len(key), dtype=bool)
+    repeated[np.unique(key, return_index=True)[1]] = False
+    for r in np.flatnonzero(repeated).tolist():
+        what = ("core energy" if core[r] else f"one-body ({i[r]},{j[r]})" if one[r]
+                else f"two-body ({i[r]},{j[r]},{k[r]},{l[r]})")
+        warnings.warn(f"integral line {lineno[r]}: {what} repeated; keeping the last value")
+    last = np.zeros(len(key), dtype=bool)
+    last[len(key) - 1 - np.unique(key[::-1], return_index=True)[1]] = True
+
+    e_core = float(values[core & last][0]) if (core & last).any() else 0.0
+    one_body = np.zeros((n_orb, n_orb))
+    sel = one & last
+    p, q, v = i[sel] - 1, j[sel] - 1, values[sel]
+    one_body[p, q] = v
+    one_body[q, p] = v
+    two_body = np.zeros((n_orb,) * 4)
+    sel = ~core & ~one & last
+    p, q, r, s, v = i[sel] - 1, j[sel] - 1, k[sel] - 1, l[sel] - 1, values[sel]
+    for perm in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                 (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p)):
+        two_body[perm] = v
+    return FcidumpData(n_orb, n_elec, ms2, e_core, one_body, two_body, metadata)
 
 
 def load_fcidump(path: str) -> FcidumpData:
@@ -149,48 +196,79 @@ def load_fcidump(path: str) -> FcidumpData:
 
 # -- ladder images and operator assembly ---------------------------------
 #
-# Operators are expanded on uint64 mask arrays (pauli's array helpers),
-# so the mapping works on at most SUM_QUBIT_CAP qubits.  Every ladder
-# factor is 0.5 or +-0.5i and every phase a power of i, so each product
-# coefficient is exact; only the order in which equal words are summed
-# decides the rounding.  That order is the term-by-term expansion's:
-# integral loops outermost, then spins, then the X/Y choice of each
-# factor, first factor slowest.
+# Operators are expanded on uint64 mask arrays, so the mapping works on
+# at most SUM_QUBIT_CAP qubits.  A row is i**a X^x Z^z (each qubit's X
+# before its Z), so a product of rows multiplies their factors by the
+# one sign (-1)**popcount(z1 & x2) and a carries an integer quarter-turn
+# phase, never a complex number.  A ladder image (X_q -+ i Y_q)/2 with
+# a Z chain below q is two such rows with a = 0 or 2 and weight 1/2,
+# since Y = i X Z; a row's word is the canonical Pauli word (x, z) with
+# phase i**(a - popcount(x & z)).
+#
+# H is Hermitian, so every operator O enters with its adjoint and the
+# same weight, and JW(O) + JW(O+) = 2 Re JW(O): only the rows with a
+# real phase are expanded.  The one-body operator E(pq) = sum a+_ps a_qs
+# has E(qp) = E(pq)+, and the two-body operator
+# O(pqrs) = sum a+_ps a+_rt a_st a_qs has O(rspq) = O(pqrs) and
+# O(qpsr) = O(pqrs)+.  Of each orbit of these maps only the least index
+# tuple is expanded (p <= q; lexicographic (p, q, r, s), so p is its
+# least index), weighted by the sum of the integrals over the
+# orbit's distinct members, the representative's first (half of it for
+# the two-body part).  That needs integrals equal to their adjoint's,
+# f_pq = f_qp and (pq|rs) = (qp|sr), checked on input.  Each word's
+# coefficient is a left fold of its rows in this order: core energy,
+# one-body (p, q) ascending, two-body (p, q, r, s) ascending, then spins,
+# then the X/Y choice of each factor, first factor slowest.
 
-JW_QUBIT_CAP = SUM_QUBIT_CAP  # checked on NORB, before any expansion
 _DROP_THRESHOLD = 1e-12  # mapped terms at or below this magnitude are dropped
+_HERMITIAN_TOL = 1e-10  # relative to the largest integral, or to 1
 
-_I_POWERS = np.array(I_POWERS)
-_LADDER_COEFFS = {True: np.array([0.5, -0.5j]), False: np.array([0.5, 0.5j])}
+_SPIN = np.arange(2)
+_SIGMA, _TAU = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # (s, t) pairs, t fastest
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # (terms, batch): x, z (uint64), phase a of i**a (uint8)
+_Terms = tuple[np.ndarray, np.ndarray, np.ndarray]  # distinct x, z in canonical order, float c
 
-_Terms = tuple[np.ndarray, np.ndarray, np.ndarray]  # x, z (uint64), complex coefficients
 
+def _ladder(qubits: np.ndarray, dagger: bool) -> _Rows:
+    """Creation (or annihilation) images (X_q -+ i Y_q)/2, Z chain below q, halved.
 
-def _ladder(qubits: np.ndarray, dagger: bool) -> _Terms:
-    """Creation (or annihilation) images (X_q -+ i Y_q)/2, Z chain below q.
-
-    One row per qubit of the batch, its two columns the X and Y terms.
+    One column per qubit of the batch, its two rows X Z_chain and
+    X Z_chain Z_q; the second has a = 0 (creation) or 2 (annihilation).
     """
-    bit = np.left_shift(np.uint64(1), qubits.astype(np.uint64).reshape(-1, 1))
-    z = (bit - np.uint64(1)) | (bit * np.array([0, 1], np.uint64))
-    coeffs = np.broadcast_to(_LADDER_COEFFS[dagger], z.shape)
-    return np.broadcast_to(bit, z.shape), z, coeffs
+    bit = np.left_shift(np.uint64(1), qubits.astype(np.uint64).ravel())
+    z = np.stack([bit - np.uint64(1), (bit - np.uint64(1)) | bit])
+    phase = np.zeros(z.shape, np.uint8)
+    if not dagger:
+        phase[1] = 2
+    return np.stack([bit, bit]), z, phase
 
 
-def _expand(scale: np.ndarray, factors: list[_Terms]) -> _Terms:
-    """Terms of scale[b] * product over j of factors[j][b], flattened.
+def _expand(factors: list[_Rows]) -> _Rows:
+    """Rows of the product over j of factors[j], per batch entry (column).
 
-    Each factor holds one row of terms per batch entry b; the output
-    runs over b slowest, then over the first factor's terms, and so on.
+    The rows run over the first factor's terms slowest.  uint8 phases
+    wrap modulo 256, a multiple of 4.
     """
-    x, z, c = factors[0]
-    c = scale[:, None] * c
-    for fx, fz, fc in factors[1:]:
-        x, z, k = _mask_product(x[:, :, None], z[:, :, None], fx[:, None, :], fz[:, None, :])
-        c = c[:, :, None] * fc[:, None, :] * _I_POWERS[k]
-        shape = (len(scale), x.shape[1] * x.shape[2])
-        x, z, c = x.reshape(shape), z.reshape(shape), c.reshape(shape)
-    return x.ravel(), z.ravel(), c.ravel()
+    x, z, a = factors[0]
+    for fx, fz, fa in factors[1:]:
+        a = a[:, None] + fa[None, :] + 2 * np.bitwise_count(z[:, None] & fx[None, :])
+        x = x[:, None] ^ fx[None, :]
+        z = z[:, None] ^ fz[None, :]
+        shape = (x.shape[0] * x.shape[1], x.shape[2])
+        x, z, a = x.reshape(shape), z.reshape(shape), a.reshape(shape)
+    return x, z, a
+
+
+def _real_rows(weight: np.ndarray, rows: _Rows) -> _Terms:
+    """Re of the sum over b of weight[b] times column b: its real-phase rows, batch slowest.
+
+    weight carries the 1/2 of each ladder factor.
+    """
+    x, z, a = rows
+    m = a - np.bitwise_count(x & z)
+    real = ((m & 1) == 0).T
+    c = np.where(m & 2, -weight, weight)
+    return x.T[real], z.T[real], c.T[real]
 
 
 def _merge(acc: _Terms | None, terms: _Terms) -> _Terms:
@@ -204,19 +282,13 @@ def _merge(acc: _Terms | None, terms: _Terms) -> _Terms:
         terms = tuple(np.concatenate(pair) for pair in zip(acc, terms))
     x, z, c = terms
     ux, uz, inverse = _group_masks(x, z)
-    total = np.bincount(inverse, weights=c.real, minlength=len(ux)).astype(complex)
-    total.imag = np.bincount(inverse, weights=c.imag, minlength=len(ux))
-    return ux, uz, total
+    return ux, uz, np.bincount(inverse, weights=c, minlength=len(ux))
 
 
-def _fold_real(n_q: int, acc: _Terms, drop_threshold: float) -> PauliSum:
+def _finish(n_q: int, acc: _Terms, drop_threshold: float) -> PauliSum:
     x, z, c = acc
-    worst = float(np.max(np.abs(c.imag), initial=0.0))
-    scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
-    if worst > 1e-10 * scale:
-        raise ValueError(f"qubit operator has imaginary coefficients up to {worst:.3e}")
-    keep = np.abs(c.real) > drop_threshold
-    return PauliSum.from_masks(n_q, x[keep], z[keep], c.real[keep])
+    keep = np.abs(c) > drop_threshold
+    return PauliSum._canonical(n_q, x[keep], z[keep], c[keep])
 
 
 def _check_width(n_orb: int) -> None:
@@ -227,48 +299,91 @@ def _check_width(n_orb: int) -> None:
         )
 
 
+def _check_hermitian(one: np.ndarray, two: np.ndarray) -> None:
+    """Integrals whose operator is not Hermitian would map to imaginary coefficients."""
+    worst = max(np.max(np.abs(one - one.T), initial=0.0),
+                np.max(np.abs(two - two.transpose(1, 0, 3, 2)), initial=0.0))
+    scale = max(1.0, np.max(np.abs(one), initial=0.0), np.max(np.abs(two), initial=0.0))
+    if worst > _HERMITIAN_TOL * scale:
+        raise ValueError(
+            f"integrals differ from their adjoint's by up to {worst:.3e}: "
+            "the qubit operator would have imaginary coefficients"
+        )
+
+
+def _two_body_orbits(two: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Each orbit's least (p, q, r, s), where its weight is nonzero, and the weights.
+
+    An orbit is (p, q, r, s), (r, s, p, q), (q, p, s, r) and (s, r, q, p);
+    its weight is half the sum of the integrals over its distinct members,
+    added in that order.
+    """
+    key = np.arange(two.size).reshape(two.shape)
+    members = [key]
+    total = two.copy()
+    least = np.ones(two.shape, dtype=bool)
+    for axes in ((2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0)):
+        image = key.transpose(axes)
+        distinct = np.logical_and.reduce([image != m for m in members])
+        total += np.where(distinct, two.transpose(axes), 0.0)
+        least &= key <= image
+        members.append(image)
+    weight = 0.5 * total
+    return np.nonzero(least & (weight != 0.0)), weight
+
+
 def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = _DROP_THRESHOLD) -> PauliSum:
     """Qubit Hamiltonian on 2*n_orb qubits, interleaved alpha/beta.
 
     H = E_core + sum f_pq a+_ps a_qs
         + 1/2 sum (pq|rs) a+_ps a+_rt a_st a_qs  (chemists' notation,
-    spins s, t summed independently).  Coefficients below
+    spins s, t summed independently).  Each orbit of integrals under
+    the operator identities above is expanded once, through its
+    least member, so the integrals must equal their adjoint's:
+    f_pq = f_qp and (pq|rs) = (qp|sr) to 1e-10 of the largest (or of
+    1), else ValueError ("imaginary coefficients").  Coefficients below
     drop_threshold in magnitude are removed.  Capped at JW_QUBIT_CAP
     qubits, the width of a ``PauliSum``'s masks: ValueError above.  The
-    two-body sum expands one p block at a time, so the working set is
-    the terms so far plus one block.
+    two-body sum expands one p block at a time and adds blocks to the
+    terms so far once their rows outnumber them, so the working set
+    stays below twice the terms so far plus one block.
     """
     n_orb = data.n_orb
     _check_width(n_orb)
-    n_q = 2 * n_orb
-    spin = np.arange(2)
-    acc = None
-    if data.e_core != 0.0:
-        identity = np.zeros(1, np.uint64)
-        acc = _merge(None, (identity, identity, np.array([complex(data.e_core)])))
+    one, two = data.one_body, data.two_body
+    _check_hermitian(one, two)
 
-    # one-body: (p, q) pairs, then spin
-    p, q = np.nonzero(data.one_body)
-    f = np.repeat(data.one_body[p, q], 2)
-    acc = _merge(acc, _expand(f, [
-        _ladder(2 * p[:, None] + spin, True),
-        _ladder(2 * q[:, None] + spin, False),
+    # core energy, then one-body (p <= q) pairs, then spin
+    f = np.triu(one) + np.triu(one.T, 1)
+    p, q = np.nonzero(f)
+    x, z, c = _real_rows(np.repeat(0.25 * f[p, q], 2), _expand([
+        _ladder(2 * p[:, None] + _SPIN, True),
+        _ladder(2 * q[:, None] + _SPIN, False),
     ]))
+    identity = np.zeros(1, np.uint64)
+    acc = _merge(None, (np.concatenate([identity, x]), np.concatenate([identity, z]),
+                        np.concatenate([[data.e_core], c])))
 
-    # two-body: per p, (q, r, s) triples, then the (s, t) spin pair
-    sigma, tau = spin[:, None], spin
-    for p in range(n_orb):
-        block = data.two_body[p]
-        q, r, s = (a[:, None, None] for a in np.nonzero(block))
-        g = np.repeat(0.5 * block[q, r, s].ravel(), 4)
-        grid = (len(g) // 4, 2, 2)
-        acc = _merge(acc, _expand(g, [
-            _ladder(np.broadcast_to(2 * p + sigma, grid), True),
-            _ladder(np.broadcast_to(2 * r + tau, grid), True),
-            _ladder(np.broadcast_to(2 * s + tau, grid), False),
-            _ladder(np.broadcast_to(2 * q + sigma, grid), False),
-        ]))
-    return _fold_real(n_q, acc, drop_threshold)
+    # two-body: per p, (q, r, s) orbit representatives, then the (s, t) spin pair
+    (p, q, r, s), weight = _two_body_orbits(two)
+    g = np.repeat(weight[p, q, r, s] / 16.0, 4)
+    factors = [
+        _ladder(2 * p[:, None] + _SIGMA, True),
+        _ladder(2 * r[:, None] + _TAU, True),
+        _ladder(2 * s[:, None] + _TAU, False),
+        _ladder(2 * q[:, None] + _SIGMA, False),
+    ]
+    # blocks join the terms so far once their rows outnumber them, so the
+    # terms so far are sorted again a few times, not once per p
+    bounds = 4 * np.searchsorted(p, np.arange(n_orb + 1))
+    pending = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        pending.append(_real_rows(g[lo:hi], _expand([tuple(a[:, lo:hi] for a in f) for f in factors])))
+        rows = sum(len(block[0]) for block in pending)
+        if rows and (rows >= len(acc[0]) or hi == len(g)):
+            acc = _merge(acc, tuple(np.concatenate(cols) for cols in zip(*pending)))
+            pending = []
+    return _finish(2 * n_orb, acc, drop_threshold)
 
 
 def spin_penalty(n_orb: int) -> PauliSum:
@@ -284,19 +399,19 @@ def spin_penalty(n_orb: int) -> PauliSum:
         raise ValueError("need at least one spatial orbital")
     _check_width(n_orb)
     alpha = 2 * np.arange(n_orb)
-    one = np.ones(1)
-    # S_+ = sum_p a+_(p alpha) a_(p beta); its words are all distinct
-    x, z, c = _expand(np.ones(n_orb), [_ladder(alpha, True), _ladder(alpha + 1, False)])
-    s_plus = (x[None], z[None], c[None])
-    s_minus = (x[None], z[None], c.conj()[None])
-    acc = _merge(None, _expand(one, [s_minus, s_plus]))
+    # S_+ = sum_p a+_(p alpha) a_(p beta), as one batch; its words are all distinct
+    x, z, a = (r.T.reshape(-1, 1) for r in _expand([_ladder(alpha, True), _ladder(alpha + 1, False)]))
+    # S_- = S_+ adjoint: (i**a X^x Z^z)+ = i**-a Z^z X^x
+    s_minus = (x, z, 2 * np.bitwise_count(x & z) - a)
+    sixteenth = np.full(1, 1 / 16)
+    acc = _merge(None, _real_rows(sixteenth, _expand([s_minus, (x, z, a)])))
     # S_z = sum_p (z_(p beta) - z_(p alpha))/4, beta first within each p
-    qubits = np.stack([alpha + 1, alpha], axis=1).reshape(1, -1).astype(np.uint64)
+    qubits = np.stack([alpha + 1, alpha], axis=1).reshape(-1, 1).astype(np.uint64)
     sz = (np.zeros_like(qubits), np.left_shift(np.uint64(1), qubits),
-          np.tile([0.25 + 0j, -0.25 + 0j], (1, n_orb)))
+          np.tile(np.array([[0], [2]], np.uint8), (n_orb, 1)))
     # S_z^2 sums on its own before the merge, as the summation order matters
-    sz_sq = _merge(None, _expand(one, [sz, sz]))
-    return _fold_real(2 * n_orb, _merge(acc, sz_sq), _DROP_THRESHOLD)
+    sz_sq = _merge(None, _real_rows(sixteenth, _expand([sz, sz])))
+    return _finish(2 * n_orb, _merge(acc, sz_sq), _DROP_THRESHOLD)
 
 
 def add_spin_penalty(h: PauliSum, n_orb: int, mu: float) -> PauliSum:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qubitcc.chemio import FcidumpData, parse_fcidump
+from qubitcc.chemio import FcidumpData, _parse_header, parse_fcidump
 from qubitcc.ilcap import EnResult
 from qubitcc.pauli import (
     I_POWERS,
@@ -68,6 +69,75 @@ def random_fcidump(rng: random.Random, n_orb: int, n_elec: int, e_core: float) -
     lines += [f"{value()!r} {i} {j} 0 0" for i, j in pairs]
     lines.append(f"{e_core!r} 0 0 0 0")
     return parse_fcidump("\n".join(lines))
+
+
+def reference_parse_fcidump(text):
+    """``chemio.parse_fcidump`` one line at a time: the check for its array reader."""
+    fields, body_start = _parse_header(text)
+    for required in ("NORB", "NELEC"):
+        if required not in fields:
+            raise ValueError(f"FCIDUMP header is missing {required}")
+    n_orb = int(fields["NORB"])
+    n_elec = int(fields["NELEC"])
+    ms2 = int(fields.get("MS2", "0"))
+    if n_orb < 1:
+        raise ValueError("NORB must be positive")
+    if not 0 <= n_elec <= 2 * n_orb:
+        raise ValueError("NELEC outside 0..2*NORB")
+    metadata = {k: v for k, v in fields.items() if k not in {"NORB", "NELEC", "MS2"}}
+
+    e_core = 0.0
+    one = np.zeros((n_orb, n_orb))
+    two = np.zeros((n_orb,) * 4)
+    seen = set()
+    have_core = False
+    # lineno counts lines of the whole file, so messages point at the entry
+    first = text.count("\n", 0, body_start) + 1
+    for lineno, raw in enumerate(text[body_start:].splitlines(), start=first):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise ValueError(f"integral line {lineno}: expected 5 fields, got {len(parts)}")
+        try:
+            value = float(parts[0].replace("D", "E").replace("d", "e"))
+            i, j, k, l = (int(p) for p in parts[1:])
+        except ValueError:
+            raise ValueError(f"integral line {lineno}: malformed entry {line!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"integral line {lineno}: non-finite value {parts[0]!r}")
+        if not all(0 <= idx <= n_orb for idx in (i, j, k, l)):
+            raise ValueError(f"integral line {lineno}: index outside 1..{n_orb}")
+        if i == j == k == l == 0:
+            if have_core:
+                warnings.warn(f"integral line {lineno}: core energy repeated; keeping the last value")
+            e_core = value
+            have_core = True
+        elif k == 0 and l == 0:
+            if i == 0 or j == 0:
+                raise ValueError(f"integral line {lineno}: one-body entry with a zero index")
+            key = (max(i, j), min(i, j), 0, 0)
+            if key in seen:
+                warnings.warn(f"integral line {lineno}: one-body ({i},{j}) repeated; keeping the last value")
+            seen.add(key)
+            one[i - 1, j - 1] = value
+            one[j - 1, i - 1] = value
+        else:
+            if 0 in (i, j, k, l):
+                raise ValueError(f"integral line {lineno}: two-body entry with a zero index")
+            a, bb, c, dd = i - 1, j - 1, k - 1, l - 1
+            perms = {
+                (a, bb, c, dd), (bb, a, c, dd), (a, bb, dd, c), (bb, a, dd, c),
+                (c, dd, a, bb), (dd, c, a, bb), (c, dd, bb, a), (dd, c, bb, a),
+            }
+            key = min(perms)
+            if key in seen:
+                warnings.warn(f"integral line {lineno}: two-body ({i},{j},{k},{l}) repeated; keeping the last value")
+            seen.add(key)
+            for p in perms:
+                two[p] = value
+    return FcidumpData(n_orb, n_elec, ms2, e_core, one, two, metadata)
 
 
 def word_expectation(ref: ReferenceState, word: PauliWord) -> float:
@@ -245,8 +315,8 @@ def _ladder_words(n_q, q, dagger):
     return ((wx, 0.5 + 0j), (wy, 0.5 * sign))
 
 
-def _accumulate_product(out, factors, scale):
-    """out += scale * product(factors), expanding term by term."""
+def _product_rows(factors, scale):
+    """The rows of scale * product(factors), expanded term by term, first factor slowest."""
     partial = [(None, complex(scale))]
     for factor in factors:
         grown = []
@@ -258,7 +328,12 @@ def _accumulate_product(out, factors, scale):
                     v, k = multiply(word, w)
                     grown.append((v, coeff * c * I_POWERS[k]))
         partial = grown
-    for word, coeff in partial:
+    return partial
+
+
+def _accumulate_product(out, factors, scale):
+    """out += scale * product(factors), expanding term by term."""
+    for word, coeff in _product_rows(factors, scale):
         out[word] = out.get(word, 0j) + coeff
 
 
@@ -272,7 +347,12 @@ def _fold_real(n_q, acc, drop_threshold):
 
 
 def reference_jw_hamiltonian(data, *, drop_threshold=1e-12):
-    """``chemio.jw_hamiltonian`` by a dict of words, one ladder product at a time."""
+    """The Jordan-Wigner Hamiltonian by a dict of words, one ladder product at a time.
+
+    Every stored (pq|rs), all eight copies of each integral, is expanded
+    with its complex coefficients; the check that ``chemio.jw_hamiltonian``
+    matches to 1e-12 with the same words.
+    """
     n_orb = data.n_orb
     n_q = 2 * n_orb
     acc = {}
@@ -303,6 +383,59 @@ def reference_jw_hamiltonian(data, *, drop_threshold=1e-12):
                                 0.5 * g,
                             )
     return _fold_real(n_q, acc, drop_threshold)
+
+
+def _accumulate_real(out, factors, scale):
+    """out += the real-coefficient rows of scale * product(factors), term by term."""
+    for word, coeff in _product_rows(factors, scale):
+        if coeff.imag == 0.0:
+            out[word] = out.get(word, 0.0) + coeff.real
+
+
+def reference_jw_orbits(data, *, drop_threshold=1e-12):
+    """``chemio.jw_hamiltonian`` term by term, in its own order, bit for bit.
+
+    Only the least member of each orbit is expanded: (p, q) with
+    p <= q for the one-body part, and of (p, q, r, s), (r, s, p, q),
+    (q, p, s, r), (s, r, q, p) for the two-body part.  Its weight is the
+    sum of the integrals over the orbit's distinct members (half of it
+    for the two-body part), and only its rows with a real coefficient
+    are added.
+    """
+    n_orb = data.n_orb
+    n_q = 2 * n_orb
+    acc = {}
+    if data.e_core != 0.0:
+        acc[PauliWord.identity(n_q)] = data.e_core
+    create = [_ladder_words(n_q, q, True) for q in range(n_q)]
+    destroy = [_ladder_words(n_q, q, False) for q in range(n_q)]
+    f = data.one_body
+    for p in range(n_orb):
+        for q in range(p, n_orb):
+            weight = f[p, q] + f[q, p] if p < q else f[p, p]
+            if weight == 0.0:
+                continue
+            for s in (0, 1):
+                _accumulate_real(acc, [create[2 * p + s], destroy[2 * q + s]], weight)
+    g = data.two_body
+    for p, q, r, s_orb in itertools.product(range(n_orb), repeat=4):
+        members = list(dict.fromkeys([(p, q, r, s_orb), (r, s_orb, p, q), (q, p, s_orb, r), (s_orb, r, q, p)]))
+        if min(members) != (p, q, r, s_orb):
+            continue
+        total = g[members[0]]
+        for m in members[1:]:
+            total += g[m]
+        weight = 0.5 * total
+        if weight == 0.0:
+            continue
+        for s in (0, 1):
+            for t in (0, 1):
+                _accumulate_real(
+                    acc,
+                    [create[2 * p + s], create[2 * r + t], destroy[2 * s_orb + t], destroy[2 * q + s]],
+                    weight,
+                )
+    return PauliSum(n_q, [(w, v) for w, v in acc.items() if abs(v) > drop_threshold])
 
 
 def reference_spin_penalty(n_orb, *, drop_threshold=1e-12):

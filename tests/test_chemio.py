@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -20,12 +22,68 @@ from conftest import (
     DATA_DIR,
     random_fcidump,
     reference_jw_hamiltonian,
+    reference_jw_orbits,
+    reference_parse_fcidump,
     reference_spin_penalty,
 )
+
+FIXTURES = sorted(p.name for p in DATA_DIR.glob("*.fcidump"))
 
 
 def bitwise_terms(h: PauliSum) -> list:
     return [(w, c.hex()) for w, c in h.items()]
+
+
+def assert_close_terms(got: PauliSum, want: PauliSum, tol: float = 1e-12) -> None:
+    """Same words in the same order, coefficients within tol."""
+    assert got.n == want.n
+    assert list(got.words()) == list(want.words())
+    assert np.max(np.abs(got.c - want.c), initial=0.0) <= tol
+
+
+def coincidences(data: FcidumpData) -> set[str]:
+    """Which coincident-index patterns carry a nonzero two-body integral."""
+    found = set()
+    for p, q, r, s in zip(*np.nonzero(data.two_body)):
+        found |= {name for name, hit in (("p=q", p == q), ("r=s", r == s), ("p=r", p == r),
+                                         ("pq=rs", (p, q) == (r, s))) if hit}
+    return found
+
+
+def random_fcidump_text(rng: random.Random, n_orb: int) -> str:
+    """FCIDUMP text in the forms real files take.
+
+    Each integral is written as a random member of its 8-fold orbit
+    (a one-body one as (i,j) or (j,i)), with E, e, D or d exponents, in
+    random order, among blank lines; some are written twice with new
+    values, the core energy among them.
+    """
+    entries = []
+    pairs = [(i, j) for i in range(1, n_orb + 1) for j in range(1, i + 1)]
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[: a + 1]:
+            members = [(i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+                       (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)]
+            entries.append(rng.choice(members))
+    entries += [rng.choice([(i, j, 0, 0), (j, i, 0, 0)]) for i, j in pairs]
+    entries = [e for e in entries if rng.random() < 0.8] + [(0, 0, 0, 0)]
+    entries += [rng.choice(entries) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(entries)
+    lines = [f"&FCI NORB={n_orb},NELEC={n_orb},MS2=0,", "  ORBSYM=" + "1," * n_orb, "&END"]
+    for entry in entries:
+        value = f"{rng.uniform(-1.0, 1.0):.16e}".replace("e", rng.choice("EeDd"))
+        lines.append(" ".join([value, *map(str, entry)]))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "   ", "\t"]))
+    return "\n".join(lines) + "\n"
+
+
+def parse_with_warnings(parse, text: str):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        data = parse(text)
+    return data, [(w.category, str(w.message)) for w in caught]
+
 
 MINIMAL = """&FCI NORB=2,NELEC=2,MS2=0,
  ORBSYM=1,1,
@@ -101,6 +159,58 @@ class TestParse:
         # before the check a nan dropped every term it touched from the mapping
         with pytest.raises(ValueError, match=f"integral line 3: non-finite value '{value}'"):
             parse_fcidump(f"&FCI NORB=1,NELEC=1 &END\n0.5 1 1 0 0\n{value} 1 1 1 1\n")
+
+    @pytest.mark.parametrize("norb", [33, 1000, 10**9])
+    def test_norb_above_the_cap_raises_before_allocating(self, monkeypatch, norb):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the NORB check")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(ValueError, match=f"NORB={norb} is above the cap of 32 orbitals"):
+            parse_fcidump(f"&FCI NORB={norb},NELEC=2 &END\n0.5 1 1 0 0\n")
+
+    def test_norb_at_the_cap_parses(self):
+        data = parse_fcidump(f"&FCI NORB={JW_QUBIT_CAP // 2},NELEC=2 &END\n0.5 32 32 0 0\n")
+        assert data.one_body[31, 31] == 0.5
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_array_reader_matches_line_reader(self, seed):
+        rng = random.Random(seed)
+        text = random_fcidump_text(rng, rng.randint(1, 5))
+        got, got_warnings = parse_with_warnings(parse_fcidump, text)
+        want, want_warnings = parse_with_warnings(reference_parse_fcidump, text)
+        assert (got.n_orb, got.n_elec, got.ms2, got.metadata) == (want.n_orb, want.n_elec, want.ms2, want.metadata)
+        assert got.e_core == want.e_core
+        assert np.array_equal(got.one_body, want.one_body)
+        assert np.array_equal(got.two_body, want.two_body)
+        assert got_warnings == want_warnings
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_array_reader_rejects_the_first_bad_line_as_the_line_reader(self, seed):
+        # the line reader warns of repeats it met before the bad line; the
+        # array reader checks every line before it warns, so only the error is compared
+        rng = random.Random(seed)
+        n_orb = rng.randint(1, 4)
+        lines = random_fcidump_text(rng, n_orb).splitlines()
+        defects = [
+            lambda f: f[:4], lambda f: f + ["1"], lambda f: ["x"] + f[1:],
+            lambda f: [rng.choice(["nan", "-inf", "1D999"])] + f[1:],
+            lambda f: f[:1] + [str(n_orb + 1)] + f[2:], lambda f: f[:1] + ["-1"] + f[2:],
+            lambda f: f[:1] + ["1.5"] + f[2:], lambda f: f[:1] + ["1", "0", "0", "1"],
+            lambda f: f[:1] + ["0", "1", "0", "0"], lambda f: f[:1] + ["1", "1", "1", "0"],
+            lambda f: f[:1] + ["9" * 30] + f[2:],
+        ]
+        body = [i for i, line in enumerate(lines) if len(line.split()) == 5]
+        for at in rng.sample(body, min(len(body), rng.randint(1, 3))):
+            lines[at] = " ".join(rng.choice(defects)(lines[at].split()))
+        text = "\n".join(lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError) as want:
+                reference_parse_fcidump(text)
+            with pytest.raises(ValueError) as got:
+                parse_fcidump(text)
+        assert str(got.value) == str(want.value)
 
     def test_fixture_round_trip(self, h2_fcidump):
         data = load_fcidump(str(h2_fcidump))
@@ -226,23 +336,62 @@ class TestSpinPenalty:
 
 
 class TestMaskArrayExpansion:
-    """The array expansion against the term-by-term reference, bit for bit."""
+    """The array expansion against the term-by-term references."""
 
-    @pytest.mark.parametrize("n_orb", [1, 3, 4])
+    # the full 8-fold expansion checks the orbit-representative mapping; its
+    # order of additions differs, so the two agree to 1e-12, not bit for bit
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("e_core", [0.0, 0.7131])
     def test_jw_bit_identical(self, rng, n_orb, e_core):
         data = random_fcidump(rng, n_orb, n_orb, e_core)
         assert n_orb == 1 or np.count_nonzero(data.two_body == 0.0) > 0
+        if n_orb > 1:
+            assert coincidences(data) == {"p=q", "r=s", "p=r", "pq=rs"}
         got = jw_hamiltonian(data)
-        want = reference_jw_hamiltonian(data)
-        assert got.n == want.n == 2 * n_orb
-        assert bitwise_terms(got) == bitwise_terms(want)
+        assert got.n == 2 * n_orb
+        assert_close_terms(got, reference_jw_hamiltonian(data))
 
     def test_jw_bit_identical_with_drop_threshold(self, rng):
         data = random_fcidump(rng, 3, 2, -1.5)
         got = jw_hamiltonian(data, drop_threshold=0.05)
-        assert bitwise_terms(got) == bitwise_terms(reference_jw_hamiltonian(data, drop_threshold=0.05))
+        assert_close_terms(got, reference_jw_hamiltonian(data, drop_threshold=0.05))
         assert len(got) < len(jw_hamiltonian(data))
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_jw_matches_full_expansion_on_fixtures(self, name):
+        data = load_fcidump(str(DATA_DIR / name))
+        assert_close_terms(jw_hamiltonian(data), reference_jw_hamiltonian(data))
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("e_core", [0.0, 0.7131])
+    def test_jw_orbit_order_bit_identical(self, rng, n_orb, e_core):
+        data = random_fcidump(rng, n_orb, n_orb, e_core)
+        assert bitwise_terms(jw_hamiltonian(data)) == bitwise_terms(reference_jw_orbits(data))
+        got = jw_hamiltonian(data, drop_threshold=0.05)
+        assert bitwise_terms(got) == bitwise_terms(reference_jw_orbits(data, drop_threshold=0.05))
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_jw_orbit_order_bit_identical_on_fixtures(self, name):
+        data = load_fcidump(str(DATA_DIR / name))
+        assert bitwise_terms(jw_hamiltonian(data)) == bitwise_terms(reference_jw_orbits(data))
+
+    def test_broken_adjoint_symmetry_raises(self, rng):
+        # (pq|rs) and its pair swap (rs|pq) move together, the adjoint (qp|sr) does not
+        data = random_fcidump(rng, 3, 2, 0.0)
+        data.two_body[0, 1, 2, 2] += 0.25
+        data.two_body[2, 2, 0, 1] += 0.25
+        with pytest.raises(ValueError, match="imaginary coefficients"):
+            jw_hamiltonian(data)
+
+    def test_broken_pair_swap_symmetry_maps_like_the_full_expansion(self, rng):
+        # O(pqrs) = O(rspq) for any integrals, so only the orbit sum counts
+        data = random_fcidump(rng, 3, 2, 0.0)
+        data.two_body[0, 1, 2, 2] += 0.25
+        data.two_body[1, 0, 2, 2] += 0.25
+        assert data.two_body[0, 1, 2, 2] != data.two_body[2, 2, 0, 1]
+        got = jw_hamiltonian(data)
+        assert_close_terms(got, reference_jw_hamiltonian(data))
+        assert bitwise_terms(got) == bitwise_terms(reference_jw_orbits(data))
 
     @pytest.mark.parametrize("n_orb", [1, 2, 4])
     def test_spin_penalty_bit_identical(self, n_orb):

@@ -418,6 +418,25 @@ class TestBadInput:
         assert rows[1][-1] == FCI_R10
         assert rows[2][0] == "1.4" and all(cell == "" for cell in rows[2][1:])
 
+    @staticmethod
+    def over_cap_fcidump(tmp_path):
+        path = tmp_path / "norb33.fcidump"
+        path.write_text("&FCI NORB=33,NELEC=2 &END\n0.5 1 1 0 0\n", encoding="utf-8")
+        return str(path)
+
+    def test_fcidump_above_the_orbital_cap(self, runner, tmp_path):
+        self.usage_error(runner, ["transform", self.over_cap_fcidump(tmp_path)],
+                         "Invalid value for 'FCIDUMP': NORB=33 is above the cap of 32 orbitals (64 qubits)")
+
+    def test_scan_warns_for_an_fcidump_above_the_orbital_cap(self, runner, tmp_path):
+        out = tmp_path / "scan.csv"
+        res = ok(runner, ["scan", R10, self.over_cap_fcidump(tmp_path),
+                          "--radii", "1.0,1.4", "-o", str(out)])
+        assert "NORB=33 is above the cap of 32 orbitals" in res.output
+        rows = read_csv(out)
+        assert rows[1][-1] == FCI_R10
+        assert rows[2][0] == "1.4" and all(cell == "" for cell in rows[2][1:])
+
     @pytest.mark.parametrize("command", ["ilcap", "exact"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_text_coefficient(self, runner, tmp_path, h2_text, command, value):
