@@ -24,6 +24,7 @@ from .chemio import (
     parse_fcidump,
     spin_penalty,
 )
+from .fci import fci_ground_energy
 from .gf2 import BinaryMatrix, classify_columns, rref_with_transform
 from .ilcap import (
     BwResult,
@@ -82,6 +83,7 @@ __all__ = [
     "dress",
     "dress_with_combination",
     "en_correct",
+    "fci_ground_energy",
     "fit_morse",
     "gradients",
     "half_commutator",

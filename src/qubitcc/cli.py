@@ -8,9 +8,11 @@ type and choice checks as flags; float options reject nan and inf, and
 tolerances must be >= 0.
 
 Importing this module loads no scipy: the oracle (scipy.sparse) is
-imported by the commands that call it, ``scan`` and ``exact``, and
-scipy.optimize by the Morse fit and by iQCC steps with three or more
-generators (one and two are solved exactly).
+imported by the commands that call it, ``exact`` and ``scan --mu``, the
+direct CI loads scipy's Lanczos solver only for blocks too large to
+diagonalize densely, and scipy.optimize loads for the Morse fit and for
+iQCC steps with three or more generators (one and two are solved
+exactly).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import click
 
 from .acset import build_anticommuting_set
 from .chemio import add_spin_penalty, hf_reference, jw_hamiltonian, load_fcidump
+from .fci import fci_ground_energy
 from .morse import fit_morse
 from .pauli import PauliSum, PauliWord, ReferenceState
 from .pipeline import SCHEMES, RunConfig, run_scheme
@@ -241,11 +244,12 @@ def ilcap_cmd(hamiltonian, n_elec, n_qubits, **run_options):
 def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, list[str]]:
     """One scan coordinate; returns (index, row or None, warning messages).
 
-    The estimators and the oracle fail independently: either one's cells
-    still come through when the other raises.
+    E_exact comes from the direct CI on the integrals.  With a spin
+    penalty it comes from the Pauli-sector oracle instead, as W = S^2 - S_z
+    is not spin free: no single S_z block holds the sector's minimum.
+    The estimators and the exact solve fail independently: either one's
+    cells still come through when the other raises.
     """
-    from . import oracle  # imported here: scipy.sparse loads only for oracle commands
-
     index, path, mu, cfg = payload
     try:
         data = load_fcidump(path)
@@ -261,11 +265,16 @@ def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, list[str]
         row.update(run_scheme(h, ref, cfg))
     except Exception as exc:  # noqa: BLE001
         messages.append(f"{path}: {exc}")
-    if h.n <= oracle.APPLY_QUBIT_CAP and math.comb(h.n, data.n_elec) <= oracle.SECTOR_STATE_CAP:
-        try:
-            row["E_exact"] = oracle.ground_energy(h, n_elec=data.n_elec)
-        except Exception as exc:  # noqa: BLE001
-            messages.append(f"{path}: E_exact: {exc}")
+    try:
+        if not mu:
+            row["E_exact"] = fci_ground_energy(data)
+        else:
+            from . import oracle  # imported here: scipy.sparse loads only for oracle commands
+
+            if h.n <= oracle.APPLY_QUBIT_CAP and math.comb(h.n, data.n_elec) <= oracle.SECTOR_STATE_CAP:
+                row["E_exact"] = oracle.ground_energy(h, n_elec=data.n_elec)
+    except Exception as exc:  # noqa: BLE001
+        messages.append(f"{path}: E_exact: {exc}")
     return index, row or None, messages
 
 
@@ -359,7 +368,8 @@ def fit_morse_cmd(scan_csv, column, mu_amu):
 @main.command()
 @click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n-elec", type=int, default=None,
-              help="Solve this electron-count sector (whole space when omitted).")
+              help="Solve this electron-count sector (whole space when omitted, "
+                   "up to 14 qubits).")
 @click.option("--n-qubits", type=int, default=None)
 def exact(hamiltonian, n_elec, n_qubits):
     """Oracle ground-state energy of a text Hamiltonian."""

@@ -1,0 +1,151 @@
+"""Exact ground energies by determinant direct CI on the spatial integrals.
+
+The CI vector is a matrix C[I_alpha, I_beta] over alpha and beta
+occupation strings (uint64 bit masks, orbital p is bit p), and H acts
+through the spin-summed excitation operators E_pq = E^a_pq + E^b_pq
+(Knowles and Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen et al.,
+J. Chem. Phys. 89, 2185 (1988)):
+
+    H = E_core + sum k_pq E_pq + 1/2 sum (pq|rs) E_pq E_rs,
+    k_pq = h_pq - 1/2 sum_r (pr|rq),
+
+so sigma = H C needs only each string's one-particle replacement list,
+E_pq |I> = sign |J>.  D_rs = E_rs C and G_pq = 1/2 sum_rs (pq|rs) D_rs
+are (orbital pairs) x (determinants) arrays, one matrix product apart,
+and sigma = E_core C + sum k_pq D_pq + sum E_pq G_pq.  The CI matrix is
+formed only for small blocks.
+
+Nothing here goes through the Jordan-Wigner mapping or the Pauli-sector
+oracle, so agreement with them checks the mapping too.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+
+import numpy as np
+
+from .chemio import FcidumpData, _check_hermitian
+
+__all__ = ["WORK_CAP", "fci_ground_energy"]
+
+# floats in each of sigma's two (orbital pairs) x (determinants) arrays:
+# H10's 100 x 63,504 (51 MB each) fits, H11's 121 x 213,444 does not
+WORK_CAP = 1 << 23
+# the CI matrix is formed as sigma of the identity while that batch
+# stays this small: H4's 16 x 36 x 36, not H6's 36 x 400 x 400.  On one
+# 2-vCPU core H4 takes 0.6-1.0 ms dense against 4-6 ms by Lanczos (plus
+# 0.3 s for its first scipy import), and H6 100-120 ms and 138 MB dense
+# against 17 ms and 63 MB by Lanczos
+_DENSE_WORK = 1 << 20
+# Lanczos stops at residual norms below this times |energy|: H10's energy
+# is then within 1e-14 Eh of a machine-precision stop, after ~100 instead
+# of ~130 sigma steps
+_LANCZOS_TOL = 1e-12
+
+# pair, target string index and sign, each shaped (strings, entries per string)
+_Table = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _strings(n_orb: int, n_occ: int) -> np.ndarray:
+    """Every string of n_occ electrons in n_orb orbitals, as ascending bit masks."""
+    masks = [sum(1 << p for p in occ) for occ in combinations(range(n_orb), n_occ)]
+    return np.sort(np.array(masks, dtype=np.uint64))
+
+
+def _replacements(n_orb: int, n_occ: int) -> _Table:
+    """Each string's replacement list: E_pq |I> = sign |J> for q occupied, p empty or q.
+
+    The pair is stored transposed, as q * n_orb + p, since <I|E_qp|J> =
+    sign is the matrix element that D and sigma read.  Every string has
+    n_occ * (n_orb - n_occ + 1) entries, in (p, q) order.
+    """
+    strings = _strings(n_orb, n_occ)
+    orb = np.arange(n_orb, dtype=np.uint64)
+    occ = (strings[:, None] >> orb) & np.uint64(1) == 1
+    allowed = occ[:, None, :] & (~occ[:, :, None] | np.eye(n_orb, dtype=bool))
+    s, p, q = (a.astype(np.uint64) for a in np.nonzero(allowed))  # (s, p, q) ascending
+    one = np.uint64(1)
+    removed = strings[s] ^ (one << q)
+    image = removed | (one << p)
+    # a_q passes the electrons below q, then a+_p those below p in the string without q
+    below = (np.bitwise_count(strings[s] & ((one << q) - one))
+             + np.bitwise_count(removed & ((one << p) - one)))
+    sign = 1.0 - 2.0 * (below & 1)
+    shape = (len(strings), -1)
+    pair = (q * np.uint64(n_orb) + p).astype(np.uint32).reshape(shape)
+    target = np.searchsorted(strings, image).astype(np.uint32).reshape(shape)
+    return pair, target, sign.reshape(shape)
+
+
+def _excite(d: np.ndarray, c: np.ndarray, table: _Table) -> None:
+    """d[pair] += E_pair c over the first string axis of c (each (pair, I) once)."""
+    pair, target, sign = table
+    rows = np.arange(pair.shape[0])[:, None]
+    d[pair, rows] += sign[:, :, None, None] * c[target]
+
+
+def _gather(g: np.ndarray, table: _Table) -> np.ndarray:
+    """sum_pq E_pq g_pq over the first string axis of g's blocks."""
+    pair, target, sign = table
+    return np.einsum("se,se...->s...", sign, g[pair, target])
+
+
+def _sigma(c: np.ndarray, alpha: _Table, beta: _Table, k: np.ndarray, v: np.ndarray,
+           e_core: float) -> np.ndarray:
+    """H applied to each column of c, shaped (alpha strings, beta strings, columns)."""
+    d = np.zeros((len(k),) + c.shape)
+    _excite(d, c, alpha)
+    _excite(d.transpose(0, 2, 1, 3), c.transpose(1, 0, 2), beta)
+    flat = d.reshape(len(k), -1)
+    out = (k @ flat).reshape(c.shape) + e_core * c
+    g = (v @ flat).reshape(d.shape)
+    out += _gather(g, alpha)
+    out += _gather(g.transpose(0, 2, 1, 3), beta).transpose(1, 0, 2)
+    return out
+
+
+def fci_ground_energy(data: FcidumpData) -> float:
+    """Lowest eigenvalue of H among n_elec-electron states, by direct CI.
+
+    Solves the reference's S_z block, n_alpha = ceil(n_elec / 2) and
+    n_beta = floor(n_elec / 2) as ``hf_reference`` fills them: H is spin
+    free, so every spin multiplet has a member there and the block's
+    minimum is that of the whole n_elec-electron sector.  Small blocks
+    are diagonalized densely, larger ones by Lanczos (scipy's ``eigsh``)
+    on sigma from a fixed random start vector.  ValueError when the integrals
+    differ from their adjoint's (as in ``jw_hamiltonian``), when n_elec
+    lies outside 0..2 n_orb, and when the block has more than WORK_CAP
+    orbital pairs x determinants.
+    """
+    n_orb, n_elec = data.n_orb, data.n_elec
+    one, two = data.one_body, data.two_body
+    _check_hermitian(one, two)
+    if not 0 <= n_elec <= 2 * n_orb:
+        raise ValueError(f"n_elec must lie in 0..{2 * n_orb}")
+    n_alpha, n_beta = (n_elec + 1) // 2, n_elec // 2
+    shape = (math.comb(n_orb, n_alpha), math.comb(n_orb, n_beta))
+    dim = shape[0] * shape[1]
+    if n_orb**2 * dim > WORK_CAP:
+        raise ValueError(
+            f"the {n_elec}-electron S_z block has {dim} determinants on {n_orb} orbitals; "
+            f"direct CI is capped at {WORK_CAP} orbital pairs x determinants"
+        )
+    alpha = _replacements(n_orb, n_alpha)
+    beta = alpha if n_beta == n_alpha else _replacements(n_orb, n_beta)
+    k = (one - 0.5 * np.einsum("prrq->pq", two)).ravel()
+    v = 0.5 * two.reshape(n_orb**2, n_orb**2)
+    args = (alpha, beta, k, v, data.e_core)
+    if n_orb**2 * dim * dim <= _DENSE_WORK:
+        mat = _sigma(np.eye(dim).reshape(shape + (dim,)), *args).reshape(dim, dim)
+        return float(np.linalg.eigvalsh(mat)[0])
+    # imported here: scipy loads only for blocks too large to form
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    op = LinearOperator(
+        (dim, dim), dtype=float,
+        matvec=lambda x: _sigma(x.reshape(shape + (1,)), *args).ravel(),
+    )
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    return float(eigsh(op, k=1, which="SA", v0=v0, tol=_LANCZOS_TOL, maxiter=5000)[0][0])

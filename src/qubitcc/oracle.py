@@ -6,10 +6,11 @@ index convention: qubit j is bit j of the computational index, so the
 reference with the first k qubits down is the index with the low k bits
 set.
 
-``ground_state`` solves either the whole Fock space or, given an
-electron count, the sector of basis states with that many set bits: a
-number-conserving Hamiltonian is block diagonal over those sectors, and
-the reference's sector is the one whose energy the estimators target.
+``ground_state`` solves either the whole Fock space, densely and up to
+DENSE_QUBIT_CAP qubits, or, given an electron count, the sector of
+basis states with that many set bits: a number-conserving Hamiltonian
+is block diagonal over those sectors, and the reference's sector is the
+one whose energy the estimators target.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import eigsh
 
 from .pauli import PauliSum, PauliWord, ReferenceState, _first_of_runs
 
@@ -196,22 +197,17 @@ def ground_state(
     by Lanczos with a seeded start vector above.  h must conserve the
     electron count, else ValueError.
 
-    Without it, the whole space: dense diagonalization up to
-    DENSE_QUBIT_CAP qubits, iterative (Lanczos on the matrix-free apply)
-    up to APPLY_QUBIT_CAP, with a deterministic seeded start vector.
+    Without it, the whole space, diagonalized densely up to
+    DENSE_QUBIT_CAP qubits; above that ValueError.
     """
     if n_elec is not None:
         return _sector_ground_state(h, n_elec, seed)
-    if h.n <= DENSE_QUBIT_CAP:
-        mat = to_dense(h)
-        energies, vectors = np.linalg.eigh(mat)
-        return float(energies[0]), vectors[:, 0]
-    if h.n > APPLY_QUBIT_CAP:
-        raise ValueError(f"ground state capped at {APPLY_QUBIT_CAP} qubits")
-    dim = 1 << h.n
-    op = LinearOperator((dim, dim), matvec=lambda v: apply_sum(h, v), dtype=complex)
-    v0 = np.random.default_rng(seed).standard_normal(dim)
-    energies, vectors = eigsh(op, k=1, which="SA", v0=v0, maxiter=5000)
+    if h.n > DENSE_QUBIT_CAP:
+        raise ValueError(
+            f"the whole-space solve is capped at {DENSE_QUBIT_CAP} qubits and this "
+            f"Hamiltonian has {h.n}; give an electron count to solve one sector"
+        )
+    energies, vectors = np.linalg.eigh(to_dense(h))
     return float(energies[0]), vectors[:, 0]
 
 

@@ -505,7 +505,11 @@ def run_iqcc(
     optimizes their amplitudes, and replaces the Hamiltonian with the
     truncated dressed operator.  Convergence means no generator with a
     usable gradient remains; hitting max_iterations leaves the
-    converged flag down.
+    converged flag down, and so does an unconverged step that leaves
+    every amplitude at zero: it is recorded, and the loop stops, since
+    the next iteration would pick the same generators again.  That also
+    gives up the differently seeded restarts (seed + iteration) a later
+    iteration would try for three or more generators.
     """
     if generators_per_iteration < 1:
         raise ValueError("need at least one generator per iteration")
@@ -544,4 +548,6 @@ def run_iqcc(
         state.energy_history.append(opt.energy)
         if checkpoint_dir is not None:
             _write_checkpoint(checkpoint_dir, record, state.hamiltonian)
+        if not opt.converged and not np.any(opt.amplitudes):
+            break
     return state

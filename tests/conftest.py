@@ -1,12 +1,16 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qubitcc
 from qubitcc.chemio import FcidumpData, _parse_header, parse_fcidump
 from qubitcc.ilcap import EnResult
 from qubitcc.pauli import (
@@ -19,6 +23,28 @@ from qubitcc.pauli import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# two degenerate orbitals with a large exchange integral: the lowest
+# 2-electron state is the triplet at 0.55 Eh, the lowest singlet 0.75 Eh
+HUND_FCIDUMP = """&FCI NORB=2,NELEC=2,MS2=0,
+&END
+1.0 1 1 1 1
+1.0 2 2 2 2
+0.8 1 1 2 2
+0.3 1 2 1 2
+-0.1 1 1 0 0
+-0.1 2 2 0 0
+0.25 0 0 0 0
+"""
+
+
+def fresh_interpreter(code: str) -> str:
+    """stdout of code run in a new interpreter, so modules imported by other tests cannot hide a leak."""
+    src = str(Path(qubitcc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
 def random_word(rng: random.Random, n: int) -> PauliWord:

@@ -8,7 +8,7 @@ from qubitcc.cli import RunConfig, main, run_scheme
 from qubitcc.morse import morse_energy
 from qubitcc.pauli import PauliSum, ReferenceState
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, HUND_FCIDUMP
 
 R10 = str(DATA_DIR / "h2_r1.fcidump")
 R12 = str(DATA_DIR / "h2_r1p2.fcidump")
@@ -152,6 +152,19 @@ class TestExact:
         res = ok(runner, ["exact", str(text)])
         assert f"ground energy: {SHIFTED_ALL}" in res.output
 
+    def test_whole_space_above_the_dense_cap_needs_n_elec(self, runner, tmp_path):
+        fcidump = tmp_path / "norb8.fcidump"
+        # orbital 8 lies on qubits 14 and 15, so the text spans 16 qubits
+        fcidump.write_text("&FCI NORB=8,NELEC=2 &END\n-0.5 8 8 0 0\n", encoding="utf-8")
+        text = tmp_path / "norb8.txt"
+        ok(runner, ["transform", str(fcidump), "-o", str(text)])
+        res = runner.invoke(main, ["exact", str(text)])
+        assert res.exit_code == 2, res.output
+        assert "the whole-space solve is capped at 14 qubits and this Hamiltonian has 16" \
+            in res.output
+        res = ok(runner, ["exact", str(text), "--n-elec", "2"])
+        assert "ground energy: -1\n" in res.output
+
 
 class TestIqcc:
     def test_trajectory_and_checkpoints(self, runner, tmp_path, h2_text):
@@ -266,16 +279,38 @@ class TestScan:
         assert all(rows[2][1:])
 
     def test_oracle_failure_keeps_estimators(self, runner, tmp_path, monkeypatch):
-        def broken(h, **kwargs):
+        def broken(data, **kwargs):
             raise ValueError("no convergence")
 
-        monkeypatch.setattr(oracle, "ground_energy", broken)
+        monkeypatch.setattr(cli, "fci_ground_energy", broken)
         out = tmp_path / "scan.csv"
         res = ok(runner, ["scan", R10, "--radii", "1.0", "-o", str(out)])
         assert f"warning: {R10}: E_exact: no convergence" in res.output
         rows = read_csv(out)
         assert rows[0] == ["r", "E_ILCAP", "E_ILCAP+BW", "E_ILCAP+EN"]
         assert all(rows[1])
+
+    def test_spin_penalty_oracle_failure_keeps_estimators(self, runner, tmp_path, monkeypatch):
+        def broken(h, **kwargs):
+            raise ValueError("no convergence")
+
+        monkeypatch.setattr(oracle, "ground_energy", broken)
+        out = tmp_path / "scan.csv"
+        res = ok(runner, ["scan", R10, "--radii", "1.0", "--mu", "0.5", "-o", str(out)])
+        assert f"warning: {R10}: E_exact: no convergence" in res.output
+        assert read_csv(out)[0] == ["r", "E_ILCAP", "E_ILCAP+BW", "E_ILCAP+EN"]
+
+    def test_spin_penalty_keeps_the_pauli_sector_oracle(self, runner, tmp_path):
+        # the lowest 2-electron state is a triplet, which mu/2 W lifts above the singlet
+        path = tmp_path / "hund.fcidump"
+        path.write_text(HUND_FCIDUMP, encoding="utf-8")
+        out = tmp_path / "scan.csv"
+        ok(runner, ["scan", str(path), "--radii", "1.0", "--scheme", "iqcc", "-o", str(out)])
+        assert read_csv(out)[1][-1] == "0.55"
+        ok(runner, ["scan", str(path), R10, R14, "--radii", "1.0,1.1,1.4", "--mu", "0.5",
+                    "--scheme", "iqcc", "-o", str(out)])
+        # the cells of the oracle-only scan, at %.12g
+        assert [row[-1] for row in read_csv(out)[1:]] == ["0.75", FCI_R10, FCI_R14]
 
 
 class TestFitMorse:

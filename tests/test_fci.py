@@ -1,0 +1,122 @@
+import random
+
+import numpy as np
+import pytest
+
+from qubitcc import chemio, fci, oracle
+from qubitcc.chemio import jw_hamiltonian, load_fcidump, parse_fcidump
+from qubitcc.fci import fci_ground_energy
+
+from conftest import DATA_DIR, HUND_FCIDUMP, fresh_interpreter, random_fcidump
+
+FIXTURES = sorted(p.name for p in DATA_DIR.glob("*.fcidump"))
+
+
+def sector_energy(data):
+    """The Pauli-sector oracle on the Jordan-Wigner image: the independent check."""
+    return oracle.ground_energy(jw_hamiltonian(data), n_elec=data.n_elec)
+
+
+class TestAgreesWithTheSectorOracle:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        data = load_fcidump(str(DATA_DIR / name))
+        assert fci_ground_energy(data) == pytest.approx(sector_energy(data), abs=1e-10)
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4, 5])
+    def test_random_integrals_at_every_electron_count(self, n_orb):
+        # N = 0 and N = 2 n_orb are single determinants; odd N takes the M_s = 1/2 block
+        rng = random.Random(n_orb)
+        for n_elec in range(2 * n_orb + 1):
+            data = random_fcidump(rng, n_orb, n_elec, rng.uniform(-1.0, 1.0))
+            assert fci_ground_energy(data) == pytest.approx(sector_energy(data), abs=1e-10)
+
+    def test_high_spin_ground_state(self):
+        # the triplet's M_s = 0 member is in the block
+        data = parse_fcidump(HUND_FCIDUMP)
+        assert fci_ground_energy(data) == pytest.approx(0.55, abs=1e-12)
+        assert sector_energy(data) == pytest.approx(0.55, abs=1e-12)
+
+
+class TestSolver:
+    def test_lanczos_branch_agrees_with_dense(self, monkeypatch):
+        rng = random.Random(7)
+        cases = [load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump")), random_fcidump(rng, 4, 3, 0.2)]
+        dense = [fci_ground_energy(data) for data in cases]
+        monkeypatch.setattr(fci, "_DENSE_WORK", 0)
+        for data, want in zip(cases, dense):
+            assert fci_ground_energy(data) == pytest.approx(want, abs=1e-10)
+
+    def test_uses_neither_the_mapping_nor_the_oracle(self, monkeypatch):
+        data = load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump"))
+        want = sector_energy(data)
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the direct CI must not call this")
+
+        for module, name in ((chemio, "jw_hamiltonian"), (oracle, "ground_state"),
+                             (oracle, "ground_energy")):
+            monkeypatch.setattr(module, name, broken)
+        assert fci_ground_energy(data) == pytest.approx(want, abs=1e-10)
+
+    def test_dense_blocks_leave_out_scipy(self):
+        fcidump = DATA_DIR / "h4_r2p0.fcidump"
+        check = (
+            "import sys; "
+            "from qubitcc import fci_ground_energy, load_fcidump; "
+            f"fci_ground_energy(load_fcidump({str(fcidump)!r})); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert fresh_interpreter(check) == "[]"
+
+    def test_work_cap(self, monkeypatch):
+        # H4: 36 determinants on 4 orbitals
+        data = load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump"))
+        monkeypatch.setattr(fci, "WORK_CAP", 16 * 36 - 1)
+        with pytest.raises(ValueError, match="36 determinants on 4 orbitals; direct CI is capped"):
+            fci_ground_energy(data)
+        monkeypatch.setattr(fci, "WORK_CAP", 16 * 36)
+        assert fci_ground_energy(data) == pytest.approx(sector_energy(data), abs=1e-10)
+
+    def test_rejects_electron_counts_outside_the_orbitals(self):
+        data = random_fcidump(random.Random(3), 2, 2, 0.0)
+        for n_elec in (-1, 5):
+            data.n_elec = n_elec
+            with pytest.raises(ValueError, match=r"n_elec must lie in 0\.\.4"):
+                fci_ground_energy(data)
+
+    def test_rejects_integrals_unequal_to_their_adjoint(self):
+        data = random_fcidump(random.Random(3), 2, 2, 0.0)
+        data.one_body[0, 1] += 0.1
+        with pytest.raises(ValueError, match="differ from their adjoint's"):
+            fci_ground_energy(data)
+
+
+class TestReplacementLists:
+    @pytest.mark.parametrize("n_orb, n_occ", [(1, 0), (1, 1), (3, 1), (4, 2), (5, 3)])
+    def test_match_ladder_operators(self, n_orb, n_occ):
+        # E_pq |I> = a+_p a_q |I>, with the string's electrons created in ascending order
+        def apply(p, q, occ):
+            if q not in occ or (p in occ and p != q):
+                return 0, None
+            sign = (-1) ** sum(o < q for o in occ)
+            rest = [o for o in occ if o != q]
+            sign *= (-1) ** sum(o < p for o in rest)
+            return sign, tuple(sorted(rest + [p]))
+
+        strings = fci._strings(n_orb, n_occ)
+        occs = [tuple(p for p in range(n_orb) if int(s) >> p & 1) for s in strings]
+        pair, target, sign = fci._replacements(n_orb, n_occ)
+        for i, occ in enumerate(occs):
+            got = {}
+            for e in range(pair.shape[1]):
+                q, p = divmod(int(pair[i, e]), n_orb)  # stored transposed
+                got[p, q] = (sign[i, e], occs[target[i, e]])
+            want = {}
+            for p in range(n_orb):
+                for q in range(n_orb):
+                    s, new = apply(p, q, occ)
+                    if s:
+                        want[p, q] = (s, new)
+            assert got == want
+        assert pair.dtype == target.dtype == np.uint32

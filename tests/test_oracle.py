@@ -120,6 +120,13 @@ class TestGroundState:
         assert e_iter == pytest.approx(e_dense, abs=1e-8)
         assert oracle.ground_energy(h) == pytest.approx(e_dense, abs=1e-10)
 
+    def test_whole_space_capped_at_the_dense_size(self):
+        n = oracle.DENSE_QUBIT_CAP + 1
+        h = PauliSum(n, [(PauliWord(n, 0, 1), 1.0)])
+        with pytest.raises(ValueError, match="capped at 14 qubits and this Hamiltonian has 15; give an electron count"):
+            oracle.ground_state(h)
+        assert oracle.ground_energy(h, n_elec=1) == pytest.approx(-1.0, abs=1e-12)
+
     def test_ground_energy_seed_stable(self, rng):
         h = random_sum(rng, 4, 10)
         assert oracle.ground_energy(h, seed=3) == pytest.approx(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import qubitcc
 
-from conftest import random_even_sum
+from conftest import fresh_interpreter, random_even_sum
 
 
 def test_library_import_leaves_out_cli():
@@ -21,19 +21,11 @@ def test_library_import_leaves_out_cli():
     assert out.strip() == "[]"
 
 
-def _fresh_interpreter(code: str) -> str:
-    src = str(Path(qubitcc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
-
-
 def test_library_and_cli_import_leave_out_scipy():
     # scipy loads only once a command calls the optimizer, the Morse fit or the oracle
     check = ("import sys, qubitcc, qubitcc.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _fresh_interpreter(check) == "[]"
+    assert fresh_interpreter(check) == "[]"
 
 
 def test_ilcap_pre_leaves_out_scipy_optimize():
@@ -45,7 +37,7 @@ def test_ilcap_pre_leaves_out_scipy_optimize():
         "run_scheme(jw_hamiltonian(data), hf_reference(data), RunConfig(scheme='ilcap-pre')); "
         "print('scipy.optimize' in sys.modules)"
     )
-    assert _fresh_interpreter(check) == "False"
+    assert fresh_interpreter(check) == "False"
 
 
 def test_single_generator_iqcc_leaves_out_scipy_optimize(tmp_path):
@@ -59,7 +51,7 @@ def test_single_generator_iqcc_leaves_out_scipy_optimize(tmp_path):
         f"main(['iqcc', {str(text)!r}, '--n-elec', '2'], standalone_mode=False); "
         "print('scipy.optimize' in sys.modules)"
     )
-    assert _fresh_interpreter(check).splitlines()[-1] == "False"
+    assert fresh_interpreter(check).splitlines()[-1] == "False"
 
 
 def test_two_generator_iqcc_leaves_out_scipy_optimize(tmp_path):
@@ -76,7 +68,7 @@ def test_two_generator_iqcc_leaves_out_scipy_optimize(tmp_path):
         f"'--iterations', '2', '--checkpoint-dir', {str(ckdir)!r}], standalone_mode=False); "
         "print('scipy.optimize' in sys.modules)"
     )
-    assert _fresh_interpreter(check).splitlines()[-1] == "False"
+    assert fresh_interpreter(check).splitlines()[-1] == "False"
     checkpoints = sorted(ckdir.iterdir())
     assert len(checkpoints) == 2
     for path in checkpoints:

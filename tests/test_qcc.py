@@ -454,6 +454,22 @@ class TestRunIqcc:
         assert all(abs(t) > 1e-7 for t in record.amplitudes)
         assert state.energy < state.energy_history[0]
 
+    def test_unconverged_zero_step_stops_the_loop(self, monkeypatch):
+        # an optimizer that gives up at the zero start leaves H as it was, so
+        # every later iteration would pick the same generators again
+        def stuck(h, generators, ref, *, seed=0):
+            return qcc.AmplitudeOptimization(np.zeros(len(generators)), ref.expectation(h),
+                                             False, 200, 4)
+
+        monkeypatch.setattr(qcc, "optimize_amplitudes", stuck)
+        h = PauliSum.from_text("-1.0 Z0\n-1.0 Z1\n0.2 Z0 Z1\n0.1 X0\n0.1 X1\n0.05 X0 X1\n", 2)
+        ref = ReferenceState(2, 0)
+        state = run_iqcc(h, ref, generators_per_iteration=3, max_iterations=5)
+        assert not state.converged
+        (record,) = state.records
+        assert record.amplitudes == (0.0, 0.0, 0.0)
+        assert state.energy == pytest.approx(ref.expectation(h))
+
     def test_checkpoints_written_and_parseable(self, rng, tmp_path):
         h = random_sum(rng, 4, 10)
         ref = ReferenceState(4, 2)
