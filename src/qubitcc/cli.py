@@ -1,18 +1,17 @@
 """Command-line driver: transform, screen, solve, scan, fit.
 
 Every command reads defaults from an INI config (section named after
-the command, falling back to [run]) with explicit flags winning, and
-takes a seed so optimizer randomness is reproducible.  The INI values
-reach the options through Click's default_map, so they pass the same
-type and choice checks as flags; float options reject nan and inf, and
+the command, falling back to [run]) with explicit flags winning; keys
+that name no option of the command are ignored.  Each solver starts
+from a fixed vector, so a run repeats exactly.  The INI values reach
+the options through Click's default_map, so they pass the same type
+and choice checks as flags; float options reject nan and inf, and
 tolerances must be >= 0.
 
 Importing this module loads no scipy: the oracle (scipy.sparse) is
 imported by the commands that call it, ``exact`` and ``scan --mu``, the
 direct CI loads scipy's Lanczos solver only for blocks too large to
-diagonalize densely, and scipy.optimize loads for the Morse fit and for
-iQCC steps with three or more generators (one and two are solved
-exactly).
+diagonalize densely, and scipy.optimize loads only for the Morse fit.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ _RUN_OPTIONS = (
     click.option("--iterations", type=click.IntRange(min=0), default=_RUN.iterations),
     click.option("--grad-tol", type=_TOLERANCE, default=_RUN.gradient_tol),
     click.option("--trunc-threshold", type=_TOLERANCE, default=_RUN.truncation_threshold),
-    click.option("--seed", type=int, default=_RUN.seed),
 )
 
 
@@ -68,8 +66,7 @@ def _run_options(command):
     return command
 
 
-def _run_config(scheme, max_generators, gens, iterations, grad_tol, trunc_threshold,
-                seed) -> RunConfig:
+def _run_config(scheme, max_generators, gens, iterations, grad_tol, trunc_threshold) -> RunConfig:
     return RunConfig(
         scheme=scheme,
         generators_per_iteration=gens,
@@ -77,7 +74,6 @@ def _run_config(scheme, max_generators, gens, iterations, grad_tol, trunc_thresh
         max_generators=max_generators,
         gradient_tol=grad_tol,
         truncation_threshold=trunc_threshold,
-        seed=seed,
     )
 
 
@@ -201,9 +197,8 @@ def acset_cmd(hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
               help="Outer-loop cap (default 10).")
 @click.option("--grad-tol", type=_TOLERANCE, default=1e-7)
 @click.option("--trunc-threshold", type=_TOLERANCE, default=1e-8)
-@click.option("--seed", type=int, default=0)
 @click.option("--checkpoint-dir", type=click.Path(file_okay=False), default=None)
-def iqcc(hamiltonian, n_elec, n_qubits, gens, iterations, grad_tol, trunc_threshold, seed,
+def iqcc(hamiltonian, n_elec, n_qubits, gens, iterations, grad_tol, trunc_threshold,
          checkpoint_dir):
     """Run the iterative solver and report the energy trajectory."""
     h, ref = _load(hamiltonian, n_qubits, _require(n_elec, "--n-elec"))
@@ -213,7 +208,6 @@ def iqcc(hamiltonian, n_elec, n_qubits, gens, iterations, grad_tol, trunc_thresh
         max_iterations=iterations,
         gradient_tol=grad_tol,
         truncation_threshold=trunc_threshold,
-        seed=seed,
         checkpoint_dir=checkpoint_dir,
     )
     click.echo(f"{'iter':>4}  {'energy':>18}  {'top gradient':>14}  terms")

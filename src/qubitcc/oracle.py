@@ -164,7 +164,7 @@ def _sector_matrix(h: PauliSum, n_elec: int) -> tuple[np.ndarray, sp.csr_matrix]
     return basis, mat
 
 
-def _sector_ground_state(h: PauliSum, n_elec: int, seed: int) -> tuple[float, np.ndarray]:
+def _sector_ground_state(h: PauliSum, n_elec: int) -> tuple[float, np.ndarray]:
     if not 0 <= n_elec <= h.n:
         raise ValueError(f"n_elec must lie in 0..{h.n}")
     if h.n > APPLY_QUBIT_CAP:
@@ -179,29 +179,27 @@ def _sector_ground_state(h: PauliSum, n_elec: int, seed: int) -> tuple[float, np
     if states <= _SECTOR_DENSE_STATES:
         energies, vectors = np.linalg.eigh(mat.toarray())
     else:
-        v0 = np.random.default_rng(seed).standard_normal(states)
+        v0 = np.random.default_rng(0).standard_normal(states)
         energies, vectors = eigsh(mat, k=1, which="SA", v0=v0, maxiter=5000)
     vec = np.zeros(1 << h.n, dtype=complex)
     vec[basis] = vectors[:, 0]
     return float(energies[0]), vec
 
 
-def ground_state(
-    h: PauliSum, *, n_elec: int | None = None, seed: int = 0
-) -> tuple[float, np.ndarray]:
+def ground_state(h: PauliSum, *, n_elec: int | None = None) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of h, the vector as a full statevector.
 
     With ``n_elec`` given, the lowest eigenpair within the n_elec-electron
     sector (basis states with n_elec set bits): a sparse block of at most
     SECTOR_STATE_CAP states, diagonalized densely up to 1000 states and
-    by Lanczos with a seeded start vector above.  h must conserve the
+    by Lanczos from a fixed start vector above.  h must conserve the
     electron count, else ValueError.
 
     Without it, the whole space, diagonalized densely up to
     DENSE_QUBIT_CAP qubits; above that ValueError.
     """
     if n_elec is not None:
-        return _sector_ground_state(h, n_elec, seed)
+        return _sector_ground_state(h, n_elec)
     if h.n > DENSE_QUBIT_CAP:
         raise ValueError(
             f"the whole-space solve is capped at {DENSE_QUBIT_CAP} qubits and this "
@@ -211,5 +209,5 @@ def ground_state(
     return float(energies[0]), vectors[:, 0]
 
 
-def ground_energy(h: PauliSum, *, n_elec: int | None = None, seed: int = 0) -> float:
-    return ground_state(h, n_elec=n_elec, seed=seed)[0]
+def ground_energy(h: PauliSum, *, n_elec: int | None = None) -> float:
+    return ground_state(h, n_elec=n_elec)[0]

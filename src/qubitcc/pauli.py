@@ -358,15 +358,23 @@ class PauliSum:
         Each non-blank line is a decimal coefficient followed by either
         the literal ``I`` or whitespace-separated factors ``X<j>``,
         ``Y<j>``, ``Z<j>`` with strictly increasing 0-based qubit
-        indices.  Lines starting with ``#`` are skipped, and a nan or
-        inf coefficient raises.  The qubit count is inferred as one past
-        the largest index unless given.
+        indices.  Lines starting with ``#`` are skipped, save a
+        ``# qubits: N`` header, and a nan or inf coefficient raises.  The
+        qubit count is ``n`` if given, else the header's N, else one past
+        the largest index; an index outside the first two raises.
         """
         parsed: list[tuple[float, list[tuple[str, int]]]] = []
         max_index = -1
+        header = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
+                key, _, value = line[1:].partition(":")
+                if key.strip() == "qubits":
+                    try:
+                        header = int(value)
+                    except ValueError:
+                        raise ValueError(f"line {lineno}: bad qubit count {value!r}") from None
                 continue
             tokens = line.split()
             try:
@@ -396,8 +404,8 @@ class PauliSum:
                 max_index = max(max_index, prev)
             parsed.append((coeff, factors))
         if n is None:
-            n = max(max_index + 1, 1)
-        elif max_index >= n:
+            n = max(max_index + 1, 1) if header is None else header
+        if max_index >= n:
             raise ValueError(f"qubit index {max_index} outside the declared {n} qubits")
         terms = [(PauliWord.from_factors(n, f), c) for c, f in parsed]
         return cls(n, terms)

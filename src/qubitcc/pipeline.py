@@ -30,7 +30,6 @@ class RunConfig:
     max_generators: int | None = None
     gradient_tol: float = 1e-7
     truncation_threshold: float = 1e-8
-    seed: int = 0
 
 
 def _ilcap_family(h: PauliSum, ref: ReferenceState, cfg: RunConfig, prefix: str,
@@ -69,7 +68,6 @@ def run_scheme(h: PauliSum, ref: ReferenceState, cfg: RunConfig) -> dict[str, fl
         max_iterations=cfg.iterations,
         gradient_tol=cfg.gradient_tol,
         truncation_threshold=cfg.truncation_threshold,
-        seed=cfg.seed,
     )
     label = f"E_QCC({cfg.iterations})"
     if cfg.scheme == "iqcc":

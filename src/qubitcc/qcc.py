@@ -13,9 +13,9 @@ conjugation is used only to dress the Hamiltonian between iterations,
 where truncation happens.  One generator gives E(t) = A + B cos t +
 C sin t, minimized in closed form; two give a 4 x 4 quadratic form in
 the half-angle products, minimized exactly through a one-angle
-reduction; three or more are minimized by BFGS, and scipy.optimize is
-imported only then, so importing this module and iQCC at one or two
-generators per step load no scipy.
+reduction; three or more by sweeps of the one-generator closed form
+over each amplitude in turn, with Newton steps on the exact Hessian.
+No scipy is loaded and no random number is drawn.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ __all__ = [
     "run_iqcc",
 ]
 
-_MAX_RESTARTS = 4  # optimize_amplitudes, L >= 3: seeded restarts after a stalled zero start
-_GTOL = 1e-9  # and the gradient norm at which BFGS stops, or a pair step counts as converged
+_GTOL = 1e-9  # the gradient norm at which sweeps stop, or a pair step counts as converged
+_MAX_SWEEPS = 1000  # optimize_amplitudes, L >= 3: most coordinate sweeps in one call
+_MAX_ESCAPES = 8  # and most moves off a stationary point along negative curvature
 _NEWTON_STEPS = 8  # most Newton steps polishing the stationary angles of a pair step
 _ROOT_STEPS = 100  # most false-position steps for one root of a pair step's polynomial
 # row k + 4: the coefficients, by ascending power of u = tan(t/2), of
@@ -157,15 +158,49 @@ class AmplitudeOptimization:
     restarts_used: int
 
 
-def _closed_form_step(space: _Subspace) -> AmplitudeOptimization:
-    """Exact minimum of a one-generator energy E(t) = A + B cos t + C sin t."""
-    e_zero, grad = space.energy_and_gradient([0.0])
-    e_pi, _ = space.energy_and_gradient([math.pi])
-    b, c = 0.5 * (e_zero - e_pi), float(grad[0])
+def _coordinate_step(space: _Subspace, t: np.ndarray, j: int) -> float:
+    """The t_j minimizing E = A + B cos t_j + C sin t_j, the other amplitudes held."""
+    t = t.copy()
+    t[j] = 0.0
+    e_zero, grad = space.energy_and_gradient(t)
+    t[j] = math.pi
+    e_pi, _ = space.energy_and_gradient(t)
+    b, c = 0.5 * (e_zero - e_pi), float(grad[j])
     # the 0.0 turns a -0.0 from atan2 into 0.0
-    t = math.atan2(-c, -b) + 0.0 if b or c else 0.0
-    energy, _ = space.energy_and_gradient([t])
-    return AmplitudeOptimization(np.array([t]), energy, True, 0, 0)
+    return math.atan2(-c, -b) + 0.0 if b or c else 0.0
+
+
+def _sweeps(space: _Subspace, L: int) -> AmplitudeOptimization:
+    """Cyclic coordinate steps from zero, each sweep followed by a Newton step.
+
+    The Hessian is exact by parameter shift (each amplitude enters E as
+    cos/sin): row i is (grad E(t + pi/2 e_i) - grad E(t - pi/2 e_i))/2.
+    Newton, taken where it is positive definite and lowers E, shortens
+    slow sweeps over strongly coupled amplitudes.  A stationary point
+    with an eigenvalue below -1e-6 is left for the lowest of 721 points
+    t + s v, s in [-pi, pi], along its eigenvector v (s = 0 among them).
+    """
+    t, sweeps, escapes = np.zeros(L), 0, 0
+    while sweeps < _MAX_SWEEPS:
+        for j in range(L):
+            t[j] = _coordinate_step(space, t, j)
+        sweeps += 1
+        energy, grad = space.energy_and_gradient(t)
+        rows = [space.energy_and_gradient(t + d)[1] - space.energy_and_gradient(t - d)[1]
+                for d in 0.5 * math.pi * np.eye(L)]
+        values, vectors = np.linalg.eigh(0.5 * np.array(rows))
+        if np.max(np.abs(grad)) > _GTOL:
+            if values[0] > 0.0:
+                newton = t - vectors @ (vectors.T @ grad / values)
+                if space.energy_and_gradient(newton)[0] < energy:
+                    t = newton
+            continue
+        if values[0] >= -1e-6 or escapes == _MAX_ESCAPES:
+            return AmplitudeOptimization(t, energy, bool(values[0] >= -1e-6), sweeps, escapes)
+        escapes, v = escapes + 1, vectors[:, 0]
+        t = t + v * min(np.linspace(-math.pi, math.pi, 721),
+                        key=lambda s: space.energy_and_gradient(t + s * v)[0])
+    return AmplitudeOptimization(t, space.energy_and_gradient(t)[0], False, sweeps, escapes)
 
 
 def _pair_curves(space: _Subspace) -> list[list[float]]:
@@ -365,26 +400,23 @@ def optimize_amplitudes(
     h: PauliSum,
     generators,
     ref: ReferenceState,
-    *,
-    seed: int | None = 0,
 ) -> AmplitudeOptimization:
     """Minimize the QCC energy over the amplitudes.
 
-    One generator is solved in closed form: E(t) = A + B cos t + C sin t
-    with B = (E(0) - E(pi))/2 and C = E'(0), so t = atan2(-C, -B) is the
-    one minimum per period (t = 0 only when B = C = 0 exactly); this
-    costs three energy evaluations, reports zero iterations and needs no
-    scipy.  Two generators are solved exactly by ``_pair_step``: no
-    iterations, and converged when the gradient norm at the answer is
-    at most 1e-9.  Three or more run BFGS from a zero start, stopping at a
-    gradient norm of 1e-9; if the zero start makes no progress (a saddle
-    or a flat spot, which happens when every first-order gradient
-    vanishes), up to four seeded random perturbations are tried and the
-    best result kept.  The subspace matrix is built once, from the
-    terms of h in the D sectors it spans; each energy and gradient then
-    costs O(D^2 + L D) on D <= 2^L states.  The matrix takes 16 D^2 <= 16 * 4^L bytes, so
-    large L is out of reach (L = 16 would ask for 64 GiB); only L <= 4
-    has been tested.
+    In any one amplitude, the others held, E = A + B cos t + C sin t with
+    B = (E(0) - E(pi))/2 and C = E'(0), so t = atan2(-C, -B) is the one
+    minimum per period (0 only when B = C = 0).  One generator takes that
+    step once, with zero iterations; two are solved exactly by
+    ``_pair_step``, converged when the gradient norm there is <= 1e-9.
+    Three or more run ``_sweeps`` of that step from zero, the sequential
+    minimal optimization of Nakanishi, Fujii and Todo (Phys. Rev.
+    Research 2, 043158 (2020)): ``iterations`` counts sweeps,
+    ``restarts_used`` escapes from saddles, and converged means a
+    gradient norm <= 1e-9 and no Hessian eigenvalue below -1e-6.  The
+    subspace matrix, built once from the terms of h in the D <= 2^L
+    sectors it spans, takes 16 D^2 bytes, and each energy and gradient
+    costs O(D^2 + L D), so large L is out of reach (L = 16 would ask for
+    64 GiB); only L <= 4 has been tested.
     """
     L = len(generators)
     if L == 0:
@@ -392,34 +424,11 @@ def optimize_amplitudes(
         return AmplitudeOptimization(np.zeros(0), e0, True, 0, 0)
     space = _Subspace(h, generators, ref)
     if L == 1:
-        return _closed_form_step(space)
+        t = np.array([_coordinate_step(space, np.zeros(1), 0)])
+        return AmplitudeOptimization(t, space.energy_and_gradient(t)[0], True, 0, 0)
     if L == 2:
         return _pair_step(space)
-    # imported here: scipy.optimize costs ~0.3 s of start-up that ilcap-pre never needs
-    from scipy.optimize import minimize
-
-    e_start = ref.expectation(h)
-    rng = np.random.default_rng(seed)
-    best = None
-    restarts_used = 0
-    x0 = np.zeros(L)
-    for attempt in range(_MAX_RESTARTS + 1):
-        res = minimize(
-            space.energy_and_gradient, x0, jac=True, method="BFGS", options={"gtol": _GTOL}
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        if best.fun < e_start - 1e-12:
-            break
-        restarts_used += 1
-        x0 = rng.uniform(-0.2, 0.2, L)
-    return AmplitudeOptimization(
-        np.asarray(best.x, dtype=float),
-        float(best.fun),
-        bool(best.success),
-        int(best.nit),
-        restarts_used,
-    )
+    return _sweeps(space, L)
 
 
 def dress(
@@ -494,7 +503,6 @@ def run_iqcc(
     max_iterations: int,
     gradient_tol: float = 1e-7,
     truncation_threshold: float = 1e-8,
-    seed: int = 0,
     checkpoint_dir: str | None = None,
 ) -> IqccState:
     """Iterate screen, optimize, dress until the gradients die out.
@@ -507,9 +515,7 @@ def run_iqcc(
     usable gradient remains; hitting max_iterations leaves the
     converged flag down, and so does an unconverged step that leaves
     every amplitude at zero: it is recorded, and the loop stops, since
-    the next iteration would pick the same generators again.  That also
-    gives up the differently seeded restarts (seed + iteration) a later
-    iteration would try for three or more generators.
+    the next iteration would pick the same generators again.
     """
     if generators_per_iteration < 1:
         raise ValueError("need at least one generator per iteration")
@@ -529,7 +535,7 @@ def run_iqcc(
             break
         masks = ranked.top(generators_per_iteration)
         gens = tuple(canonical_generator(h.n, m) for m in masks)
-        opt = optimize_amplitudes(state.hamiltonian, gens, ref, seed=seed + it)
+        opt = optimize_amplitudes(state.hamiltonian, gens, ref)
         state.hamiltonian = dress(
             state.hamiltonian,
             gens,

@@ -165,6 +165,20 @@ class TestExact:
         res = ok(runner, ["exact", str(text), "--n-elec", "2"])
         assert "ground energy: -1\n" in res.output
 
+    def test_header_width_survives_the_text_round_trip(self, runner, tmp_path):
+        # only orbital 1 (qubits 0 and 1) has an integral, at +0.5 Eh, so two
+        # electrons cost 1 Eh on 2 qubits and nothing on the 16 the header declares
+        fcidump = tmp_path / "norb8.fcidump"
+        fcidump.write_text("&FCI NORB=8,NELEC=2 &END\n0.5 1 1 0 0\n", encoding="utf-8")
+        text = tmp_path / "norb8.txt"
+        ok(runner, ["transform", str(fcidump), "-o", str(text)])
+        assert "# qubits: 16\n" in text.read_text(encoding="utf-8")
+        for width in ([], ["--n-qubits", "16"]):
+            res = ok(runner, ["exact", str(text), "--n-elec", "2", *width])
+            assert "ground energy: 0\n" in res.output
+        res = ok(runner, ["exact", str(text), "--n-elec", "2", "--n-qubits", "2"])
+        assert "ground energy: 1\n" in res.output
+
 
 class TestIqcc:
     def test_trajectory_and_checkpoints(self, runner, tmp_path, h2_text):
@@ -401,6 +415,12 @@ class TestBadInput:
         path.write_bytes(b"1.0 Z0\n\xff\xfe\n")
         self.usage_error(runner, ["exact", str(path)], "can't decode byte 0xff")
 
+    def test_header_narrower_than_an_index(self, runner, tmp_path):
+        path = tmp_path / "narrow.txt"
+        path.write_text("# qubits: 2\n1.0 Z0\n0.5 Z5\n", encoding="utf-8")
+        self.usage_error(runner, ["exact", str(path)],
+                         "qubit index 5 outside the declared 2 qubits")
+
     def test_text_hamiltonian_past_the_sum_width(self, runner, tmp_path):
         path = tmp_path / "wide.txt"
         path.write_text("1.0 Z0 X64\n", encoding="utf-8")
@@ -573,6 +593,25 @@ class TestConfig:
                           "--scheme", "ilcap-pre"])
         assert "E_ILCAP" in res.output
         assert "E_QCC" not in res.output
+
+    @pytest.mark.parametrize("command", ["iqcc", "ilcap", "scan"])
+    def test_seed_is_no_option(self, runner, tmp_path, h2_text, command):
+        # no solver draws random numbers, so there is no seed to set
+        if command == "scan":
+            target = [R14, "--radii", "1.4", "-o", str(tmp_path / "scan.csv")]
+        else:
+            target = [h2_text, "--n-elec", "2"]
+        res = runner.invoke(main, [command, *target, "--seed", "1"])
+        assert res.exit_code == 2, res.output
+        assert "No such option" in res.output and "--seed" in res.output
+
+    @pytest.mark.parametrize("command", ["iqcc", "ilcap"])
+    def test_ini_seed_is_ignored(self, runner, tmp_path, h2_text, command):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\nseed = 0\n", encoding="utf-8")
+        plain = ok(runner, [command, h2_text, "--n-elec", "2"])
+        res = ok(runner, ["--config", str(cfg), command, h2_text, "--n-elec", "2"])
+        assert res.output == plain.output
 
     @pytest.mark.parametrize("text, command, flag", [
         ("[run]\nn_elec = 2\n\n[ilcap]\nscheme = iqcc\n", "ilcap", "--scheme"),

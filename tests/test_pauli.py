@@ -290,6 +290,18 @@ class TestPauliSum:
         with pytest.raises(ValueError):
             PauliSum.from_text("1.0 Z5\n", 2)
 
+    def test_from_text_reads_the_qubits_header(self):
+        s = PauliSum.from_text("1.0 Z0\n-0.5 X0 X1\n", 16)
+        again = PauliSum.from_text(f"# qubits: 16\n# terms: {len(s)}\n" + s.to_text())
+        assert again == s and again.n == 16
+        assert PauliSum.from_text("# qubits: 16\n1.0 Z0\n", 3).n == 3  # explicit n wins
+
+    def test_from_text_refuses_a_narrow_header(self):
+        with pytest.raises(ValueError, match="qubit index 5 outside the declared 2 qubits"):
+            PauliSum.from_text("# qubits: 2\n1.0 Z0\n0.5 Z5\n")
+        with pytest.raises(ValueError, match="line 1: bad qubit count"):
+            PauliSum.from_text("# qubits: two\n1.0 Z0\n")
+
     def test_max_abs_coefficient(self):
         s = PauliSum.from_text("0.5 X0\n-2.0 Z1\n", 2)
         assert s.max_abs_coefficient() == 2.0

@@ -22,7 +22,7 @@ def test_library_import_leaves_out_cli():
 
 
 def test_library_and_cli_import_leave_out_scipy():
-    # scipy loads only once a command calls the optimizer, the Morse fit or the oracle
+    # scipy loads only once a command calls the Morse fit, the oracle or a large direct CI
     check = ("import sys, qubitcc, qubitcc.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert fresh_interpreter(check) == "[]"

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from qubitcc import oracle, qcc
+from qubitcc.acset import canonical_generator
 from qubitcc.pauli import PauliSum, PauliWord, ReferenceState, commutes, half_commutator
 from qubitcc.screen import ising_decompose
 from qubitcc.qcc import (
@@ -18,6 +21,7 @@ from qubitcc.qcc import (
 
 from conftest import (
     conjugation_energy_and_gradient,
+    fresh_interpreter,
     random_sum,
     random_word,
     word_expectation,
@@ -220,14 +224,134 @@ class TestOptimize:
         assert opt.energy == pytest.approx(ref.expectation(h))
         assert opt.amplitudes.shape == (0,)
 
-    def test_deterministic_for_fixed_seed(self, rng):
-        h = random_sum(rng, 4, 10)
-        gens = [random_word(rng, 4) for _ in range(2)]
-        ref = ReferenceState(4, 2)
-        a = optimize_amplitudes(h, gens, ref, seed=7)
-        b = optimize_amplitudes(h, gens, ref, seed=7)
-        assert a.energy == b.energy
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+    def test_deterministic(self, rng):
+        for _ in range(10):
+            h = random_sum(rng, 4, 10)
+            gens = [random_word(rng, 4) for _ in range(3)]
+            ref = ReferenceState(4, 2)
+            a = optimize_amplitudes(h, gens, ref)
+            b = optimize_amplitudes(h, gens, ref)
+            assert a.energy.hex() == b.energy.hex()
+            assert [t.hex() for t in a.amplitudes] == [t.hex() for t in b.amplitudes]
+            assert (a.iterations, a.restarts_used) == (b.iterations, b.restarts_used)
+
+
+# optimize_amplitudes on acceptance criterion 4's 50 instances, as the optimizer
+# the sweeps replaced left them: scipy's BFGS from zero, then up to four seeded
+# random restarts; the energies were written with float.hex()
+BFGS_ENERGIES = [
+    '0x0.0p+0', '-0x1.e81625f87770ep+0', '-0x1.6628e868baf06p-1',
+    '-0x1.184b224492f24p-2', '0x0.0p+0', '-0x1.669ea6c3053a8p-3',
+    '-0x1.40346dc218b10p-4', '0x0.0p+0', '-0x1.5f19eb733d272p-1',
+    '-0x1.6ea1fd3b12795p-2', '0x0.0p+0', '0x0.0p+0',
+    '-0x1.b90e48ac664fap-2', '-0x1.adfa34670b160p-4', '-0x1.1b86ca294b5c2p+0',
+    '0x0.0p+0', '-0x1.0100000000000p-61', '-0x1.6267aa8825313p+0',
+    '-0x1.682b01a8c6c96p-1', '0x0.0p+0', '0x0.0p+0',
+    '-0x1.0000000000000p-60', '-0x1.94db6c289bef9p-2', '-0x1.0000000000000p-60',
+    '-0x1.4073d7d6a8bdep-1', '0x0.0p+0', '-0x1.5349603dba540p-2',
+    '0x0.0p+0', '-0x1.47aab3fecf6bcp-1', '0x0.0p+0',
+    '-0x1.d89bc1a43a880p-7', '-0x1.7b70e0cf1f15ep-1', '-0x1.7aecfa16e00a8p-2',
+    '-0x1.3bb1720e067ecp-1', '0x0.0p+0', '-0x1.4400000000000p-64',
+    '0x0.0p+0', '0x0.0p+0', '-0x1.0000000000000p-60',
+    '-0x1.0f3e32680f15dp-1', '-0x1.c8966c835a8b0p-3', '-0x1.8359044bfe389p-3',
+    '0x0.0p+0', '-0x1.41b9bba72ec38p-1', '-0x1.0400000000000p-60',
+    '0x0.0p+0', '0x0.0p+0', '-0x1.fce2129cbf2a2p-3',
+    '0x0.0p+0', '-0x1.e16a66c295938p-3',
+]
+
+
+def criterion_4_instances():
+    """(h, generators, ref) of tests/test_acceptance.py::test_dressing_identity."""
+    rng = random.Random(93)
+    for _ in range(50):
+        n = 6
+        h = random_sum(rng, n, 12)
+        ref = ReferenceState(n, rng.randint(0, n))
+        pool = list(range(1, 1 << n))
+        rng.shuffle(pool)
+        yield h, [canonical_generator(n, m) for m in pool[:3]], ref
+
+
+class TestSweeps:
+    """Three or more generators: cyclic exact coordinate steps, no BFGS."""
+
+    def test_never_above_bfgs(self):
+        for (h, gens, ref), want in zip(criterion_4_instances(), BFGS_ENERGIES, strict=True):
+            opt = optimize_amplitudes(h, gens, ref)
+            assert opt.energy <= float.fromhex(want) + 1e-10
+            assert opt.converged
+            energy, grad = qcc_energy_and_gradient(h, gens, opt.amplitudes, ref)
+            assert energy == opt.energy
+            assert np.max(np.abs(grad)) <= 1e-9
+
+    def test_saddle_at_zero_is_escaped(self, monkeypatch):
+        # the third instance: every gradient vanishes at the zero start, and one
+        # sweep stays there, at a saddle
+        h, gens, ref = list(criterion_4_instances())[2]
+        monkeypatch.setattr(qcc, "_MAX_ESCAPES", 0)
+        stalled = optimize_amplitudes(h, gens, ref)
+        assert not stalled.converged and stalled.restarts_used == 0
+        assert stalled.iterations == 1 and not np.any(stalled.amplitudes)
+        assert not np.any(qcc_energy_and_gradient(h, gens, [0.0] * 3, ref)[1])
+        monkeypatch.undo()
+        opt = optimize_amplitudes(h, gens, ref)
+        assert opt.converged and opt.restarts_used >= 1
+        assert opt.energy < stalled.energy - 0.1
+
+    def test_dependent_masks_converge_in_few_sweeps(self):
+        # X masks 1, 7 and 6 are dependent: the amplitudes couple so strongly that
+        # coordinate steps alone take over 1000 sweeps here; the Newton steps take 20
+        gens = [PauliWord.from_factors(3, f) for f in
+                ([("Y", 0)], [("Y", 0), ("X", 1), ("X", 2)], [("Y", 1), ("X", 2)])]
+        rng = random.Random(3)
+        h = random_sum(rng, 3, 12)
+        ref = ReferenceState(3, rng.randint(0, 3))
+        opt = optimize_amplitudes(h, gens, ref)
+        assert opt.converged and opt.iterations < 100
+        _, grad = conjugation_energy_and_gradient(h, gens, opt.amplitudes, ref)
+        assert np.max(np.abs(grad)) <= 1e-8
+
+    def test_four_generators_reach_a_stationary_point(self, rng):
+        for _ in range(20):
+            n = rng.randint(4, 6)
+            h = random_sum(rng, n, 16)
+            pool = list(range(1, 1 << n))
+            rng.shuffle(pool)
+            gens = [canonical_generator(n, m) for m in pool[:4]]
+            ref = ReferenceState(n, rng.randint(0, n))
+            opt = optimize_amplitudes(h, gens, ref)
+            assert opt.converged
+            assert opt.energy <= ref.expectation(h) + 1e-12
+            _, grad = conjugation_energy_and_gradient(h, gens, opt.amplitudes, ref)
+            assert np.max(np.abs(grad)) <= 1e-8
+
+    def test_three_generators_load_no_scipy_optimize(self, tmp_path):
+        fcidump = Path(__file__).parent / "data" / "h4_r2p0.fcidump"
+        text, ckdir = tmp_path / "h4.txt", tmp_path / "ck"
+        h, gens, ref = next(criterion_4_instances())
+        check = (
+            "import sys, numpy as np; "
+            "from qubitcc import qcc; "
+            "from qubitcc.pauli import PauliSum, PauliWord, ReferenceState; "
+            "print('scipy.optimize' in sys.modules); "
+            f"h = PauliSum.from_text({h.to_text()!r}, 6); "
+            f"gens = [PauliWord(6, x, z) for x, z in {[(g.x, g.z) for g in gens]!r}]; "
+            f"print(qcc.optimize_amplitudes(h, gens, ReferenceState(6, {ref.n_elec})).converged); "
+            "print('scipy.optimize' in sys.modules); "
+            "from qubitcc.cli import main; "
+            f"main(['transform', {str(fcidump)!r}, '-o', {str(text)!r}], standalone_mode=False); "
+            f"main(['iqcc', {str(text)!r}, '--n-elec', '4', '--gens', '3', '--iterations', '2', "
+            f"'--checkpoint-dir', {str(ckdir)!r}], standalone_mode=False); "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        lines = fresh_interpreter(check).splitlines()
+        assert lines[:3] == ["False", "True", "False"] and lines[-1] == "False"
+        checkpoints = sorted(ckdir.iterdir())
+        assert len(checkpoints) == 2
+        for path in checkpoints:
+            generators = next(line for line in path.read_text().splitlines()
+                              if line.startswith("# generators: "))
+            assert generators.count("|") == 2
 
 
 class TestClosedFormStep:
@@ -457,7 +581,7 @@ class TestRunIqcc:
     def test_unconverged_zero_step_stops_the_loop(self, monkeypatch):
         # an optimizer that gives up at the zero start leaves H as it was, so
         # every later iteration would pick the same generators again
-        def stuck(h, generators, ref, *, seed=0):
+        def stuck(h, generators, ref):
             return qcc.AmplitudeOptimization(np.zeros(len(generators)), ref.expectation(h),
                                              False, 200, 4)
 
