@@ -17,7 +17,9 @@ any two routes to the same operator accumulate bit-identical results.
 Grouping sorts one packed key ``(x << w) | z`` when the masks fit in
 w <= 32 bits, and lexsorts the two masks above that; an unstable sort
 is exact there, since duplicates are summed in input order by index,
-not in sorted order.
+not in sorted order.  Conjugation by a word does not regroup a sum on
+up to 32 qubits: it sorts only the new product words by the packed key
+(w the qubit count) and merges them into the terms already in order.
 """
 
 from __future__ import annotations
@@ -444,20 +446,48 @@ def conjugate_by_word(h: PauliSum, generator: PauliWord, t: float) -> PauliSum:
     """exp(+i t G/2) h exp(-i t G/2) expanded exactly in the word basis.
 
     Terms commuting with the generator pass through unchanged; the
-    anti-commuting ones are scaled by cos(t), and sin(t) times the half
-    commutator is added.  A word meets at most two contributions (its
-    own term, then one product), and all rows are grouped in one sort.
+    anti-commuting ones are scaled by cos(t) in place, and sin(t) times
+    the half commutator is merged in.  Its words are distinct, so only
+    they are sorted: a product that is already a word of h adds to that
+    term, (0.0 + c cos t) + s as ``from_masks`` would sum it, and the
+    rest are scattered between h's terms.  A sum on more than 32 qubits
+    has no packed key, and there all rows are grouped in one sort.
     No truncation happens here.
     """
     if generator.n != h.n:
         raise ValueError("qubit counts differ")
-    anti, x, z, c = _half_commutator_rows(generator, h)
-    return PauliSum.from_masks(
-        h.n,
-        np.concatenate((h.x, x)),
-        np.concatenate((h.z, z)),
-        np.concatenate((np.where(anti, h.c * math.cos(t), h.c), math.sin(t) * c)),
-    )
+    if not math.isfinite(t):
+        raise ValueError(f"rotation angle must be finite, got {t!r}")
+    at, x, z, s = _half_commutator_rows(generator, h)
+    if not len(at):
+        return h
+    c = h.c.copy()
+    c[at] *= math.cos(t)
+    s *= math.sin(t)
+    if 2 * h.n > 64:
+        return PauliSum.from_masks(
+            h.n, np.concatenate((h.x, x)), np.concatenate((h.z, z)), np.concatenate((c, s))
+        )
+    w = np.uint64(h.n)
+    key = (x << w) | z
+    order = np.argsort(key, kind="stable")  # the keys come in sorted runs, which merge fast
+    key = key[order]
+    old = (h.x << w) | h.z
+    pos = np.searchsorted(old, key)
+    hit = old.take(pos, mode="clip") == key
+    c[pos[hit]] += s[order[hit]]
+    new = order[~hit]
+    slot = pos[~hit] + np.arange(len(new))
+    fresh = np.zeros(len(c) + len(new), dtype=bool)
+    fresh[slot] = True
+    stay = np.flatnonzero(~fresh)
+    out = []
+    for mine, theirs in ((h.x, x), (h.z, z), (c, s)):
+        merged = np.empty(len(fresh), mine.dtype)
+        merged[slot] = theirs[new]
+        merged[stay] = mine
+        out.append(merged)
+    return PauliSum._canonical(h.n, *out)
 
 
 def _half_commutator_rows(
@@ -465,15 +495,16 @@ def _half_commutator_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``half_commutator`` as rows in h's term order, unsorted.
 
-    Returns the anti-commuting flags of h's terms and the (x, z, c)
+    Returns the indices of h's anti-commuting terms and the (x, z, c)
     rows of their products with the generator; the rows' words are
     distinct, since multiplying by one word is a bijection.
     """
-    x, z, k = _mask_product(np.uint64(generator.x), np.uint64(generator.z), h.x, h.z)
-    anti = (k & 1).astype(bool)  # an odd power of i exactly when w anti-commutes
-    c = h.c[anti]
-    # i * i**k for odd k is -1 (k=1) or +1 (k=3)
-    return anti, x[anti], z[anti], np.where(k[anti] == 1, -c, c)
+    gx, gz = np.uint64(generator.x), np.uint64(generator.z)
+    at = np.flatnonzero((np.bitwise_count((gx & h.z) ^ (gz & h.x)) & 1).astype(bool))
+    x, z, k = _mask_product(gx, gz, h.x[at], h.z[at])
+    c = h.c[at]
+    # k is odd on these rows, and i * i**k is -1 (k=1) or +1 (k=3)
+    return at, x, z, np.where(k == 1, -c, c)
 
 
 def half_commutator(generator: PauliWord, h: PauliSum) -> PauliSum:

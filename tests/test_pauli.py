@@ -478,7 +478,8 @@ class TestConjugation:
             em = ref.expectation(conjugate_by_word(h, g, -eps))
             assert d == pytest.approx((ep - em) / (2 * eps), abs=1e-7)
 
-    @pytest.mark.parametrize("n", [1, 7, 63, 64])
+    # 32 qubits is the widest packed key; 33 and up group all rows in one sort
+    @pytest.mark.parametrize("n", [1, 7, 32, 33, 63, 64])
     def test_matches_term_by_term(self, rng, n):
         for _ in range(30):
             h = PauliSum(n, awkward_terms(rng, n) + [(random_word(rng, n), 0.7)])
@@ -488,6 +489,38 @@ class TestConjugation:
             for t in (0.0, math.pi / 2, -math.pi / 2, rng.uniform(-3.0, 3.0)):
                 assert_same_sum(conjugate_by_word(h, g, t), reference_conjugate_by_word(h, g, t))
             assert_same_sum(half_commutator(g, h), reference_half_commutator(g, h))
+
+    @pytest.mark.parametrize("n", [3, 32, 33])
+    @pytest.mark.parametrize("case", ["every product hits", "no product hits", "no anti", "empty"])
+    def test_merge_cases_match_term_by_term(self, rng, n, case):
+        for _ in range(20):
+            g = random_word(rng, n)
+            pool = [random_word(rng, n) for _ in range(12)]
+            commuting = {w for w in pool if commutes(w, g)}
+            anti = [w for w in pool if not commutes(w, g)]
+            if case == "every product hits":
+                words = commuting | set(anti) | {multiply(w, g)[0] for w in anti}
+            elif case == "no product hits":
+                words = set(commuting)
+                for w in anti:
+                    if multiply(w, g)[0] not in words:
+                        words.add(w)
+            else:
+                words = commuting if case == "no anti" else set()
+            h = PauliSum(n, [(w, rng.uniform(-1.0, 1.0)) for w in words])
+            n_anti = sum(not commutes(w, g) for w in h.words())
+            for t in (0.0, math.pi / 2, math.pi, rng.uniform(-3.0, 3.0)):
+                got = conjugate_by_word(h, g, t)
+                assert_same_sum(got, reference_conjugate_by_word(h, g, t))
+            # at the random angle no coefficient vanishes, so the count shows the case
+            assert len(got) == len(h) + (n_anti if case == "no product hits" else 0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_raises(self, rng, t):
+        h = random_sum(rng, 4, 10)
+        for g in (random_word(rng, 4), PauliWord.identity(4)):
+            with pytest.raises(ValueError, match="finite"):
+                conjugate_by_word(h, g, t)
 
     def test_half_commutator_matches_dense(self, rng):
         for _ in range(40):

@@ -20,10 +20,12 @@ from qubitcc.qcc import (
 )
 
 from conftest import (
+    assert_same_sum,
     conjugation_energy_and_gradient,
     fresh_interpreter,
     random_sum,
     random_word,
+    reference_conjugate_by_word,
     word_expectation,
 )
 
@@ -547,6 +549,31 @@ class TestDress:
         pruned = dress(h, gens, [0.3, 0.3, 0.3], truncation_threshold=1e-2)
         assert len(pruned) <= len(full)
         assert all(abs(c) >= 1e-2 for _, c in pruned.items())
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_truncated_chain_matches_term_by_term(self, rng, n):
+        # X masks from a span of three, so each step's products land among
+        # and between the words of the steps before; magnitudes from 1e-9
+        # to 1, so truncation drops words that later steps make again
+        basis = [rng.getrandbits(n) for _ in range(3)]
+        span = sorted({a ^ b ^ c for a in (0, basis[0]) for b in (0, basis[1]) for c in (0, basis[2])})
+        h = PauliSum(n, [(PauliWord(n, rng.choice(span), rng.getrandbits(n)),
+                          rng.choice((-1, 1)) * 10 ** rng.uniform(-9, 0)) for _ in range(40)])
+        sectors = sorted({w.x for w in h.words()} - {0})
+        gens = [canonical_generator(n, rng.choice(sectors)) for _ in range(10)]
+        ts = [rng.choice((-1, 1)) * 10 ** rng.uniform(-4, 0.2) for _ in range(10)]
+        want = h
+        for g, t in zip(gens, ts):
+            want = reference_conjugate_by_word(want, g, t).truncate(1e-8)
+        assert_same_sum(dress(h, gens, ts, truncation_threshold=1e-8), want)
+        assert 2 * len(h) < len(want) < len(dress(h, gens, ts))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_raises(self, t):
+        h = PauliSum.from_text("1.0 Z0 Z1\n0.5 X0 X1\n")
+        gen = PauliWord.from_factors(2, [("Y", 0), ("X", 1)])
+        with pytest.raises(ValueError, match="finite"):
+            dress(h, [gen], [t], truncation_threshold=1e-8)
 
 
 class TestRunIqcc:
