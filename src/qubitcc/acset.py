@@ -128,7 +128,6 @@ def build_anticommuting_set(
         raise ValueError("need at least one qubit")
     if max_generators is not None and max_generators < 0:
         raise ValueError("max_generators must be non-negative")
-    full = (1 << n) - 1
     columns = _checked_masks(n, x_masks)
     if not len(columns):
         return AnticommutingSet(n, (), (), (), ())
@@ -143,11 +142,8 @@ def build_anticommuting_set(
     for col, row, is_secondary in classes.usable:
         if max_generators is not None and len(gens) >= max_generators:
             break
-        if is_secondary:
-            z_new = full ^ ((1 << row) - 1)  # z_row ... z_{n-1}
-        else:
-            z_new = (1 << (row + 1)) - 1  # z_0 ... z_row
-        z_old = apply_transpose(res.transform, z_new)
+        chain = standard_f(row, n) if is_secondary else standard_majorana_d(row, n)
+        z_old = apply_transpose(res.transform, chain.z)
         gens.append(PauliWord(n, x_masks[col], z_old))
         cols.append(col)
         kinds.append("secondary" if is_secondary else "primary")

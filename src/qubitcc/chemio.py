@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import SUM_QUBIT_CAP, PauliSum, ReferenceState, _group_masks
+from .pauli import SUM_QUBIT_CAP, PauliSum, ReferenceState
 
 __all__ = [
     "JW_QUBIT_CAP",
@@ -220,13 +220,12 @@ def load_fcidump(path: str) -> FcidumpData:
 # one-body (p, q) ascending, two-body (p, q, r, s) ascending, then spins,
 # then the X/Y choice of each factor, first factor slowest.
 
-_DROP_THRESHOLD = 1e-12  # mapped terms at or below this magnitude are dropped
+_DROP_THRESHOLD = 1e-12  # mapped terms below this magnitude are dropped
 _HERMITIAN_TOL = 1e-10  # relative to the largest integral, or to 1
 
 _SPIN = np.arange(2)
 _SIGMA, _TAU = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # (s, t) pairs, t fastest
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # (terms, batch): x, z (uint64), phase a of i**a (uint8)
-_Terms = tuple[np.ndarray, np.ndarray, np.ndarray]  # distinct x, z in canonical order, float c
 
 
 def _ladder(qubits: np.ndarray, dagger: bool) -> _Rows:
@@ -259,7 +258,7 @@ def _expand(factors: list[_Rows]) -> _Rows:
     return x, z, a
 
 
-def _real_rows(weight: np.ndarray, rows: _Rows) -> _Terms:
+def _real_rows(weight: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re of the sum over b of weight[b] times column b: its real-phase rows, batch slowest.
 
     weight carries the 1/2 of each ladder factor.
@@ -269,26 +268,6 @@ def _real_rows(weight: np.ndarray, rows: _Rows) -> _Terms:
     real = ((m & 1) == 0).T
     c = np.where(m & 2, -weight, weight)
     return x.T[real], z.T[real], c.T[real]
-
-
-def _merge(acc: _Terms | None, terms: _Terms) -> _Terms:
-    """acc + terms with one entry per word, in canonical order.
-
-    acc goes first, so each word's running sum continues where it left
-    off; ``np.bincount`` then adds the terms sequentially in input
-    order, as a dict accumulating term by term would.
-    """
-    if acc is not None:
-        terms = tuple(np.concatenate(pair) for pair in zip(acc, terms))
-    x, z, c = terms
-    ux, uz, inverse = _group_masks(x, z)
-    return ux, uz, np.bincount(inverse, weights=c, minlength=len(ux))
-
-
-def _finish(n_q: int, acc: _Terms, drop_threshold: float) -> PauliSum:
-    x, z, c = acc
-    keep = np.abs(c) > drop_threshold
-    return PauliSum._canonical(n_q, x[keep], z[keep], c[keep])
 
 
 def _check_width(n_orb: int) -> None:
@@ -350,6 +329,7 @@ def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = _DROP_THRESHOLD
     """
     n_orb = data.n_orb
     _check_width(n_orb)
+    n_q = 2 * n_orb
     one, two = data.one_body, data.two_body
     _check_hermitian(one, two)
 
@@ -361,8 +341,8 @@ def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = _DROP_THRESHOLD
         _ladder(2 * q[:, None] + _SPIN, False),
     ]))
     identity = np.zeros(1, np.uint64)
-    acc = _merge(None, (np.concatenate([identity, x]), np.concatenate([identity, z]),
-                        np.concatenate([[data.e_core], c])))
+    acc = PauliSum.from_masks(n_q, np.concatenate([identity, x]), np.concatenate([identity, z]),
+                              np.concatenate([[data.e_core], c]))
 
     # two-body: per p, (q, r, s) orbit representatives, then the (s, t) spin pair
     (p, q, r, s), weight = _two_body_orbits(two)
@@ -380,10 +360,12 @@ def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = _DROP_THRESHOLD
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         pending.append(_real_rows(g[lo:hi], _expand([tuple(a[:, lo:hi] for a in f) for f in factors])))
         rows = sum(len(block[0]) for block in pending)
-        if rows and (rows >= len(acc[0]) or hi == len(g)):
-            acc = _merge(acc, tuple(np.concatenate(cols) for cols in zip(*pending)))
+        if rows and (rows >= len(acc) or hi == len(g)):
+            # the terms so far lead, so each word's sum continues one left fold
+            cols = zip((acc.x, acc.z, acc.c), *pending)
+            acc = PauliSum.from_masks(n_q, *map(np.concatenate, cols))
             pending = []
-    return _finish(2 * n_orb, acc, drop_threshold)
+    return acc.truncate(drop_threshold)
 
 
 def spin_penalty(n_orb: int) -> PauliSum:
@@ -391,27 +373,28 @@ def spin_penalty(n_orb: int) -> PauliSum:
 
     Vanishes on any singlet; its reference expectation exposes spin
     contamination.  Add mu/2 times this to a Hamiltonian to push
-    non-singlet states up by mu/2 per unit of W.  Terms at or below
-    1e-12 in magnitude are dropped, and the operator is capped at
+    non-singlet states up by mu/2 per unit of W.  Terms below 1e-12
+    in magnitude are dropped, and the operator is capped at
     JW_QUBIT_CAP qubits, as in the mapping.
     """
     if n_orb < 1:
         raise ValueError("need at least one spatial orbital")
     _check_width(n_orb)
+    n_q = 2 * n_orb
     alpha = 2 * np.arange(n_orb)
     # S_+ = sum_p a+_(p alpha) a_(p beta), as one batch; its words are all distinct
     x, z, a = (r.T.reshape(-1, 1) for r in _expand([_ladder(alpha, True), _ladder(alpha + 1, False)]))
     # S_- = S_+ adjoint: (i**a X^x Z^z)+ = i**-a Z^z X^x
     s_minus = (x, z, 2 * np.bitwise_count(x & z) - a)
     sixteenth = np.full(1, 1 / 16)
-    acc = _merge(None, _real_rows(sixteenth, _expand([s_minus, (x, z, a)])))
+    acc = PauliSum.from_masks(n_q, *_real_rows(sixteenth, _expand([s_minus, (x, z, a)])))
     # S_z = sum_p (z_(p beta) - z_(p alpha))/4, beta first within each p
     qubits = np.stack([alpha + 1, alpha], axis=1).reshape(-1, 1).astype(np.uint64)
     sz = (np.zeros_like(qubits), np.left_shift(np.uint64(1), qubits),
           np.tile(np.array([[0], [2]], np.uint8), (n_orb, 1)))
-    # S_z^2 sums on its own before the merge, as the summation order matters
-    sz_sq = _merge(None, _real_rows(sixteenth, _expand([sz, sz])))
-    return _finish(2 * n_orb, _merge(acc, sz_sq), _DROP_THRESHOLD)
+    # S_z^2 sums on its own before it joins, as the summation order matters
+    sz_sq = PauliSum.from_masks(n_q, *_real_rows(sixteenth, _expand([sz, sz])))
+    return (acc + sz_sq).truncate(_DROP_THRESHOLD)
 
 
 def add_spin_penalty(h: PauliSum, n_orb: int, mu: float) -> PauliSum:

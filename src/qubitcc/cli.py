@@ -242,7 +242,8 @@ def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, list[str]
     penalty it comes from the Pauli-sector oracle instead, as W = S^2 - S_z
     is not spin free: no single S_z block holds the sector's minimum.
     The estimators and the exact solve fail independently: either one's
-    cells still come through when the other raises.
+    cells still come through when the other raises, and a solver's
+    refusal (a size cap) is the point's E_exact warning.
     """
     index, path, mu, cfg = payload
     try:
@@ -265,8 +266,7 @@ def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, list[str]
         else:
             from . import oracle  # imported here: scipy.sparse loads only for oracle commands
 
-            if h.n <= oracle.APPLY_QUBIT_CAP and math.comb(h.n, data.n_elec) <= oracle.SECTOR_STATE_CAP:
-                row["E_exact"] = oracle.ground_energy(h, n_elec=data.n_elec)
+            row["E_exact"] = oracle.ground_energy(h, n_elec=data.n_elec)
     except Exception as exc:  # noqa: BLE001
         messages.append(f"{path}: E_exact: {exc}")
     return index, row or None, messages

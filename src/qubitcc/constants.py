@@ -9,6 +9,3 @@ HARTREE_TO_INVCM = 2.1947463136320e5
 
 # atomic mass constant over the electron mass, m_u / m_e
 AMU_TO_ELECTRON_MASS = 1822.888486209
-
-# Bohr radius in Angstrom
-BOHR_TO_ANGSTROM = 0.529177210903

@@ -193,8 +193,6 @@ def dress_with_combination(
     generators: Sequence[PauliWord],
     t: float,
     alphas: Sequence[float],
-    *,
-    truncation_threshold: float = 0.0,
 ) -> PauliSum:
     """Conjugate h by exp(-i t T / 2) with T the alpha-combination.
 
@@ -209,7 +207,8 @@ def dress_with_combination(
     (k, j) and (j, k).  All words are grouped in one sort, and each
     word's sums still run over the (k, j, term) rows in that order (an
     odd row only ever added 0.0), so the result is bit-identical to the
-    term-by-term expansion.
+    term-by-term expansion.  Nothing is pruned here: a caller that
+    wants the result pruned calls ``.truncate`` on it.
     """
     if len(generators) != len(alphas):
         raise ValueError("one weight per generator required")
@@ -219,7 +218,7 @@ def dress_with_combination(
     if not np.all(np.isfinite(alphas)):
         raise ValueError(f"combination weights must be finite, got {alphas.tolist()}")
     if t == 0.0 or len(generators) == 0 or not np.any(alphas):
-        return h.truncate(truncation_threshold) if truncation_threshold > 0 else h
+        return h
     norm = float(np.sum(alphas**2))
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"combination weights have norm {norm:.6f}, need 1")
@@ -272,8 +271,7 @@ def dress_with_combination(
     # is never -0.0, so adding fc * 0.0 where T h T is absent is exact
     total = np.bincount(inverse[:linear], weights=np.concatenate(cs), minlength=len(ux))
     total += fc * real
-    out = PauliSum._canonical(h.n, ux, uz, total)
-    return out.truncate(truncation_threshold) if truncation_threshold > 0 else out
+    return PauliSum._canonical(h.n, ux, uz, total)
 
 
 @dataclass(frozen=True, slots=True)

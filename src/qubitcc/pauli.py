@@ -235,6 +235,12 @@ def _group_masks(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return ux, uz, inverse
 
 
+def _sum_width(n: int) -> int:
+    if not 1 <= n <= SUM_QUBIT_CAP:
+        raise ValueError(f"a Pauli sum spans 1 to {SUM_QUBIT_CAP} qubits, got {n}")
+    return n
+
+
 class PauliSum:
     """Real linear combination of Pauli words in canonical term order.
 
@@ -245,9 +251,7 @@ class PauliSum:
     __slots__ = ("n", "x", "z", "c")
 
     def __init__(self, n: int, terms: Iterable[tuple[PauliWord, float]] = ()):
-        if not 1 <= n <= SUM_QUBIT_CAP:
-            raise ValueError(f"a Pauli sum spans 1 to {SUM_QUBIT_CAP} qubits, got {n}")
-        self.n = n
+        self.n = _sum_width(n)
         pairs = list(terms)
         if any(word.n != n for word, _ in pairs):
             raise ValueError("term qubit count differs from the sum's")
@@ -264,7 +268,8 @@ class PauliSum:
         Duplicate words add up in input order (``np.bincount`` is a
         sequential loop) and exact zeros drop out.
         """
-        out = cls(n)
+        out = cls.__new__(cls)
+        out.n = _sum_width(n)
         out._assign(np.asarray(x, np.uint64), np.asarray(z, np.uint64), np.asarray(c, np.float64))
         return out
 
@@ -345,10 +350,20 @@ class PauliSum:
         return float(np.max(np.abs(self.c), initial=0.0))
 
     def truncate(self, threshold: float) -> "PauliSum":
-        """Drop every term with coefficient magnitude below ``threshold``."""
+        """Drop every term with coefficient magnitude below ``threshold``.
+
+        The one pruning rule: the mapping's final drop and every dressing
+        step prune through it.  A nan or negative threshold raises; when
+        nothing drops, ``self`` comes back, and at 0 without a pass over
+        the terms, as no stored coefficient is zero.
+        """
         if not threshold >= 0.0:
             raise ValueError(f"threshold must be non-negative, got {threshold!r}")
+        if threshold == 0.0:
+            return self
         keep = np.abs(self.c) >= threshold
+        if keep.all():
+            return self
         return PauliSum._canonical(self.n, self.x[keep], self.z[keep], self.c[keep])
 
     # -- text round trip ------------------------------------------------

@@ -34,16 +34,21 @@ class RunConfig:
 
 def _ilcap_family(h: PauliSum, ref: ReferenceState, cfg: RunConfig, prefix: str,
                   with_en: bool = True) -> dict[str, float]:
-    """E_prefix, +BW, and optionally +EN for the combination ansatz on h."""
+    """E_prefix, +BW, and optionally +EN for the combination ansatz on h.
+
+    E_prefix is BW's uncorrected energy, the lowest eigenvalue of the
+    same ansatz matrix ``solve_ilcap`` solves; only EN needs that
+    solution's amplitude and weights.
+    """
     dec = ising_decompose(h)
     ranked = gradients(dec, ref)
     acs = build_anticommuting_set(h.n, ranked.masks, cfg.max_generators)
-    sol = solve_ilcap(h, acs.generators, ref)
     used = {g.x for g in acs.generators}
     excluded = [m for m in dec.sectors if m not in used]
     bw = bw_correct(h, acs.generators, excluded, ref)
-    out = {prefix: sol.energy, f"{prefix}+BW": bw.energy}
+    out = {prefix: bw.uncorrected_energy, f"{prefix}+BW": bw.energy}
     if with_en:
+        sol = solve_ilcap(h, acs.generators, ref)
         dressed = dress_with_combination(h, acs.generators, sol.t, sol.alphas)
         out[f"{prefix}+EN"] = en_correct(dressed, ref).energy
     return out

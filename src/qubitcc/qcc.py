@@ -438,19 +438,18 @@ def dress(
     *,
     truncation_threshold: float = 0.0,
 ) -> PauliSum:
-    """Similarity-transform h by the optimized unitary, then prune.
+    """Similarity-transform h by the optimized unitary, pruning each step.
 
     Conjugations run k = 1..L (innermost first), the same order the
     subspace energy applies the generators in, so the dressed
     expectation on the reference reproduces the optimized energy up to
-    rounding and what truncation removes.
+    rounding and what truncation removes.  ``PauliSum.truncate`` prunes
+    after every conjugation, so a nan or negative threshold raises.
     """
     if len(generators) != len(amplitudes):
         raise ValueError("one amplitude per generator required")
     for gen, t in zip(generators, amplitudes):
-        h = conjugate_by_word(h, gen, t)
-        if truncation_threshold > 0.0:
-            h = h.truncate(truncation_threshold)
+        h = conjugate_by_word(h, gen, t).truncate(truncation_threshold)
     return h
 
 

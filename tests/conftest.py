@@ -368,7 +368,7 @@ def _fold_real(n_q, acc, drop_threshold):
     scale = max(1.0, max((abs(v) for v in acc.values()), default=0.0))
     if worst > 1e-10 * scale:
         raise ValueError(f"qubit operator has imaginary coefficients up to {worst:.3e}")
-    terms = [(w, v.real) for w, v in acc.items() if abs(v.real) > drop_threshold]
+    terms = [(w, v.real) for w, v in acc.items() if abs(v.real) >= drop_threshold]
     return PauliSum(n_q, terms)
 
 
@@ -461,7 +461,7 @@ def reference_jw_orbits(data, *, drop_threshold=1e-12):
                     [create[2 * p + s], create[2 * r + t], destroy[2 * s_orb + t], destroy[2 * q + s]],
                     weight,
                 )
-    return PauliSum(n_q, [(w, v) for w, v in acc.items() if abs(v) > drop_threshold])
+    return PauliSum(n_q, [(w, v) for w, v in acc.items() if abs(v) >= drop_threshold])
 
 
 def reference_spin_penalty(n_orb, *, drop_threshold=1e-12):

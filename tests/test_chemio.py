@@ -275,6 +275,12 @@ class TestJordanWigner:
         assert len(loose) < len(tight)
         assert all(abs(c) > 0.05 for _, c in loose.items())
 
+    def test_drop_threshold_keeps_a_term_at_it(self, h2_fcidump):
+        # the drop is PauliSum.truncate's, which keeps a magnitude equal to the threshold
+        data = load_fcidump(str(h2_fcidump))
+        for word, c in jw_hamiltonian(data).items():
+            assert jw_hamiltonian(data, drop_threshold=abs(c)).coefficient(word) == c
+
 
 class TestSpinPenalty:
     def test_closed_shell_reference_is_annihilated(self, h2_fcidump):
@@ -396,6 +402,20 @@ class TestMaskArrayExpansion:
     @pytest.mark.parametrize("n_orb", [1, 2, 4])
     def test_spin_penalty_bit_identical(self, n_orb):
         assert bitwise_terms(spin_penalty(n_orb)) == bitwise_terms(reference_spin_penalty(n_orb))
+
+    # 34 qubits: the masks are too wide for a packed key, so every join of
+    # the terms so far groups them on the two-mask lexsort path
+    def test_spin_penalty_bit_identical_above_32_qubits(self):
+        assert bitwise_terms(spin_penalty(17)) == bitwise_terms(reference_spin_penalty(17))
+
+    def test_jw_orbit_order_bit_identical_above_32_qubits(self):
+        data = parse_fcidump(
+            "&FCI NORB=17,NELEC=2 &END\n0.6745 1 1 1 1\n0.1813 17 1 17 1\n0.6636 17 17 1 1\n"
+            "0.6975 17 17 17 17\n-1.2528 1 1 0 0\n-0.4756 17 17 0 0\n"
+        )
+        got = jw_hamiltonian(data)
+        assert int(np.max(got.z)).bit_length() == 34
+        assert bitwise_terms(got) == bitwise_terms(reference_jw_orbits(data))
 
     def test_non_symmetric_one_body_raises(self, rng):
         data = random_fcidump(rng, 3, 2, 0.0)

@@ -314,6 +314,17 @@ class TestScan:
         assert f"warning: {R10}: E_exact: no convergence" in res.output
         assert read_csv(out)[0] == ["r", "E_ILCAP", "E_ILCAP+BW", "E_ILCAP+EN"]
 
+    def test_spin_penalty_oracle_cap_is_a_warning(self, runner, tmp_path, monkeypatch):
+        # the oracle's own size cap refuses the point, and its message is the warning
+        monkeypatch.setattr(oracle, "SECTOR_STATE_CAP", 2)
+        out = tmp_path / "scan.csv"
+        res = ok(runner, ["scan", R10, "--radii", "1.0", "--mu", "0.5", "-o", str(out)])
+        assert f"warning: {R10}: E_exact: " in res.output
+        assert "capped at 2" in res.output
+        rows = read_csv(out)
+        assert rows[0] == ["r", "E_ILCAP", "E_ILCAP+BW", "E_ILCAP+EN"]
+        assert all(rows[1])
+
     def test_spin_penalty_keeps_the_pauli_sector_oracle(self, runner, tmp_path):
         # the lowest 2-electron state is a triplet, which mu/2 W lifts above the singlet
         path = tmp_path / "hund.fcidump"

@@ -373,7 +373,7 @@ class TestDressWithCombination:
                 alphas /= math.sqrt(float(np.sum(alphas**2)))
                 t = rng.uniform(-3.0, 3.0)
                 cut = rng.choice([0.0, 0.0, 1e-3, 0.1])
-                got = dress_with_combination(h, gens, t, alphas, truncation_threshold=cut)
+                got = dress_with_combination(h, gens, t, alphas).truncate(cut)
                 assert_same_sum(got, _dress_reference(h, gens, t, alphas, truncation_threshold=cut))
                 checked += 1
         assert checked == 100
@@ -403,7 +403,7 @@ class TestDressWithCombination:
         ]
         for generators, t, alphas in cases:
             for cut in (0.0, 0.05):
-                got = dress_with_combination(h, generators, t, alphas, truncation_threshold=cut)
+                got = dress_with_combination(h, generators, t, alphas).truncate(cut)
                 want = _dress_reference(h, generators, t, alphas, truncation_threshold=cut)
                 assert_same_sum(got, want)
 

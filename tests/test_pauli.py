@@ -260,6 +260,12 @@ class TestPauliSum:
         t = s.truncate(0.1)
         assert len(t) == 1 and t.coefficient(PauliWord(1, 1, 0)) == 0.1
 
+    def test_truncate_returns_self_when_nothing_drops(self):
+        s = PauliSum.from_text("0.1 X0\n0.01 Z0\n", 1)
+        assert s.truncate(0.0) is s
+        assert s.truncate(0.005) is s
+        assert s.truncate(0.01) is s
+
     def test_text_round_trip(self, rng):
         s = random_sum(rng, 5, 12)
         again = PauliSum.from_text(s.to_text(), 5)

@@ -5,8 +5,20 @@ import sys
 from pathlib import Path
 
 import qubitcc
+from qubitcc import (
+    RunConfig,
+    build_anticommuting_set,
+    gradients,
+    hf_reference,
+    ising_decompose,
+    jw_hamiltonian,
+    load_fcidump,
+    run_iqcc,
+    run_scheme,
+    solve_ilcap,
+)
 
-from conftest import fresh_interpreter, random_even_sum
+from conftest import DATA_DIR, fresh_interpreter, random_even_sum
 
 
 def test_library_import_leaves_out_cli():
@@ -75,3 +87,20 @@ def test_two_generator_iqcc_leaves_out_scipy_optimize(tmp_path):
         generators = next(line for line in path.read_text().splitlines()
                           if line.startswith("# generators: "))
         assert len(generators.split(" | ")) == 2
+
+
+def test_ilcap_energies_are_the_ilcap_solutions():
+    # the ILCAP cells are BW's uncorrected energy, the same float solve_ilcap
+    # takes from the same matrix, bare (ilcap-pre) and after iQCC (ilcap-post)
+    data = load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump"))
+    h, ref = jw_hamiltonian(data), hf_reference(data)
+
+    def solved(op):
+        acs = build_anticommuting_set(op.n, gradients(ising_decompose(op), ref).masks)
+        return solve_ilcap(op, acs.generators, ref).energy.hex()
+
+    pre = run_scheme(h, ref, RunConfig(scheme="ilcap-pre"))
+    assert pre["E_ILCAP"].hex() == solved(h)
+    post = run_scheme(h, ref, RunConfig(scheme="ilcap-post", generators_per_iteration=2, iterations=2))
+    hd = run_iqcc(h, ref, generators_per_iteration=2, max_iterations=2).hamiltonian
+    assert post["E_QCC(2)+ILCAP"].hex() == solved(hd)

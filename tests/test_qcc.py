@@ -568,6 +568,14 @@ class TestDress:
         assert_same_sum(dress(h, gens, ts, truncation_threshold=1e-8), want)
         assert 2 * len(h) < len(want) < len(dress(h, gens, ts))
 
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0])
+    def test_bad_threshold_raises(self, threshold):
+        # every step prunes through PauliSum.truncate, which refuses the threshold
+        h = PauliSum.from_text("1.0 Z0 Z1\n1e-12 X0 X1\n")
+        gen = PauliWord.from_factors(2, [("Y", 0), ("X", 1)])
+        with pytest.raises(ValueError, match="threshold"):
+            dress(h, [gen], [0.3], truncation_threshold=threshold)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_amplitude_raises(self, t):
         h = PauliSum.from_text("1.0 Z0 Z1\n0.5 X0 X1\n")
