@@ -9,9 +9,9 @@ and choice checks as flags; float options reject nan and inf, and
 tolerances must be >= 0.
 
 Importing this module loads no scipy: the oracle (scipy.sparse) is
-imported by the commands that call it, ``exact`` and ``scan --mu``, the
-direct CI loads scipy's Lanczos solver only for blocks too large to
-diagonalize densely, and scipy.optimize loads only for the Morse fit.
+imported by the commands that call it, ``exact`` and ``scan --mu``, and
+no other command loads scipy (the direct CI and the Morse fit are
+numpy only).
 """
 
 from __future__ import annotations

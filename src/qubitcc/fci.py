@@ -35,14 +35,17 @@ __all__ = ["WORK_CAP", "fci_ground_energy"]
 WORK_CAP = 1 << 23
 # the CI matrix is formed as sigma of the identity while that batch
 # stays this small: H4's 16 x 36 x 36, not H6's 36 x 400 x 400.  On one
-# 2-vCPU core H4 takes 0.6-1.0 ms dense against 4-6 ms by Lanczos (plus
-# 0.3 s for its first scipy import), and H6 100-120 ms and 138 MB dense
-# against 17 ms and 63 MB by Lanczos
+# 2-vCPU core H4 takes 0.3-0.5 ms dense against 1.5-1.9 ms by Davidson,
+# and H6 80-100 ms and 138 MB dense against 4.4 ms and 38 MB by Davidson
 _DENSE_WORK = 1 << 20
-# Lanczos stops at residual norms below this times |energy|: H10's energy
-# is then within 1e-14 Eh of a machine-precision stop, after ~100 instead
-# of ~130 sigma steps
-_LANCZOS_TOL = 1e-12
+# Davidson stops once the residual norm |H x - theta x| is below this:
+# theta is then within |r|^2 / gap of the eigenvalue
+_RESIDUAL_TOL = 1e-8
+_SUBSPACE = 30  # basis vectors before a restart
+_KEEP = 4  # lowest Ritz vectors a restart keeps
+_DAVIDSON_STEPS = 1000
+_MIN_DENOMINATOR = 1e-8  # smallest |theta - H_II| the preconditioner divides by
+_DEPENDENT = 1e-10  # a vector that orthogonalization shrinks below this share is dropped
 
 # pair, target string index and sign, each shaped (strings, entries per string)
 _Table = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -54,6 +57,11 @@ def _strings(n_orb: int, n_occ: int) -> np.ndarray:
     return np.sort(np.array(masks, dtype=np.uint64))
 
 
+def _occupations(strings: np.ndarray, n_orb: int) -> np.ndarray:
+    """(strings, orbitals) booleans: orbital p is occupied in string I."""
+    return (strings[:, None] >> np.arange(n_orb, dtype=np.uint64)) & np.uint64(1) == 1
+
+
 def _replacements(n_orb: int, n_occ: int) -> _Table:
     """Each string's replacement list: E_pq |I> = sign |J> for q occupied, p empty or q.
 
@@ -62,8 +70,7 @@ def _replacements(n_orb: int, n_occ: int) -> _Table:
     n_occ * (n_orb - n_occ + 1) entries, in (p, q) order.
     """
     strings = _strings(n_orb, n_occ)
-    orb = np.arange(n_orb, dtype=np.uint64)
-    occ = (strings[:, None] >> orb) & np.uint64(1) == 1
+    occ = _occupations(strings, n_orb)
     allowed = occ[:, None, :] & (~occ[:, :, None] | np.eye(n_orb, dtype=bool))
     s, p, q = (a.astype(np.uint64) for a in np.nonzero(allowed))  # (s, p, q) ascending
     one = np.uint64(1)
@@ -106,6 +113,74 @@ def _sigma(c: np.ndarray, alpha: _Table, beta: _Table, k: np.ndarray, v: np.ndar
     return out
 
 
+def _diagonal(n_orb: int, n_alpha: int, n_beta: int, one: np.ndarray, two: np.ndarray,
+              e_core: float) -> np.ndarray:
+    """H_II for every determinant, shaped (alpha strings, beta strings).
+
+    Each spin's occupied orbitals add h_pp and 1/2 sum (J_pq - K_pq) over
+    their pairs (J_pp = K_pp, so p = q adds nothing); the two spins add
+    J_pq between them, with J_pq = (pp|qq) and K_pq = (pq|qp).
+    """
+    j = np.einsum("ppqq->pq", two)
+    jk = j - np.einsum("pqqp->pq", two)
+    occ_a, occ_b = (_occupations(_strings(n_orb, n), n_orb).astype(float)
+                    for n in (n_alpha, n_beta))
+
+    def same_spin(occ):
+        return occ @ np.diag(one) + 0.5 * np.einsum("sp,pq,sq->s", occ, jk, occ)
+
+    return e_core + same_spin(occ_a)[:, None] + same_spin(occ_b) + occ_a @ j @ occ_b.T
+
+
+def _orthonormal(t: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """t orthogonalized twice against the rows of basis and normalized; None inside their span."""
+    size = np.linalg.norm(t)
+    for _ in range(2):
+        t = t - (basis @ t) @ basis
+    norm = np.linalg.norm(t)
+    return t / norm if norm > _DEPENDENT * size else None
+
+
+def _davidson(apply, diag: np.ndarray, starts) -> float:
+    """Lowest eigenvalue of the symmetric operator apply, by Davidson's method.
+
+    The basis holds the independent start vectors, then grows by the
+    residual r = H x - theta x of the lowest Ritz pair, preconditioned as
+    r / (theta - H_II) (Davidson, J. Comput. Phys. 17, 87 (1975)).  A
+    correction inside the basis falls back to r itself, and when r lies
+    there too, the basis spans an invariant subspace and theta is exact.
+    At _SUBSPACE vectors (or the whole space) the basis restarts from its
+    _KEEP lowest Ritz vectors.
+    """
+    dim = len(diag)
+    size = min(_SUBSPACE, dim)
+    basis, images = np.empty((size, dim)), np.empty((size, dim))
+    k, new = 0, starts
+    for _ in range(_DAVIDSON_STEPS):
+        for t in new:
+            q = _orthonormal(t, basis[:k])
+            if q is not None:
+                basis[k], images[k] = q, apply(q)
+                k += 1
+        rayleigh = basis[:k] @ images[:k].T
+        theta, vecs = np.linalg.eigh(0.5 * (rayleigh + rayleigh.T))
+        r = vecs[:, 0] @ images[:k] - theta[0] * (vecs[:, 0] @ basis[:k])
+        if np.linalg.norm(r) < _RESIDUAL_TOL:
+            return float(theta[0])
+        if k == size:
+            k = min(_KEEP, k - 1)
+            basis[:k], images[:k] = vecs[:, :k].T @ basis[:size], vecs[:, :k].T @ images[:size]
+        denom = theta[0] - diag
+        denom[np.abs(denom) < _MIN_DENOMINATOR] = _MIN_DENOMINATOR
+        q = _orthonormal(r / denom, basis[:k])
+        if q is None:
+            q = _orthonormal(r, basis[:k])
+            if q is None:
+                return float(theta[0])
+        new = [q]
+    raise RuntimeError(f"Davidson did not converge in {_DAVIDSON_STEPS} steps")
+
+
 def fci_ground_energy(data: FcidumpData) -> float:
     """Lowest eigenvalue of H among n_elec-electron states, by direct CI.
 
@@ -113,8 +188,9 @@ def fci_ground_energy(data: FcidumpData) -> float:
     n_beta = floor(n_elec / 2) as ``hf_reference`` fills them: H is spin
     free, so every spin multiplet has a member there and the block's
     minimum is that of the whole n_elec-electron sector.  Small blocks
-    are diagonalized densely, larger ones by Lanczos (scipy's ``eigsh``)
-    on sigma from a fixed random start vector.  ValueError when the integrals
+    are diagonalized densely, larger ones by Davidson's method on sigma,
+    preconditioned by the diagonal H_II, from the lowest determinant and
+    a fixed random vector; no scipy is loaded.  ValueError when the integrals
     differ from their adjoint's (as in ``jw_hamiltonian``), when n_elec
     lies outside 0..2 n_orb, and when the block has more than WORK_CAP
     orbital pairs x determinants.
@@ -140,12 +216,10 @@ def fci_ground_energy(data: FcidumpData) -> float:
     if n_orb**2 * dim * dim <= _DENSE_WORK:
         mat = _sigma(np.eye(dim).reshape(shape + (dim,)), *args).reshape(dim, dim)
         return float(np.linalg.eigvalsh(mat)[0])
-    # imported here: scipy loads only for blocks too large to form
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    op = LinearOperator(
-        (dim, dim), dtype=float,
-        matvec=lambda x: _sigma(x.reshape(shape + (1,)), *args).ravel(),
-    )
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    return float(eigsh(op, k=1, which="SA", v0=v0, tol=_LANCZOS_TOL, maxiter=5000)[0][0])
+    diag = _diagonal(n_orb, n_alpha, n_beta, one, two, data.e_core).ravel()
+    # H and diag are even under the alpha/beta swap, so a closed-shell
+    # lowest determinant alone would miss a swap-odd (triplet) ground state
+    lowest = np.zeros(dim)
+    lowest[np.argmin(diag)] = 1.0
+    starts = [lowest, np.random.default_rng(0).standard_normal(dim)]
+    return _davidson(lambda x: _sigma(x.reshape(shape + (1,)), *args).ravel(), diag, starts)

@@ -173,7 +173,11 @@ def solve_ilcap(
     weights have unit norm, so the floor does not depend on the energy
     scale, and it needs no knowledge of the symmetry.
     """
-    mat = build_h_matrix(h, generators, ref)
+    return _solve(build_h_matrix(h, generators, ref))
+
+
+def _solve(mat: np.ndarray) -> IlcapSolution:
+    """``solve_ilcap`` from the ansatz matrix."""
     eigvals, eigvecs = np.linalg.eigh(mat)
     energy = float(eigvals[0])
     vec = eigvecs[:, 0].copy()
@@ -307,11 +311,25 @@ def bw_correct(
         if m in gen_masks:
             raise ValueError(f"excluded mask {m:#x} collides with a generator")
 
-    table = _brackets(ising_decompose(h), generators, ref, ordered)
+    return _bw_correct(ising_decompose(h), generators, ordered, ref)[0]
+
+
+def _bw_correct(
+    dec: IsingDecomposition,
+    generators: Sequence[PauliWord],
+    ordered: Sequence[int],
+    ref: ReferenceState,
+) -> tuple[BwResult, np.ndarray]:
+    """``bw_correct`` on a decomposition, for ascending valid excluded masks.
+
+    Also returns the ansatz matrix, the square block of the same table,
+    which is ``build_h_matrix``'s to the bit.
+    """
+    table = _brackets(dec, generators, ref, ordered)
     mat = _h_matrix(table)
     coupling = table[:, len(table) :]  # <v_i|h X|0> for each excluded X
     b = coupling.real
-    d = _diagonal_at(h, np.uint64(ref.occupied_mask) ^ np.array(ordered, dtype=np.uint64))
+    d = _diagonal_at(dec.h, np.uint64(ref.occupied_mask) ^ np.array(ordered, dtype=np.uint64))
     scale = max(1.0, float(np.max(np.abs(mat))), float(np.max(np.abs(b), initial=0.0)))
     _check_real(coupling, scale, "coupling")
 
@@ -331,7 +349,7 @@ def bw_correct(
                 warnings.warn(
                     f"sector {mask:#x} skipped: denominator within "
                     f"{_SINGULAR_TOL:g} of the current energy",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 skipped.add(mask)
         bu = b[:, usable]
@@ -352,7 +370,7 @@ def bw_correct(
         else:
             growth = 0
         prev_step = step
-    return BwResult(energy, e0, converged, iterations, tuple(sorted(skipped)))
+    return BwResult(energy, e0, converged, iterations, tuple(sorted(skipped))), mat
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,21 +390,25 @@ def en_correct(h: PauliSum, ref: ReferenceState) -> EnResult:
     one term per nonzero X sector.  Denominators within 1e-8 of zero
     are skipped with a warning.
     """
-    if h.n != ref.n:
+    return _en_correct(ising_decompose(h), ref)
+
+
+def _en_correct(dec: IsingDecomposition, ref: ReferenceState) -> EnResult:
+    """``en_correct`` on a decomposition."""
+    if dec.n != ref.n:
         raise ValueError("qubit counts differ")
     occ = ref.occupied_mask
-    dec = ising_decompose(h)
     values = dec.at(occ)
     e0 = float(values[0].real)
     masks = dec.masks[1:]
     weights = np.hypot(values.real[1:], values.imag[1:])  # as abs(complex) rounds
-    gaps = e0 - _diagonal_at(h, np.uint64(occ) ^ masks)
+    gaps = e0 - _diagonal_at(dec.h, np.uint64(occ) ^ masks)
     skip = np.abs(gaps) < _SINGULAR_TOL
     skipped = masks[skip].tolist()
     for m, gap in zip(skipped, gaps[skip].tolist()):
         warnings.warn(
             f"sector {m:#x} skipped: degenerate diagonal gap {gap:.3e}",
-            stacklevel=2,
+            stacklevel=3,
         )
     terms = (weights * weights)[~skip] / gaps[~skip]
     # cumsum adds left to right, the sum e0 + term_1 + term_2 + ...

@@ -1,11 +1,15 @@
 """Morse potential fit of a bond scan and its spectroscopic constants.
 
-E(r) = D_e (1 - exp(-a (r - r_e)))^2 + E_min, fit with
-Levenberg-Marquardt using the analytic Jacobian.  The harmonic
-frequency and anharmonicity follow from the fitted parameters:
+E(r) = D_e (1 - exp(-a (r - r_e)))^2 + E_min equals c0 + c1 u + c2 u^2
+with u = exp(-a (r - r0)) for any fixed r0, so at a fixed range
+parameter a the best well is one linear least-squares solve.  The
+four-parameter fit is then a root find in a alone, on the slope of the
+projected residual (variable projection: Golub and Pereyra, SIAM J.
+Numer. Anal. 10, 413 (1973)), and D_e = c1^2 / (4 c2),
+r_e = r0 + ln(-2 c2 / c1) / a and E_min = c0 - D_e follow from c.  The
+harmonic frequency and anharmonicity follow from the well parameters:
 omega = a sqrt(2 D_e / mu) in atomic units, omega x = omega^2 / (4 D_e),
-both reported as wavenumbers.  scipy.optimize is imported at the first
-fit, so importing this module loads no scipy.
+both reported as wavenumbers.  No scipy is loaded.
 """
 
 from __future__ import annotations
@@ -18,6 +22,12 @@ import numpy as np
 from .constants import AMU_TO_ELECTRON_MASS, HARTREE_TO_INVCM
 
 __all__ = ["MorseFit", "morse_energy", "spectroscopic_constants", "fit_morse"]
+
+_NONPHYSICAL = "Morse fit landed on a non-physical well"
+_BRACKET_STEPS = 12  # times a may be doubled or halved in search of a sign change
+_SPAN_MAX = 300.0  # largest a (r_max - r_min): u^2 stays finite
+_XTOL = 1e-13  # the root in a is kept to this relative width
+_ROOT_STEPS = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,29 +60,84 @@ def spectroscopic_constants(d_e: float, a: float, mu_amu: float) -> tuple[float,
     return omega_e, omega_e_x_e
 
 
-def _initial_guess(r: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _initial_range(r: np.ndarray, e: np.ndarray) -> float:
+    """a from the parabola through the lowest point and its neighbours, else 1."""
     i_min = int(np.argmin(e))
-    e_min0 = float(e[i_min])
-    r_e0 = float(r[i_min])
-    d_e0 = max(float(np.max(e) - e_min0), 1e-3)
-    a0 = 1.0
     if 0 < i_min < len(r) - 1:
-        # parabola through the three points around the minimum
-        r3, e3 = r[i_min - 1: i_min + 2], e[i_min - 1: i_min + 2]
-        coeffs = np.polyfit(r3, e3, 2)
+        coeffs = np.polyfit(r[i_min - 1: i_min + 2], e[i_min - 1: i_min + 2], 2)
         if coeffs[0] > 0:
-            r_e0 = float(-coeffs[1] / (2 * coeffs[0]))
-            e_min0 = float(np.polyval(coeffs, r_e0))
             # curvature 2 c2 = 2 D a^2 at the bottom of the well
-            a0 = math.sqrt(max(coeffs[0] / d_e0, 1e-6))
-    return np.array([d_e0, a0, r_e0, e_min0])
+            d_e = max(float(np.max(e) - e[i_min]), 1e-3)
+            return math.sqrt(max(coeffs[0] / d_e, 1e-6))
+    return 1.0
+
+
+def _projection(dr: np.ndarray, e: np.ndarray, a: float):
+    """Best c of c0 + c1 u + c2 u^2 at this a, its residual, and d|res|^2/2 da.
+
+    B^T res vanishes at the least-squares c, so the slope is res^T (dB/da) c
+    alone (the envelope theorem), with du/da = -dr u.
+    """
+    u = np.exp(-a * dr)
+    basis = np.stack((np.ones_like(u), u, u * u), axis=1)
+    c = np.linalg.lstsq(basis, e, rcond=None)[0]
+    res = basis @ c - e
+    return c, res, float(res @ (-dr * u * (c[1] + 2.0 * c[2] * u)))
+
+
+def _root(f, a: float, fa: float, b: float, fb: float) -> float:
+    """Brent's root of f between a and b, where fa and fb differ in sign.
+
+    Inverse quadratic interpolation and secant steps, with bisection when
+    they fall outside the bracket or shrink it too slowly (Brent,
+    Algorithms for Minimization without Derivatives (1973), ch. 4).
+    """
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(_ROOT_STEPS):
+        if (fb > 0) == (fc > 0):  # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best estimate so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = _XTOL * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0:
+            return b
+        bisect = abs(e) < tol or abs(fa) <= abs(fb)
+        if not bisect:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, t = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - t) - (b - a) * (t - 1.0))
+                q = (q - 1.0) * (t - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            bisect = 2.0 * p >= min(3.0 * m * q - abs(tol * q), abs(e * q))
+            if not bisect:
+                e, d = d, p / q
+        if bisect:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    raise RuntimeError(f"Morse fit did not converge in {_ROOT_STEPS} steps")
 
 
 def fit_morse(r, e, mu_amu: float) -> MorseFit:
     """Least-squares Morse fit of points (r, e) in atomic units.
 
-    Needs at least four points (the model has four parameters) and an
-    interior minimum to anchor the initial guess.
+    Needs at least four points (the model has four parameters).  The
+    search for a starts from the parabola through the lowest point and
+    its neighbours when that point is interior, and doubles or halves a
+    until the slope of the projected residual changes sign.
+    RuntimeError when there is no such change, or when the best curve
+    at the root is no well (c2 <= 0 or c1 >= 0): flat data and a
+    repulsive wall have none.
     """
     r = np.asarray(r, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -84,31 +149,36 @@ def fit_morse(r, e, mu_amu: float) -> MorseFit:
         raise ValueError("bond lengths must be distinct")
     order = np.argsort(r)
     r, e = r[order], e[order]
+    # measured from the lowest point, flat data is exactly zero: c = 0, no well
+    low = int(np.argmin(e))
+    dr, de = r - r[low], e - e[low]
 
-    def residuals(p):
-        return morse_energy(r, *p) - e
+    def slope(a: float) -> float:
+        return _projection(dr, de, a)[2]
 
-    def jacobian(p):
-        d_e, a, r_e, _ = p
-        dr = r - r_e
-        u = np.exp(-a * dr)
-        one_m_u = 1.0 - u
-        jac = np.empty((len(r), 4))
-        jac[:, 0] = one_m_u**2
-        jac[:, 1] = 2.0 * d_e * one_m_u * dr * u
-        jac[:, 2] = -2.0 * d_e * one_m_u * a * u
-        jac[:, 3] = 1.0
-        return jac
-
-    # imported here: scipy.optimize costs ~0.3 s of start-up that only the fit needs
-    from scipy.optimize import least_squares
-
-    res = least_squares(residuals, _initial_guess(r, e), jac=jacobian, method="lm")
-    if not res.success:
-        raise RuntimeError(f"Morse fit did not converge: {res.message}")
-    d_e, a, r_e, e_min = (float(v) for v in res.x)
-    if d_e <= 0 or a <= 0:
-        raise RuntimeError("Morse fit landed on a non-physical well")
+    a_max = _SPAN_MAX / (r[-1] - r[0])
+    a = min(_initial_range(r, e), a_max)
+    fa = slope(a)
+    factor = 2.0 if fa < 0 else 0.5
+    for _ in range(_BRACKET_STEPS):
+        if fa == 0:
+            break
+        b = a * factor
+        if b > a_max:
+            raise RuntimeError(_NONPHYSICAL)
+        fb = slope(b)
+        if (fb > 0) != (fa > 0) or fb == 0:
+            a = _root(slope, a, fa, b, fb)
+            break
+        a, fa = b, fb
+    else:
+        raise RuntimeError(_NONPHYSICAL)
+    (c0, c1, c2), res, _ = _projection(dr, de, a)
+    if c2 <= 0 or c1 >= 0:
+        raise RuntimeError(_NONPHYSICAL)
+    d_e = c1 * c1 / (4.0 * c2)
+    r_e = float(r[low] + math.log(-2.0 * c2 / c1) / a)
+    e_min = float(e[low] + c0 - d_e)
     omega_e, omega_e_x_e = spectroscopic_constants(d_e, a, mu_amu)
-    rms = float(np.sqrt(np.mean(res.fun**2)))
-    return MorseFit(d_e, a, r_e, e_min, omega_e, omega_e_x_e, rms)
+    rms = float(np.sqrt(np.mean(res**2)))
+    return MorseFit(float(d_e), float(a), r_e, e_min, omega_e, omega_e_x_e, rms)

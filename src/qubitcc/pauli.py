@@ -183,6 +183,10 @@ def _first_of_runs(a: np.ndarray) -> np.ndarray:
     return first
 
 
+# (term, state) signs that one block of ``_diagonal_at`` holds
+_DIAGONAL_CELLS = 1 << 16
+
+
 def _signed_sums(z, c, keys, bits: int, size: int) -> np.ndarray:
     """Per key, the sum over its terms of c times <bits|Z_z|bits>.
 
@@ -197,15 +201,23 @@ def _signed_sums(z, c, keys, bits: int, size: int) -> np.ndarray:
 def _diagonal_at(h: PauliSum, states: np.ndarray) -> np.ndarray:
     """<b|h|b> for every uint64 basis state b in states at once.
 
-    The diagonal (x = 0) terms lead the canonical order; each one adds
-    its +-c to every state, so each state's total is the same left fold
-    from 0.0 in ascending z that ``_signed_sums`` takes at one state.
+    The diagonal (x = 0) terms lead the canonical order.  Blocks of at
+    most _DIAGONAL_CELLS (term, state) signs are reduced over the term
+    axis below the running totals, which numpy adds row after row while
+    a row has two or more entries (one alone it would sum pairwise, so
+    there are never fewer than two columns).  Each state's total is
+    therefore the same left fold from 0.0 in ascending z that
+    ``_signed_sums`` takes at one state.
     """
-    out = np.zeros(len(states))
     end = int(np.searchsorted(h.x, np.uint64(0), "right"))
-    for z, c in zip(h.z[:end], h.c[:end]):
-        out += np.where(np.bitwise_count(z & states) & 1, -c, c)
-    return out
+    width = len(states)
+    rows = max(1, _DIAGONAL_CELLS // max(width, 2))
+    block = np.zeros((min(rows, end) + 1, max(width, 2)))
+    for lo in range(0, end, rows):
+        z, c = h.z[lo:min(lo + rows, end), None], h.c[lo:min(lo + rows, end), None]
+        block[1:len(z) + 1, :width] = np.where(np.bitwise_count(z & states) & 1, -c, c)
+        block[0] = np.add.reduce(block[:len(z) + 1], axis=0)
+    return block[0, :width].copy()
 
 
 def _group_masks(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .acset import build_anticommuting_set
-from .ilcap import bw_correct, dress_with_combination, en_correct, solve_ilcap
+from .ilcap import _bw_correct, _en_correct, _solve, dress_with_combination, en_correct
 from .pauli import PauliSum, ReferenceState
 from .qcc import run_iqcc
-from .screen import gradients, ising_decompose
+from .screen import IsingDecomposition, gradients, ising_decompose
 
 __all__ = ["SCHEMES", "RunConfig", "run_scheme"]
 
@@ -32,23 +32,23 @@ class RunConfig:
     truncation_threshold: float = 1e-8
 
 
-def _ilcap_family(h: PauliSum, ref: ReferenceState, cfg: RunConfig, prefix: str,
+def _ilcap_family(dec: IsingDecomposition, ref: ReferenceState, cfg: RunConfig, prefix: str,
                   with_en: bool = True) -> dict[str, float]:
-    """E_prefix, +BW, and optionally +EN for the combination ansatz on h.
+    """E_prefix, +BW, and optionally +EN for the combination ansatz on dec.h.
 
     E_prefix is BW's uncorrected energy, the lowest eigenvalue of the
-    same ansatz matrix ``solve_ilcap`` solves; only EN needs that
-    solution's amplitude and weights.
+    ansatz matrix; EN needs that matrix's solution, its amplitude and
+    weights, which ``solve_ilcap`` would find from the same matrix.
     """
-    dec = ising_decompose(h)
+    h = dec.h
     ranked = gradients(dec, ref)
     acs = build_anticommuting_set(h.n, ranked.masks, cfg.max_generators)
     used = {g.x for g in acs.generators}
-    excluded = [m for m in dec.sectors if m not in used]
-    bw = bw_correct(h, acs.generators, excluded, ref)
+    excluded = [m for m in dec.sectors if m not in used]  # ascending, as bw_correct sorts them
+    bw, mat = _bw_correct(dec, acs.generators, excluded, ref)
     out = {prefix: bw.uncorrected_energy, f"{prefix}+BW": bw.energy}
     if with_en:
-        sol = solve_ilcap(h, acs.generators, ref)
+        sol = _solve(mat)
         dressed = dress_with_combination(h, acs.generators, sol.t, sol.alphas)
         out[f"{prefix}+EN"] = en_correct(dressed, ref).energy
     return out
@@ -65,7 +65,7 @@ def run_scheme(h: PauliSum, ref: ReferenceState, cfg: RunConfig) -> dict[str, fl
     if cfg.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {cfg.scheme!r}; pick one of {SCHEMES}")
     if cfg.scheme == "ilcap-pre":
-        return _ilcap_family(h, ref, cfg, "E_ILCAP")
+        return _ilcap_family(ising_decompose(h), ref, cfg, "E_ILCAP")
     state = run_iqcc(
         h,
         ref,
@@ -77,7 +77,8 @@ def run_scheme(h: PauliSum, ref: ReferenceState, cfg: RunConfig) -> dict[str, fl
     label = f"E_QCC({cfg.iterations})"
     if cfg.scheme == "iqcc":
         return {label: state.energy}
-    hd = state.hamiltonian
-    en = en_correct(hd, ref)
-    family = _ilcap_family(hd, ref, cfg, f"{label}+ILCAP", with_en=False)
+    # EN and the ILCAP family read one decomposition of the dressed Hamiltonian
+    dec = ising_decompose(state.hamiltonian)
+    en = _en_correct(dec, ref)
+    family = _ilcap_family(dec, ref, cfg, f"{label}+ILCAP", with_en=False)
     return {label: state.energy, f"{label}+EN": en.energy, **family}

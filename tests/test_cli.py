@@ -8,7 +8,7 @@ from qubitcc.cli import RunConfig, main, run_scheme
 from qubitcc.morse import morse_energy
 from qubitcc.pauli import PauliSum, ReferenceState
 
-from conftest import DATA_DIR, HUND_FCIDUMP
+from conftest import DATA_DIR, HUND_FCIDUMP, fresh_interpreter
 
 R10 = str(DATA_DIR / "h2_r1.fcidump")
 R12 = str(DATA_DIR / "h2_r1p2.fcidump")
@@ -354,6 +354,25 @@ class TestFitMorse:
         assert values["r_e"] == pytest.approx(1.394, abs=0.05)
         assert values["E_min"] == pytest.approx(-1.1377, abs=2e-3)
         assert values["omega_e"] > 0
+
+    def test_scan_and_fit_leave_out_scipy(self, tmp_path):
+        # E_exact from dense blocks (H2) and from Davidson (H6), then the Morse fit
+        h2, h6 = str(tmp_path / "h2.csv"), str(tmp_path / "h6.csv")
+        h6_fcidump = str(DATA_DIR / "h6_r1p805.fcidump")
+        check = (
+            "import sys; "
+            "from qubitcc.cli import main; "
+            f"main(['scan', {R10!r}, {R12!r}, {R14!r}, {R18!r}, {R24!r}, "
+            f"'--radii', '1.0,1.2,1.4,1.8,2.4', '-o', {h2!r}], standalone_mode=False); "
+            f"main(['fit-morse', {h2!r}, '--mu-amu', '0.503913'], standalone_mode=False); "
+            f"main(['scan', {h6_fcidump!r}, '--radii', '1.805', '-o', {h6!r}], "
+            "standalone_mode=False); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = fresh_interpreter(check).splitlines()
+        assert out[-1] == "[]"
+        assert any(line.startswith("omega_e (cm^-1):") for line in out)
+        assert read_csv(h6)[0][-1] == "E_exact" and read_csv(h6)[1][-1]
 
     def test_empty_cells_skipped(self, runner, tmp_path):
         r = [1.0, 1.4, 1.8, 2.2, 2.6, 3.0]

@@ -1,10 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 from qubitcc import chemio, fci, oracle
-from qubitcc.chemio import jw_hamiltonian, load_fcidump, parse_fcidump
+from qubitcc.chemio import add_spin_penalty, jw_hamiltonian, load_fcidump, parse_fcidump
 from qubitcc.fci import fci_ground_energy
 
 from conftest import DATA_DIR, HUND_FCIDUMP, fresh_interpreter, random_fcidump
@@ -15,6 +16,51 @@ FIXTURES = sorted(p.name for p in DATA_DIR.glob("*.fcidump"))
 def sector_energy(data):
     """The Pauli-sector oracle on the Jordan-Wigner image: the independent check."""
     return oracle.ground_energy(jw_hamiltonian(data), n_elec=data.n_elec)
+
+
+def triplet_ground_fcidump(n_orb: int) -> str:
+    """Two electrons whose ground state is a triplet, though the lowest determinant is closed-shell.
+
+    Orbital 1 doubly occupied has the lowest diagonal (-1.0 against -0.95
+    for one electron in each of orbitals 1 and 2), but the exchange
+    integral (12|12) = 0.4 puts the triplet at -1.35, below every singlet.
+    Orbitals 3 and up lie at +1 and couple weakly to the rest.
+    """
+    rng = random.Random(5)
+    lines = [f"&FCI NORB={n_orb},NELEC=2,MS2=0,", "&END"]
+    pairs = [(i, j) for i in range(1, n_orb + 1) for j in range(1, i + 1)]
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[: a + 1]:
+            if (i, j) == (k, l) == (i, i):
+                value = 1.0  # (ii|ii)
+            elif i == j and k == l:
+                value = 0.95 if (i, k) == (2, 1) else 0.5  # (ii|kk)
+            elif (i, j) == (k, l):
+                value = 0.4 if (i, j) == (2, 1) else 0.1  # (ij|ij)
+            else:
+                value = rng.uniform(-0.02, 0.02)
+            lines.append(f"{value!r} {i} {j} {k} {l}")
+    for i, j in pairs:
+        value = {1: -1.0, 2: -0.9}.get(i, 1.0) if i == j else rng.uniform(-0.02, 0.02)
+        lines.append(f"{value!r} {i} {j} 0 0")
+    return "\n".join(lines)
+
+
+def slater_condon_diagonal(data):
+    """<I|H|I> for each (alpha, beta) pair of strings, one determinant at a time."""
+    n_orb, h, g = data.n_orb, data.one_body, data.two_body
+    n_alpha, n_beta = (data.n_elec + 1) // 2, data.n_elec // 2
+    out = []
+    for a in fci._strings(n_orb, n_alpha).tolist():
+        for b in fci._strings(n_orb, n_beta).tolist():
+            spin_orbitals = [(p, s) for s, bits in enumerate((a, b))
+                             for p in range(n_orb) if bits >> p & 1]
+            e = data.e_core + sum(h[p, p] for p, _ in spin_orbitals)
+            for i, (p, s) in enumerate(spin_orbitals):
+                for q, t in spin_orbitals[:i]:
+                    e += g[p, p, q, q] - (g[p, q, q, p] if s == t else 0.0)
+            out.append(e)
+    return np.array(out)
 
 
 class TestAgreesWithTheSectorOracle:
@@ -39,13 +85,44 @@ class TestAgreesWithTheSectorOracle:
 
 
 class TestSolver:
-    def test_lanczos_branch_agrees_with_dense(self, monkeypatch):
+    def test_davidson_branch_agrees_with_dense(self, monkeypatch):
         rng = random.Random(7)
         cases = [load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump")), random_fcidump(rng, 4, 3, 0.2)]
         dense = [fci_ground_energy(data) for data in cases]
         monkeypatch.setattr(fci, "_DENSE_WORK", 0)
         for data, want in zip(cases, dense):
             assert fci_ground_energy(data) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4])
+    def test_davidson_on_blocks_smaller_than_its_subspace(self, monkeypatch, n_orb):
+        # down to one determinant, where the random start adds nothing to the basis
+        monkeypatch.setattr(fci, "_DENSE_WORK", 0)
+        rng = random.Random(10 + n_orb)
+        for n_elec in range(2 * n_orb + 1):
+            data = random_fcidump(rng, n_orb, n_elec, rng.uniform(-1.0, 1.0))
+            assert fci_ground_energy(data) == pytest.approx(sector_energy(data), abs=1e-10)
+
+    @pytest.mark.parametrize("n_orb", [2, 6])
+    def test_davidson_finds_a_triplet_ground_state(self, monkeypatch, n_orb):
+        # H and the diagonal are even under the alpha/beta swap, so from the closed-shell
+        # lowest determinant alone Davidson would stay among the singlets
+        data = parse_fcidump(triplet_ground_fcidump(n_orb))
+        want = sector_energy(data)
+        singlet = oracle.ground_energy(
+            add_spin_penalty(jw_hamiltonian(data), n_orb, 1.0), n_elec=2)
+        assert want < singlet - 0.01
+        diag = fci._diagonal(n_orb, 1, 1, data.one_body, data.two_body, data.e_core)
+        assert np.argmin(diag) == 0  # orbital 1 in both strings
+        monkeypatch.setattr(fci, "_DENSE_WORK", 0)
+        assert fci_ground_energy(data) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("n_orb, n_elec", [(1, 1), (3, 2), (4, 5), (5, 6), (6, 3)])
+    def test_diagonal_is_slater_condon(self, n_orb, n_elec):
+        data = random_fcidump(random.Random(n_orb * 10 + n_elec), n_orb, n_elec, 0.3)
+        n_alpha, n_beta = (n_elec + 1) // 2, n_elec // 2
+        got = fci._diagonal(n_orb, n_alpha, n_beta, data.one_body, data.two_body, data.e_core)
+        assert got.shape == (math.comb(n_orb, n_alpha), math.comb(n_orb, n_beta))
+        assert np.allclose(got.ravel(), slater_condon_diagonal(data), rtol=0, atol=1e-13)
 
     def test_uses_neither_the_mapping_nor_the_oracle(self, monkeypatch):
         data = load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump"))
@@ -58,6 +135,18 @@ class TestSolver:
                              (oracle, "ground_energy")):
             monkeypatch.setattr(module, name, broken)
         assert fci_ground_energy(data) == pytest.approx(want, abs=1e-10)
+
+    def test_davidson_blocks_leave_out_scipy(self):
+        fcidump = DATA_DIR / "h6_r1p805.fcidump"  # 400 determinants: past the dense cutoff
+        check = (
+            "import sys; "
+            "from qubitcc import fci, fci_ground_energy, load_fcidump; "
+            f"data = load_fcidump({str(fcidump)!r}); "
+            "assert 36 * 400 * 400 > fci._DENSE_WORK; "
+            "fci_ground_energy(data); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert fresh_interpreter(check) == "[]"
 
     def test_dense_blocks_leave_out_scipy(self):
         fcidump = DATA_DIR / "h4_r2p0.fcidump"

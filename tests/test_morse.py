@@ -3,8 +3,35 @@ import math
 import numpy as np
 import pytest
 
+from qubitcc import morse
 from qubitcc.constants import AMU_TO_ELECTRON_MASS, HARTREE_TO_INVCM
 from qubitcc.morse import MorseFit, fit_morse, morse_energy, spectroscopic_constants
+
+
+def noisy_well():
+    rng = np.random.default_rng(7)
+    r = np.linspace(0.9, 3.5, 20)
+    return r, morse_energy(r, 0.17, 1.0, 1.4, -1.1) + rng.normal(scale=2e-5, size=r.shape)
+
+
+# E_exact of the H4 chain over the twelve bond lengths of the bench's h4-scan
+H4_R = [1.291667, 1.475, 1.658333, 1.841667, 2.025, 2.208333, 2.391667, 2.575,
+        2.758333, 2.941667, 3.125, 3.308333]
+H4_E = [-2.09013676435, -2.16040398797, -2.18034404306, -2.17168354441, -2.14701996816,
+        -2.11412273623, -2.07807850597, -2.04228879979, -2.00895700555, -1.97937985006,
+        -1.9541587734, -1.93337397123]
+
+
+def jacobian(r, fit):
+    """d E / d (D_e, a, r_e, E_min) of the Morse curve at the fitted parameters."""
+    dr = r - fit.r_e
+    u = np.exp(-fit.a * dr)
+    return np.column_stack((
+        (1.0 - u) ** 2,
+        2.0 * fit.d_e * (1.0 - u) * dr * u,
+        -2.0 * fit.d_e * (1.0 - u) * fit.a * u,
+        np.ones_like(r),
+    ))
 
 
 class TestMorseEnergy:
@@ -79,9 +106,7 @@ class TestFit:
         assert (fit.omega_e, fit.omega_e_x_e) == pytest.approx(want, rel=1e-13)
 
     def test_noisy_points_still_close(self):
-        rng = np.random.default_rng(7)
-        r = np.linspace(0.9, 3.5, 20)
-        e = morse_energy(r, 0.17, 1.0, 1.4, -1.1) + rng.normal(scale=2e-5, size=r.shape)
+        r, e = noisy_well()
         fit = fit_morse(r, e, mu_amu=0.5)
         assert fit.d_e == pytest.approx(0.17, rel=2e-2)
         assert fit.r_e == pytest.approx(1.4, abs=5e-3)
@@ -114,3 +139,70 @@ class TestFit:
         e = 2.0 - 0.5 * r
         with pytest.raises(RuntimeError):
             fit_morse(r, e, mu_amu=1.0)
+
+    @pytest.mark.parametrize("r, e", [
+        (np.linspace(1.0, 3.0, 8), 2.0 - 0.5 * np.linspace(1.0, 3.0, 8)),  # repulsive line
+        # a dip 1e-3 bohr wide, 8 bohr from the first point: the parabola's range
+        # parameter would overflow exp there, so the search starts at its cap
+        ([1.0, 9.0, 9.001, 9.002], [2.0, 1.0, 0.0, 1.0]),
+    ])
+    def test_no_well_is_named(self, r, e):
+        with pytest.raises(RuntimeError, match="^Morse fit landed on a non-physical well$"):
+            fit_morse(r, e, mu_amu=1.0)
+
+
+class TestLeastSquares:
+    """The fit is a stationary point of the four-parameter least-squares problem."""
+
+    @pytest.mark.parametrize("case", ["noisy", "h4"])
+    def test_gradient_vanishes(self, case):
+        r, e = noisy_well() if case == "noisy" else (np.array(H4_R), np.array(H4_E))
+        fit = fit_morse(r, e, mu_amu=0.5)
+        res = morse_energy(r, fit.d_e, fit.a, fit.r_e, fit.e_min) - e
+        jac = jacobian(r, fit)
+        # each column of J^T r, relative to |J_k| |r|
+        rel = np.abs(jac.T @ res) / (np.linalg.norm(jac, axis=0) * np.linalg.norm(res))
+        assert np.all(rel < 1e-8), rel
+        assert fit.residual_rms == pytest.approx(np.sqrt(np.mean(res**2)), rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["noisy", "h4", "exact"])
+    def test_agrees_with_scipy_least_squares(self, case):
+        # an independent solver: scipy's Levenberg-Marquardt on the analytic Jacobian
+        from scipy.optimize import least_squares
+
+        if case == "noisy":
+            r, e = noisy_well()
+        elif case == "h4":
+            r, e = np.array(H4_R), np.array(H4_E)
+        else:
+            r = np.linspace(0.9, 3.2, 15)
+            e = morse_energy(r, 0.17, 1.03, 1.42, -1.137)
+        fit = fit_morse(r, e, mu_amu=0.5)
+        start = [0.5 * fit.d_e, 0.8 * fit.a, fit.r_e + 0.1, fit.e_min + 0.01]
+        lm = least_squares(lambda p: morse_energy(r, *p) - e, start, method="lm",
+                           jac=lambda p: jacobian(r, MorseFit(*p, 0.0, 0.0, 0.0)),
+                           xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert lm.success
+        got = [fit.d_e, fit.a, fit.r_e, fit.e_min]
+        assert got == pytest.approx(lm.x.tolist(), rel=1e-7)
+
+    def test_few_projections(self, monkeypatch):
+        # the root find in a takes a handful of linear solves, not a grid of them
+        calls = []
+        real = morse._projection
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(morse, "_projection", counted)
+        for r, e in (noisy_well(), (np.array(H4_R), np.array(H4_E))):
+            calls.clear()
+            fit_morse(r, e, mu_amu=0.5)
+            assert len(calls) <= 20, calls
+
+    def test_h4_constants(self):
+        # omega_e of the bench's h4-scan E_exact column; Levenberg-Marquardt stopped
+        # at 6546.959464515, within its tolerance of this stationary point
+        fit = fit_morse(H4_R, H4_E, mu_amu=0.503913)
+        assert fit.omega_e == pytest.approx(6546.9594979, abs=1e-5)

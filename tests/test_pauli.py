@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qubitcc import oracle
+from qubitcc import oracle, pauli
 from qubitcc.pauli import (
     I_POWERS,
     PauliSum,
@@ -15,6 +15,7 @@ from qubitcc.pauli import (
     commutes,
     conjugate_by_word,
     half_commutator,
+    _diagonal_at,
     _group_masks,
     _mask_product,
     multiply,
@@ -26,6 +27,7 @@ from conftest import (
     random_sum,
     random_word,
     reference_conjugate_by_word,
+    reference_diagonal_at,
     reference_expectation,
     reference_group_masks,
     reference_half_commutator,
@@ -537,3 +539,36 @@ class TestConjugation:
             want = 0.5j * (gm @ hm - hm @ gm)
             got = oracle.to_dense(half_commutator(g, h))
             assert np.allclose(got, want, atol=1e-12)
+
+
+class TestDiagonalAt:
+    @staticmethod
+    def many_diagonal_terms(rng, n, count):
+        # 1e-17 next to values near 1 makes every sum depend on its order
+        diag = [(PauliWord(n, 0, rng.getrandbits(n)), rng.choice([rng.uniform(-1.0, 1.0), 1e-17]))
+                for _ in range(count)]
+        return PauliSum(n, diag) + random_sum(rng, n, 10)
+
+    @staticmethod
+    def assert_same_floats(got, want):
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    def test_one_state_is_a_left_fold(self, rng):
+        # a lone column would be summed pairwise by a reduction along it
+        for _ in range(20):
+            h = self.many_diagonal_terms(rng, 12, 40)
+            assert np.count_nonzero(h.x == 0) >= 16
+            states = np.array([rng.getrandbits(12)], dtype=np.uint64)
+            self.assert_same_floats(_diagonal_at(h, states), reference_diagonal_at(h, states))
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, 1 << 16])
+    def test_blocks_match_state_by_state(self, rng, monkeypatch, cells):
+        monkeypatch.setattr(pauli, "_DIAGONAL_CELLS", cells)
+        for width in (0, 1, 2, 5, 33):
+            h = self.many_diagonal_terms(rng, 10, 30)
+            states = np.array([rng.getrandbits(10) for _ in range(width)], dtype=np.uint64)
+            self.assert_same_floats(_diagonal_at(h, states), reference_diagonal_at(h, states))
+
+    def test_no_diagonal_terms(self, rng):
+        h = PauliSum(3, [(PauliWord(3, 1, 0), 0.5)])
+        assert _diagonal_at(h, np.array([0, 5], dtype=np.uint64)).tolist() == [0.0, 0.0]

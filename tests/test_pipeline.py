@@ -4,15 +4,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qubitcc
 from qubitcc import (
     RunConfig,
     build_anticommuting_set,
+    bw_correct,
+    dress_with_combination,
+    en_correct,
     gradients,
     hf_reference,
+    ilcap,
     ising_decompose,
     jw_hamiltonian,
     load_fcidump,
+    pipeline,
     run_iqcc,
     run_scheme,
     solve_ilcap,
@@ -34,7 +41,7 @@ def test_library_import_leaves_out_cli():
 
 
 def test_library_and_cli_import_leave_out_scipy():
-    # scipy loads only once a command calls the Morse fit, the oracle or a large direct CI
+    # scipy loads only once a command calls the oracle (exact, scan --mu)
     check = ("import sys, qubitcc, qubitcc.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert fresh_interpreter(check) == "[]"
@@ -104,3 +111,40 @@ def test_ilcap_energies_are_the_ilcap_solutions():
     post = run_scheme(h, ref, RunConfig(scheme="ilcap-post", generators_per_iteration=2, iterations=2))
     hd = run_iqcc(h, ref, generators_per_iteration=2, max_iterations=2).hamiltonian
     assert post["E_QCC(2)+ILCAP"].hex() == solved(hd)
+
+
+@pytest.mark.parametrize("scheme", ["ilcap-pre", "ilcap-post"])
+def test_ilcap_family_decomposes_each_hamiltonian_once(monkeypatch, scheme):
+    # the family's cells are the public functions' energies, to the bit, from one
+    # decomposition per Hamiltonian and one bracket table
+    data = load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump"))
+    h, ref = jw_hamiltonian(data), hf_reference(data)
+    cfg = RunConfig(scheme=scheme, generators_per_iteration=2, iterations=2)
+    op = h if scheme == "ilcap-pre" else run_iqcc(h, ref, generators_per_iteration=2,
+                                                  max_iterations=2).hamiltonian
+    acs = build_anticommuting_set(op.n, gradients(ising_decompose(op), ref).masks)
+    excluded = [m for m in ising_decompose(op).sectors if m not in {g.x for g in acs.generators}]
+    bw = bw_correct(op, acs.generators, excluded, ref)
+    sol = solve_ilcap(op, acs.generators, ref)
+    dressed_en = en_correct(dress_with_combination(op, acs.generators, sol.t, sol.alphas), ref)
+    en = en_correct(op, ref)
+
+    seen = []
+    for module in (pipeline, ilcap):
+        real = module.ising_decompose
+
+        def counted(ham, real=real):
+            seen.append(ham)
+            return real(ham)
+
+        monkeypatch.setattr(module, "ising_decompose", counted)
+    if scheme == "ilcap-pre":
+        row = run_scheme(h, ref, cfg)
+        assert [row["E_ILCAP"].hex(), row["E_ILCAP+BW"].hex(), row["E_ILCAP+EN"].hex()] == [
+            bw.uncorrected_energy.hex(), bw.energy.hex(), dressed_en.energy.hex()]
+        assert len(seen) == 2 and seen[0] is h  # h, then the dressed Hamiltonian
+    else:
+        row = run_scheme(h, ref, cfg)  # run_iqcc's own decompositions go through qcc
+        assert [row["E_QCC(2)+EN"].hex(), row["E_QCC(2)+ILCAP+BW"].hex()] == [
+            en.energy.hex(), bw.energy.hex()]
+        assert seen == [op]
