@@ -7,11 +7,6 @@ from a fixed vector, so a run repeats exactly.  The INI values reach
 the options through Click's default_map, so they pass the same type
 and choice checks as flags; float options reject nan and inf, and
 tolerances must be >= 0.
-
-Importing this module loads no scipy: the oracle (scipy.sparse) is
-imported by the commands that call it, ``exact`` and ``scan --mu``, and
-no other command loads scipy (the direct CI and the Morse fit are
-numpy only).
 """
 
 from __future__ import annotations
@@ -24,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import click
 
+from . import oracle
 from .acset import build_anticommuting_set
 from .chemio import add_spin_penalty, hf_reference, jw_hamiltonian, load_fcidump
 from .fci import fci_ground_energy
@@ -264,8 +260,6 @@ def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, list[str]
         if not mu:
             row["E_exact"] = fci_ground_energy(data)
         else:
-            from . import oracle  # imported here: scipy.sparse loads only for oracle commands
-
             row["E_exact"] = oracle.ground_energy(h, n_elec=data.n_elec)
     except Exception as exc:  # noqa: BLE001
         messages.append(f"{path}: E_exact: {exc}")
@@ -367,8 +361,6 @@ def fit_morse_cmd(scan_csv, column, mu_amu):
 @click.option("--n-qubits", type=int, default=None)
 def exact(hamiltonian, n_elec, n_qubits):
     """Oracle ground-state energy of a text Hamiltonian."""
-    from . import oracle  # imported here: scipy.sparse loads only for oracle commands
-
     h, ref = _load(hamiltonian, n_qubits, n_elec)
     try:
         energy = oracle.ground_energy(h, n_elec=n_elec)

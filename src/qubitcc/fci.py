@@ -136,13 +136,13 @@ def _orthonormal(t: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
     """t orthogonalized twice against the rows of basis and normalized; None inside their span."""
     size = np.linalg.norm(t)
     for _ in range(2):
-        t = t - (basis @ t) @ basis
+        t = t - (basis.conj() @ t) @ basis
     norm = np.linalg.norm(t)
     return t / norm if norm > _DEPENDENT * size else None
 
 
-def _davidson(apply, diag: np.ndarray, starts) -> float:
-    """Lowest eigenvalue of the symmetric operator apply, by Davidson's method.
+def _davidson(apply, diag: np.ndarray, starts) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the Hermitian operator apply, by Davidson's method.
 
     The basis holds the independent start vectors, then grows by the
     residual r = H x - theta x of the lowest Ritz pair, preconditioned as
@@ -150,11 +150,14 @@ def _davidson(apply, diag: np.ndarray, starts) -> float:
     correction inside the basis falls back to r itself, and when r lies
     there too, the basis spans an invariant subspace and theta is exact.
     At _SUBSPACE vectors (or the whole space) the basis restarts from its
-    _KEEP lowest Ritz vectors.
+    _KEEP lowest Ritz vectors.  The basis takes the start vectors' dtype,
+    so a complex operator needs complex starts.  Returns theta and the
+    unit Ritz vector x.
     """
     dim = len(diag)
     size = min(_SUBSPACE, dim)
-    basis, images = np.empty((size, dim)), np.empty((size, dim))
+    dtype = np.result_type(*starts)
+    basis, images = np.empty((size, dim), dtype), np.empty((size, dim), dtype)
     k, new = 0, starts
     for _ in range(_DAVIDSON_STEPS):
         for t in new:
@@ -162,11 +165,12 @@ def _davidson(apply, diag: np.ndarray, starts) -> float:
             if q is not None:
                 basis[k], images[k] = q, apply(q)
                 k += 1
-        rayleigh = basis[:k] @ images[:k].T
-        theta, vecs = np.linalg.eigh(0.5 * (rayleigh + rayleigh.T))
-        r = vecs[:, 0] @ images[:k] - theta[0] * (vecs[:, 0] @ basis[:k])
+        rayleigh = basis[:k].conj() @ images[:k].T
+        theta, vecs = np.linalg.eigh(0.5 * (rayleigh + rayleigh.conj().T))
+        x = vecs[:, 0] @ basis[:k]
+        r = vecs[:, 0] @ images[:k] - theta[0] * x
         if np.linalg.norm(r) < _RESIDUAL_TOL:
-            return float(theta[0])
+            return float(theta[0]), x
         if k == size:
             k = min(_KEEP, k - 1)
             basis[:k], images[:k] = vecs[:, :k].T @ basis[:size], vecs[:, :k].T @ images[:size]
@@ -176,7 +180,7 @@ def _davidson(apply, diag: np.ndarray, starts) -> float:
         if q is None:
             q = _orthonormal(r, basis[:k])
             if q is None:
-                return float(theta[0])
+                return float(theta[0]), x
         new = [q]
     raise RuntimeError(f"Davidson did not converge in {_DAVIDSON_STEPS} steps")
 
@@ -222,4 +226,4 @@ def fci_ground_energy(data: FcidumpData) -> float:
     lowest = np.zeros(dim)
     lowest[np.argmin(diag)] = 1.0
     starts = [lowest, np.random.default_rng(0).standard_normal(dim)]
-    return _davidson(lambda x: _sigma(x.reshape(shape + (1,)), *args).ravel(), diag, starts)
+    return _davidson(lambda x: _sigma(x.reshape(shape + (1,)), *args).ravel(), diag, starts)[0]

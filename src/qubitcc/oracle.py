@@ -10,7 +10,9 @@ set.
 DENSE_QUBIT_CAP qubits, or, given an electron count, the sector of
 basis states with that many set bits: a number-conserving Hamiltonian
 is block diagonal over those sectors, and the reference's sector is the
-one whose energy the estimators target.
+one whose energy the estimators target.  Small sector blocks are
+diagonalized densely; larger ones go to the direct CI's Davidson
+solver, the package's one iterative eigensolver.  No scipy is loaded.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
+from .fci import _davidson
 from .pauli import PauliSum, PauliWord, ReferenceState, _first_of_runs
 
 __all__ = [
@@ -40,9 +41,12 @@ DENSE_QUBIT_CAP = 14
 APPLY_QUBIT_CAP = 20
 # the sector matrix is sparse, but its entries grow with states times
 # excitations: H8's half-filled sector (12870 states, 2.8M entries)
-# solves in about 1 s with about 120 MB of peak working memory
+# solves in about 1.3 s with about 51 MB of peak working memory
 SECTOR_STATE_CAP = 1 << 14
 _SECTOR_DENSE_STATES = 1000
+
+# one x mask's entries of a sector block: rows, columns and values
+_Group = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # i**k for k = 0..3, kept apart from pauli's table so the checks stay independent
 _I_POWERS = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
@@ -123,23 +127,24 @@ def expectation(h: PauliSum, vec: np.ndarray) -> float:
     return float(val.real)
 
 
-def _sector_matrix(h: PauliSum, n_elec: int) -> tuple[np.ndarray, sp.csr_matrix]:
+def _sector_matrix(h: PauliSum, n_elec: int) -> tuple[np.ndarray, list[_Group]]:
     """The block of h on the basis states with n_elec set bits, sorted.
 
     Terms sharing an x mask map basis state b to b ^ x together, so each
     group contributes one entry per column, its amplitude summed over
-    the group's z masks with ``apply_sum``'s signs and phases.
-    Amplitude that lands outside the sector means h does not conserve
-    the electron count; above rounding level that raises, since the
-    block would not carry h's spectrum.
+    the group's z masks with ``apply_sum``'s signs and phases, and the
+    block is the list of those (rows, cols, values) groups: b ^ x differs
+    for every x, so no two groups share a (row, col) pair, and within a
+    group no two entries share a row.  Amplitude that lands outside the
+    sector means h does not conserve the electron count; above rounding
+    level that raises, since the block would not carry h's spectrum.
     """
     index = np.arange(1 << h.n, dtype=np.uint64)
     basis = index[np.bitwise_count(index) == n_elec]
     dim = len(basis)
     x, z, c = h.x, h.z, h.c
     starts = np.flatnonzero(_first_of_runs(x))  # x ascends: canonical order
-    # int32 indices, and real values where a group's are, halve the parts
-    rows, cols, vals = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
+    groups = []
     leak = scale = 0.0
     for lo, hi in zip(starts, np.r_[starts[1:], len(x)]):
         zs = z[lo:hi]
@@ -151,17 +156,15 @@ def _sector_matrix(h: PauliSum, n_elec: int) -> tuple[np.ndarray, sp.csr_matrix]
         inside = basis[pos] == image
         if not inside.all():
             leak = max(leak, float(np.max(np.abs(amp[~inside]))))
-        rows.append(pos[inside].astype(np.int32))
-        cols.append(np.flatnonzero(inside).astype(np.int32))
-        vals.append(amp[inside] if amp.imag.any() else amp.real[inside])
+        # int32 indices, and real values where a group's are, halve the parts
+        groups.append((pos[inside].astype(np.int32), np.flatnonzero(inside).astype(np.int32),
+                       amp[inside] if amp.imag.any() else amp.real[inside]))
     if leak > 1e-10 * max(1.0, scale):
         raise ValueError(
             f"Hamiltonian does not conserve the electron count: amplitude {leak:.3e} "
             f"leaves the {n_elec}-electron sector"
         )
-    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    mat = sp.csr_matrix(entries, shape=(dim, dim))
-    return basis, mat
+    return basis, groups
 
 
 def _sector_ground_state(h: PauliSum, n_elec: int) -> tuple[float, np.ndarray]:
@@ -175,15 +178,30 @@ def _sector_ground_state(h: PauliSum, n_elec: int) -> tuple[float, np.ndarray]:
             f"the {n_elec}-electron sector has {states} states; "
             f"the sector solve is capped at {SECTOR_STATE_CAP}"
         )
-    basis, mat = _sector_matrix(h, n_elec)
+    basis, groups = _sector_matrix(h, n_elec)
+    dtype = complex if any(np.iscomplexobj(vals) for *_, vals in groups) else float
     if states <= _SECTOR_DENSE_STATES:
-        energies, vectors = np.linalg.eigh(mat.toarray())
+        mat = np.zeros((states, states), dtype)
+        for rows, cols, vals in groups:
+            mat[rows, cols] = vals
+        energies, vectors = np.linalg.eigh(mat)
+        energy, ground = energies[0], vectors[:, 0]
     else:
-        v0 = np.random.default_rng(0).standard_normal(states)
-        energies, vectors = eigsh(mat, k=1, which="SA", v0=v0, maxiter=5000)
+        def apply(v: np.ndarray) -> np.ndarray:
+            out = np.zeros(states, dtype)
+            for rows, cols, vals in groups:
+                out[rows] += vals * v[cols]
+            return out
+
+        # the x = 0 group comes first, with one entry per state in order
+        diag = groups[0][2].real if groups and not h.x[0] else np.zeros(states)
+        lowest = np.zeros(states, dtype)
+        lowest[np.argmin(diag)] = 1.0
+        v0 = np.random.default_rng(0).standard_normal(states).astype(dtype)
+        energy, ground = _davidson(apply, diag, [lowest, v0])
     vec = np.zeros(1 << h.n, dtype=complex)
-    vec[basis] = vectors[:, 0]
-    return float(energies[0]), vec
+    vec[basis] = ground
+    return float(energy), vec
 
 
 def ground_state(h: PauliSum, *, n_elec: int | None = None) -> tuple[float, np.ndarray]:
@@ -192,8 +210,9 @@ def ground_state(h: PauliSum, *, n_elec: int | None = None) -> tuple[float, np.n
     With ``n_elec`` given, the lowest eigenpair within the n_elec-electron
     sector (basis states with n_elec set bits): a sparse block of at most
     SECTOR_STATE_CAP states, diagonalized densely up to 1000 states and
-    by Lanczos from a fixed start vector above.  h must conserve the
-    electron count, else ValueError.
+    above by Davidson's method, preconditioned by the block's diagonal,
+    from its lowest diagonal state and a fixed random vector.  h must
+    conserve the electron count, else ValueError.
 
     Without it, the whole space, diagonalized densely up to
     DENSE_QUBIT_CAP qubits; above that ValueError.

@@ -1,7 +1,11 @@
+import math
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qubitcc import oracle
+from qubitcc import fci, oracle
 from qubitcc.chemio import jw_hamiltonian, load_fcidump
 from qubitcc.pauli import PauliSum, PauliWord, ReferenceState
 
@@ -161,13 +165,42 @@ class TestElectronSector:
         assert not vec[outside].any()
         assert oracle.expectation(h, vec) == pytest.approx(energy, abs=1e-10)
 
-    def test_lanczos_branch_agrees_with_dense(self, rng, monkeypatch):
-        h = jw_hamiltonian(random_fcidump(rng, 4, 4, 0.0))
-        dense = oracle.ground_energy(h, n_elec=4)
+    @pytest.mark.parametrize("case", ["real", "complex", "one-state"])
+    def test_davidson_branch_agrees_with_dense(self, rng, monkeypatch, case):
+        if case == "real":
+            h, n_elec = jw_hamiltonian(random_fcidump(rng, 4, 4, 0.0)), 4
+        elif case == "complex":
+            # test_complex_hermitian_sum's odd-Y hopping along a chain, with distinct
+            # on-site fields: 70 states, so the Davidson basis restarts
+            n, n_elec = 8, 4
+            terms = [(PauliWord(n, 0, 1 << j), 0.2 * (j + 1)) for j in range(n)]
+            for j in range(n - 1):
+                terms += [(PauliWord(n, 0b11 << j, 1 << j), 0.5),
+                          (PauliWord(n, 0b11 << j, 0b10 << j), -0.5)]
+            h = PauliSum(n, terms)
+            assert math.comb(n, n_elec) > fci._SUBSPACE
+            assert any(np.iscomplexobj(vals) for *_, vals in oracle._sector_matrix(h, n_elec)[1])
+        else:
+            h, n_elec = jw_hamiltonian(random_fcidump(rng, 3, 6, 0.3)), 6
+        dense = oracle.ground_energy(h, n_elec=n_elec)
         monkeypatch.setattr(oracle, "_SECTOR_DENSE_STATES", 0)
-        energy, vec = oracle.ground_state(h, n_elec=4)
+        energy, vec = oracle.ground_state(h, n_elec=n_elec)
         assert energy == pytest.approx(dense, abs=1e-10)
         assert oracle.expectation(h, vec) == pytest.approx(energy, abs=1e-10)
+        assert np.linalg.norm(oracle.apply_sum(h, vec) - energy * vec) < 1e-7
+
+    def test_sector_build_holds_each_entry_once(self):
+        # 3432 states, past the dense cutoff: the groups are kept as built, never joined
+        h = jw_hamiltonian(random_fcidump(random.Random(7), 7, 7, 0.0))
+        tracemalloc.start()
+        try:
+            basis, groups = oracle._sector_matrix(h, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(basis) == 3432 > oracle._SECTOR_DENSE_STATES
+        kept = basis.nbytes + sum(part.nbytes for group in groups for part in group)
+        assert peak < 2 * kept
 
     def test_complex_hermitian_sum(self):
         # a hopping with an odd Y count: purely imaginary off-diagonal

@@ -40,11 +40,23 @@ def test_library_import_leaves_out_cli():
     assert out.strip() == "[]"
 
 
-def test_library_and_cli_import_leave_out_scipy():
-    # scipy loads only once a command calls the oracle (exact, scan --mu)
-    check = ("import sys, qubitcc, qubitcc.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert fresh_interpreter(check) == "[]"
+def test_library_and_cli_import_leave_out_scipy(tmp_path):
+    # no module of the package imports scipy, so neither do the oracle's commands
+    fcidump = str(DATA_DIR / "h2_r1p4.fcidump")
+    text, csv = str(tmp_path / "h2.txt"), str(tmp_path / "scan.csv")
+    check = (
+        "import sys, qubitcc, qubitcc.oracle, qubitcc.cli; "
+        "from qubitcc.cli import main; "
+        f"main(['transform', {fcidump!r}, '-o', {text!r}], standalone_mode=False); "
+        f"main(['exact', {text!r}, '--n-elec', '2'], standalone_mode=False); "
+        f"main(['scan', {fcidump!r}, '--radii', '1.4', '--mu', '0.5', '-o', {csv!r}], "
+        "standalone_mode=False); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = fresh_interpreter(check).splitlines()
+    assert out[-1] == "[]"
+    assert any(line.startswith("ground energy: ") for line in out)
+    assert "E_exact" in Path(csv).read_text().splitlines()[0]
 
 
 def test_ilcap_pre_leaves_out_scipy_optimize():
