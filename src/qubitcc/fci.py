@@ -141,24 +141,27 @@ def _orthonormal(t: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
     return t / norm if norm > _DEPENDENT * size else None
 
 
-def _davidson(apply, diag: np.ndarray, starts) -> tuple[float, np.ndarray]:
+def _davidson(apply, diag: np.ndarray, dtype=float) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the Hermitian operator apply, by Davidson's method.
 
-    The basis holds the independent start vectors, then grows by the
-    residual r = H x - theta x of the lowest Ritz pair, preconditioned as
+    The basis starts from the unit vector on the lowest diagonal entry and
+    a fixed random vector (``default_rng(0)``): a symmetry can hide the
+    ground state from the first, as the alpha/beta swap hides a triplet
+    from a closed-shell determinant.  It grows by the residual
+    r = H x - theta x of the lowest Ritz pair, preconditioned as
     r / (theta - H_II) (Davidson, J. Comput. Phys. 17, 87 (1975)).  A
     correction inside the basis falls back to r itself, and when r lies
     there too, the basis spans an invariant subspace and theta is exact.
     At _SUBSPACE vectors (or the whole space) the basis restarts from its
-    _KEEP lowest Ritz vectors.  The basis takes the start vectors' dtype,
-    so a complex operator needs complex starts.  Returns theta and the
-    unit Ritz vector x.
+    _KEEP lowest Ritz vectors.  The basis has the given dtype, complex
+    for a complex operator.  Returns theta and the unit Ritz vector x.
     """
     dim = len(diag)
     size = min(_SUBSPACE, dim)
-    dtype = np.result_type(*starts)
+    lowest = np.zeros(dim, dtype)
+    lowest[np.argmin(diag)] = 1.0
     basis, images = np.empty((size, dim), dtype), np.empty((size, dim), dtype)
-    k, new = 0, starts
+    k, new = 0, [lowest, np.random.default_rng(0).standard_normal(dim).astype(dtype)]
     for _ in range(_DAVIDSON_STEPS):
         for t in new:
             q = _orthonormal(t, basis[:k])
@@ -221,9 +224,4 @@ def fci_ground_energy(data: FcidumpData) -> float:
         mat = _sigma(np.eye(dim).reshape(shape + (dim,)), *args).reshape(dim, dim)
         return float(np.linalg.eigvalsh(mat)[0])
     diag = _diagonal(n_orb, n_alpha, n_beta, one, two, data.e_core).ravel()
-    # H and diag are even under the alpha/beta swap, so a closed-shell
-    # lowest determinant alone would miss a swap-odd (triplet) ground state
-    lowest = np.zeros(dim)
-    lowest[np.argmin(diag)] = 1.0
-    starts = [lowest, np.random.default_rng(0).standard_normal(dim)]
-    return _davidson(lambda x: _sigma(x.reshape(shape + (1,)), *args).ravel(), diag, starts)[0]
+    return _davidson(lambda x: _sigma(x.reshape(shape + (1,)), *args).ravel(), diag)[0]

@@ -5,7 +5,8 @@ with u = exp(-a (r - r0)) for any fixed r0, so at a fixed range
 parameter a the best well is one linear least-squares solve.  The
 four-parameter fit is then a root find in a alone, on the slope of the
 projected residual (variable projection: Golub and Pereyra, SIAM J.
-Numer. Anal. 10, 413 (1973)), and D_e = c1^2 / (4 c2),
+Numer. Anal. 10, 413 (1973)), by the false position that also solves
+the iQCC pair step (``qcc._false_position``).  D_e = c1^2 / (4 c2),
 r_e = r0 + ln(-2 c2 / c1) / a and E_min = c0 - D_e follow from c.  The
 harmonic frequency and anharmonicity follow from the well parameters:
 omega = a sqrt(2 D_e / mu) in atomic units, omega x = omega^2 / (4 D_e),
@@ -20,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import AMU_TO_ELECTRON_MASS, HARTREE_TO_INVCM
+from .qcc import _false_position
 
 __all__ = ["MorseFit", "morse_energy", "spectroscopic_constants", "fit_morse"]
 
 _NONPHYSICAL = "Morse fit landed on a non-physical well"
 _BRACKET_STEPS = 12  # times a may be doubled or halved in search of a sign change
 _SPAN_MAX = 300.0  # largest a (r_max - r_min): u^2 stays finite
-_XTOL = 1e-13  # the root in a is kept to this relative width
-_ROOT_STEPS = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,59 +85,17 @@ def _projection(dr: np.ndarray, e: np.ndarray, a: float):
     return c, res, float(res @ (-dr * u * (c[1] + 2.0 * c[2] * u)))
 
 
-def _root(f, a: float, fa: float, b: float, fb: float) -> float:
-    """Brent's root of f between a and b, where fa and fb differ in sign.
-
-    Inverse quadratic interpolation and secant steps, with bisection when
-    they fall outside the bracket or shrink it too slowly (Brent,
-    Algorithms for Minimization without Derivatives (1973), ch. 4).
-    """
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(_ROOT_STEPS):
-        if (fb > 0) == (fc > 0):  # keep the root between b and c
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):  # b is the best estimate so far
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = _XTOL * abs(b)
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0:
-            return b
-        bisect = abs(e) < tol or abs(fa) <= abs(fb)
-        if not bisect:
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, t = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - t) - (b - a) * (t - 1.0))
-                q = (q - 1.0) * (t - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            bisect = 2.0 * p >= min(3.0 * m * q - abs(tol * q), abs(e * q))
-            if not bisect:
-                e, d = d, p / q
-        if bisect:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-    raise RuntimeError(f"Morse fit did not converge in {_ROOT_STEPS} steps")
-
-
 def fit_morse(r, e, mu_amu: float) -> MorseFit:
     """Least-squares Morse fit of points (r, e) in atomic units.
 
     Needs at least four points (the model has four parameters).  The
     search for a starts from the parabola through the lowest point and
     its neighbours when that point is interior, and doubles or halves a
-    until the slope of the projected residual changes sign.
-    RuntimeError when there is no such change, or when the best curve
-    at the root is no well (c2 <= 0 or c1 >= 0): flat data and a
-    repulsive wall have none.
+    until the slope of the projected residual changes sign; false
+    position then finds the slope's root in that bracket.
+    RuntimeError when there is no such change, when false position
+    runs out of steps, or when the best curve at the root is no well
+    (c2 <= 0 or c1 >= 0): flat data and a repulsive wall have none.
     """
     r = np.asarray(r, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -168,7 +126,9 @@ def fit_morse(r, e, mu_amu: float) -> MorseFit:
             raise RuntimeError(_NONPHYSICAL)
         fb = slope(b)
         if (fb > 0) != (fa > 0) or fb == 0:
-            a = _root(slope, a, fa, b, fb)
+            if b < a:  # halved: the bracket is [b, a]
+                a, b, fa, fb = b, a, fb, fa
+            a = _false_position(slope, a, b, fa, fb)
             break
         a, fa = b, fb
     else:

@@ -190,15 +190,12 @@ def _sector_ground_state(h: PauliSum, n_elec: int) -> tuple[float, np.ndarray]:
         def apply(v: np.ndarray) -> np.ndarray:
             out = np.zeros(states, dtype)
             for rows, cols, vals in groups:
-                out[rows] += vals * v[cols]
+                out[rows] += vals * v.take(cols)
             return out
 
         # the x = 0 group comes first, with one entry per state in order
         diag = groups[0][2].real if groups and not h.x[0] else np.zeros(states)
-        lowest = np.zeros(states, dtype)
-        lowest[np.argmin(diag)] = 1.0
-        v0 = np.random.default_rng(0).standard_normal(states).astype(dtype)
-        energy, ground = _davidson(apply, diag, [lowest, v0])
+        energy, ground = _davidson(apply, diag, dtype)
     vec = np.zeros(1 << h.n, dtype=complex)
     vec[basis] = ground
     return float(energy), vec

@@ -52,7 +52,7 @@ _GTOL = 1e-9  # the gradient norm at which sweeps stop, or a pair step counts as
 _MAX_SWEEPS = 1000  # optimize_amplitudes, L >= 3: most coordinate sweeps in one call
 _MAX_ESCAPES = 8  # and most moves off a stationary point along negative curvature
 _NEWTON_STEPS = 8  # most Newton steps polishing the stationary angles of a pair step
-_ROOT_STEPS = 100  # most false-position steps for one root of a pair step's polynomial
+_ROOT_STEPS = 100  # most false-position steps for one root (pair steps and Morse fits)
 # row k + 4: the coefficients, by ascending power of u = tan(t/2), of
 # (1 + i u)^(4 + k) (1 - i u)^(4 - k) = exp(i k t) (1 + u^2)^4
 _HALF_TANGENT = np.array([
@@ -251,16 +251,24 @@ def _horner(p, x: float) -> float:
     return value
 
 
-def _false_position(p, a: float, b: float, fa: float, fb: float) -> float:
-    """The root of p in [a, b], where p(a) and p(b) differ in sign (Illinois rule)."""
-    x, side = a, 0
+def _false_position(f, a: float, b: float, fa: float, fb: float) -> float:
+    """The root of f in [a, b], a < b, where f(a) and f(b) differ in sign.
+
+    False position with the Illinois rule (Dowell and Jarratt, BIT 11,
+    168 (1971)), run until the bracket is as narrow as the floats allow;
+    an end where f is 0 is returned as the root.  RuntimeError after
+    _ROOT_STEPS evaluations of f.
+    """
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    side = 0
     for _ in range(_ROOT_STEPS):
         x = (a * fb - b * fa) / (fb - fa)
         if not a < x < b:  # the bracket is as narrow as the floats allow
-            break
-        fx = _horner(p, x)
+            return x
+        fx = f(x)
         if fx == 0.0:
-            break
+            return x
         if (fx < 0.0) == (fa < 0.0):
             a, fa = x, fx
             if side < 0:
@@ -271,7 +279,7 @@ def _false_position(p, a: float, b: float, fa: float, fb: float) -> float:
             if side > 0:
                 fa *= 0.5
             side = 1
-    return x
+    raise RuntimeError(f"false position did not converge in {_ROOT_STEPS} steps")
 
 
 def _real_roots(p, lo: float, hi: float) -> tuple[list[float], list[float]]:
@@ -289,13 +297,12 @@ def _real_roots(p, lo: float, hi: float) -> tuple[list[float], list[float]]:
     critical = _real_roots([k * c for k, c in enumerate(p)][1:], lo, hi)[0]
     ends = [lo, *critical, hi]
     roots = []
-    fa = _horner(p, lo)
+    f = functools.partial(_horner, p)
+    fa = f(lo)
     for a, b in zip(ends, ends[1:]):
-        fb = _horner(p, b)
-        if fa == 0.0:
-            roots.append(a)
-        elif fa * fb < 0.0:
-            roots.append(_false_position(p, a, b, fa, fb))
+        fb = f(b)
+        if fa == 0.0 or fa * fb < 0.0:
+            roots.append(_false_position(f, a, b, fa, fb))
         fa = fb
     if fa == 0.0:
         roots.append(hi)

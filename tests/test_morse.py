@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qubitcc import morse
+from qubitcc import morse, qcc
 from qubitcc.constants import AMU_TO_ELECTRON_MASS, HARTREE_TO_INVCM
 from qubitcc.morse import MorseFit, fit_morse, morse_energy, spectroscopic_constants
 
@@ -140,6 +140,12 @@ class TestFit:
         with pytest.raises(RuntimeError):
             fit_morse(r, e, mu_amu=1.0)
 
+    def test_root_step_cap_raises(self, monkeypatch):
+        # the root in a comes from qcc's false position, under its step cap
+        monkeypatch.setattr(qcc, "_ROOT_STEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge in 1 steps"):
+            fit_morse(*noisy_well(), mu_amu=0.5)
+
     @pytest.mark.parametrize("r, e", [
         (np.linspace(1.0, 3.0, 8), 2.0 - 0.5 * np.linspace(1.0, 3.0, 8)),  # repulsive line
         # a dip 1e-3 bohr wide, 8 bohr from the first point: the parabola's range
@@ -206,3 +212,8 @@ class TestLeastSquares:
         # at 6546.959464515, within its tolerance of this stationary point
         fit = fit_morse(H4_R, H4_E, mu_amu=0.503913)
         assert fit.omega_e == pytest.approx(6546.9594979, abs=1e-5)
+
+    def test_noisy_well_constants(self):
+        # pinned: a change of root finder moves omega_e by rounding only
+        fit = fit_morse(*noisy_well(), mu_amu=0.5)
+        assert fit.omega_e == pytest.approx(4239.786216163004, rel=1e-12)

@@ -520,6 +520,28 @@ class TestPairStep:
         assert t1 * t1 + t2 * t2 < mirror[0] ** 2 + mirror[1] ** 2 - 0.1
 
 
+
+class TestFalsePosition:
+    """The package's one bracketed root finder: pair-step polynomials and the Morse fit."""
+
+    def test_cube_root(self):
+        def f(x):
+            return x**3 - 2.0
+
+        assert qcc._false_position(f, 1.0, 2.0, -1.0, 6.0) == pytest.approx(2.0 ** (1 / 3), rel=4e-16)
+
+    def test_root_at_either_end(self):
+        def f(x):
+            raise AssertionError("an end with f = 0 needs no evaluation")
+
+        assert qcc._false_position(f, 0.1, 0.7, 0.0, 3.0) == 0.1
+        assert qcc._false_position(f, 0.1, 0.7, -3.0, 0.0) == 0.7
+
+    def test_step_cap_raises_in_the_pair_step(self, monkeypatch):
+        monkeypatch.setattr(qcc, "_ROOT_STEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge in 1 steps"):
+            qcc._real_roots([-2.0, 0.0, 0.0, 1.0], 1.0, 2.0)
+
 class TestDress:
     def test_expectation_identity(self, rng):
         for _ in range(40):
