@@ -5,8 +5,8 @@ the command, falling back to [run]) with explicit flags winning; keys
 that name no option of the command are ignored.  Each solver starts
 from a fixed vector, so a run repeats exactly.  The INI values reach
 the options through Click's default_map, so they pass the same type
-and choice checks as flags; float options reject nan and inf, and
-tolerances must be >= 0.
+and choice checks as flags, and a config value satisfies a required
+option; float options reject nan and inf, and tolerances must be >= 0.
 """
 
 from __future__ import annotations
@@ -46,20 +46,31 @@ class _FiniteFloat(click.FloatRange):
 
 _TOLERANCE = _FiniteFloat(min=0)
 
+
+def _stacked(*decorators):
+    """One decorator applying these in order, so their parameters list in this order."""
+    def apply(command):
+        for decorator in reversed(decorators):
+            command = decorator(command)
+        return command
+    return apply
+
+
+# The text Hamiltonian and its reference of screen, acset, iqcc and ilcap.
+_hamiltonian_options = _stacked(
+    click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False)),
+    click.option("--n-elec", type=int, required=True, help="Occupied qubits in the reference."),
+    click.option("--n-qubits", type=int, default=None, help="Override the inferred qubit count."),
+)
+
 # The RunConfig options of ilcap and scan; parameter names are the INI keys.
-_RUN_OPTIONS = (
+_run_options = _stacked(
     click.option("--max-generators", type=click.IntRange(min=0), default=_RUN.max_generators),
     click.option("--gens", type=click.IntRange(min=1), default=_RUN.generators_per_iteration),
     click.option("--iterations", type=click.IntRange(min=0), default=_RUN.iterations),
     click.option("--grad-tol", type=_TOLERANCE, default=_RUN.gradient_tol),
     click.option("--trunc-threshold", type=_TOLERANCE, default=_RUN.truncation_threshold),
 )
-
-
-def _run_options(command):
-    for option in reversed(_RUN_OPTIONS):
-        command = option(command)
-    return command
 
 
 def _run_config(scheme, max_generators, gens, iterations, grad_tol, trunc_threshold) -> RunConfig:
@@ -71,12 +82,6 @@ def _run_config(scheme, max_generators, gens, iterations, grad_tol, trunc_thresh
         gradient_tol=grad_tol,
         truncation_threshold=trunc_threshold,
     )
-
-
-def _require(value, name: str):
-    if value is None:
-        raise click.UsageError(f"{name} is required (flag or config)")
-    return value
 
 
 def _fmt(value: float) -> str:
@@ -147,14 +152,12 @@ def transform(fcidump, output, mu, drop_threshold):
 
 
 @main.command()
-@click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
-@click.option("--n-elec", type=int, default=None, help="Occupied qubits in the reference.")
-@click.option("--n-qubits", type=int, default=None, help="Override the inferred qubit count.")
+@_hamiltonian_options
 @click.option("--top", type=click.IntRange(min=0), default=0,
               help="Show only the strongest sectors (0 shows all).")
 def screen(hamiltonian, n_elec, n_qubits, top):
     """Rank the X sectors of a Hamiltonian by reference gradient."""
-    h, ref = _load(hamiltonian, n_qubits, _require(n_elec, "--n-elec"))
+    h, ref = _load(hamiltonian, n_qubits, n_elec)
     ranked = gradients(ising_decompose(h), ref)
     rows = list(zip(ranked.masks, ranked.weights))
     if top:
@@ -166,16 +169,14 @@ def screen(hamiltonian, n_elec, n_qubits, top):
 
 
 @main.command("acset")
-@click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
-@click.option("--n-elec", type=int, default=None)
-@click.option("--n-qubits", type=int, default=None)
+@_hamiltonian_options
 @click.option("--max-generators", type=click.IntRange(min=0), default=None,
               help="Keep only the first M generators.")
 @click.option("--drop-zero/--keep-zero", default=False,
               help="Drop zero-gradient X words before building the set.")
 def acset_cmd(hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
     """Build the anti-commuting generator set from ranked X words."""
-    h, ref = _load(hamiltonian, n_qubits, _require(n_elec, "--n-elec"))
+    h, ref = _load(hamiltonian, n_qubits, n_elec)
     ranked = gradients(ising_decompose(h), ref, drop_zero=drop_zero)
     acs = build_anticommuting_set(h.n, ranked.masks, max_generators)
     click.echo(f"{len(acs)} generators from {len(ranked)} ranked X words on {h.n} qubits")
@@ -184,9 +185,7 @@ def acset_cmd(hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
 
 
 @main.command()
-@click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
-@click.option("--n-elec", type=int, default=None)
-@click.option("--n-qubits", type=int, default=None)
+@_hamiltonian_options
 @click.option("--gens", type=click.IntRange(min=1), default=1,
               help="Generators optimized jointly per iteration (default 1).")
 @click.option("--iterations", type=click.IntRange(min=0), default=10,
@@ -197,7 +196,7 @@ def acset_cmd(hamiltonian, n_elec, n_qubits, max_generators, drop_zero):
 def iqcc(hamiltonian, n_elec, n_qubits, gens, iterations, grad_tol, trunc_threshold,
          checkpoint_dir):
     """Run the iterative solver and report the energy trajectory."""
-    h, ref = _load(hamiltonian, n_qubits, _require(n_elec, "--n-elec"))
+    h, ref = _load(hamiltonian, n_qubits, n_elec)
     state = run_iqcc(
         h, ref,
         generators_per_iteration=gens,
@@ -218,15 +217,13 @@ def iqcc(hamiltonian, n_elec, n_qubits, gens, iterations, grad_tol, trunc_thresh
 
 
 @main.command("ilcap")
-@click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False))
-@click.option("--n-elec", type=int, default=None)
-@click.option("--n-qubits", type=int, default=None)
+@_hamiltonian_options
 @click.option("--scheme", type=click.Choice([s for s in SCHEMES if s.startswith("ilcap")]),
               default=_RUN.scheme)
 @_run_options
 def ilcap_cmd(hamiltonian, n_elec, n_qubits, **run_options):
     """Single-point combination-ansatz estimators with corrections."""
-    h, ref = _load(hamiltonian, n_qubits, _require(n_elec, "--n-elec"))
+    h, ref = _load(hamiltonian, n_qubits, n_elec)
     for label, value in run_scheme(h, ref, _run_config(**run_options)).items():
         click.echo(f"{label:<24} {_fmt(value)}")
 
@@ -279,10 +276,17 @@ def _scan_point(payload: tuple) -> tuple[int, dict[str, float] | None, list[str]
               help="Parallel scan workers (default 1).")
 def scan(fcidumps, radii, output, mu, workers, **run_options):
     """Run an estimator family over a bond scan and write a CSV."""
-    try:
-        r_values = [float(tok) for tok in radii.split(",") if tok.strip()]
-    except ValueError:
-        raise click.UsageError("--radii must be a comma-separated list of numbers")
+    r_values = []
+    for tok in filter(str.strip, radii.split(",")):
+        try:
+            value = float(tok)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise click.UsageError(
+                f"--radii must be a comma-separated list of finite numbers, got {tok.strip()!r}"
+            )
+        r_values.append(value)
     if len(r_values) != len(fcidumps):
         raise click.UsageError(
             f"{len(fcidumps)} FCIDUMP files but {len(r_values)} radii"
@@ -323,11 +327,10 @@ def scan(fcidumps, radii, output, mu, workers, **run_options):
 @main.command("fit-morse")
 @click.argument("scan_csv", type=click.Path(exists=True, dir_okay=False))
 @click.option("--column", default="E_exact", help="Energy column to fit (default E_exact).")
-@click.option("--mu-amu", type=_FiniteFloat(min=0, min_open=True), default=None,
+@click.option("--mu-amu", type=_FiniteFloat(min=0, min_open=True), required=True,
               help="Reduced mass in amu.")
 def fit_morse_cmd(scan_csv, column, mu_amu):
     """Fit a Morse well to a scan CSV column and report constants."""
-    mu_amu = _require(mu_amu, "--mu-amu")
     with open(scan_csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for name in ("r", column):

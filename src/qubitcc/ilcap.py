@@ -247,7 +247,7 @@ def dress_with_combination(
     z = np.empty_like(x)
     x[:linear], z[:linear] = np.concatenate(xs), np.concatenate(zs)
     blocks = {}  # (k, j) for k <= j: first row of its words, and a_k a_j c i**p
-    sign = np.array(I_POWERS).real
+    sign = _I_POWERS.real
     start = linear
     for k, (a_k, gk) in enumerate(active):
         x1, z1, k1 = _mask_product(np.uint64(gk.x), np.uint64(gk.z), h.x, h.z)
@@ -319,11 +319,12 @@ def _bw_correct(
     generators: Sequence[PauliWord],
     ordered: Sequence[int],
     ref: ReferenceState,
-) -> tuple[BwResult, np.ndarray]:
+) -> tuple[BwResult, IlcapSolution]:
     """``bw_correct`` on a decomposition, for ascending valid excluded masks.
 
-    Also returns the ansatz matrix, the square block of the same table,
-    which is ``build_h_matrix``'s to the bit.
+    Also returns the ansatz solution, ``solve_ilcap``'s to the bit: its
+    matrix is the square block of the same table, and its energy is
+    BW's starting energy.
     """
     table = _brackets(dec, generators, ref, ordered)
     mat = _h_matrix(table)
@@ -333,8 +334,8 @@ def _bw_correct(
     scale = max(1.0, float(np.max(np.abs(mat))), float(np.max(np.abs(b), initial=0.0)))
     _check_real(coupling, scale, "coupling")
 
-    e0 = float(np.linalg.eigh(mat)[0][0])
-    energy = e0
+    sol = _solve(mat)
+    energy = sol.energy
     skipped: set[int] = set()
     prev_step = math.inf
     growth = 0
@@ -370,7 +371,7 @@ def _bw_correct(
         else:
             growth = 0
         prev_step = step
-    return BwResult(energy, e0, converged, iterations, tuple(sorted(skipped))), mat
+    return BwResult(energy, sol.energy, converged, iterations, tuple(sorted(skipped))), sol
 
 
 @dataclass(frozen=True, slots=True)

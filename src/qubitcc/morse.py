@@ -20,10 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import AMU_TO_ELECTRON_MASS, HARTREE_TO_INVCM
 from .qcc import _false_position
 
 __all__ = ["MorseFit", "morse_energy", "spectroscopic_constants", "fit_morse"]
+
+# CODATA 2018: the hartree as a wavenumber, E_h / (h c), in cm^-1, and
+# the atomic mass constant over the electron mass, m_u / m_e
+HARTREE_TO_INVCM = 2.1947463136320e5
+AMU_TO_ELECTRON_MASS = 1822.888486209
 
 _NONPHYSICAL = "Morse fit landed on a non-physical well"
 _BRACKET_STEPS = 12  # times a may be doubled or halved in search of a sign change
@@ -88,9 +92,10 @@ def _projection(dr: np.ndarray, e: np.ndarray, a: float):
 def fit_morse(r, e, mu_amu: float) -> MorseFit:
     """Least-squares Morse fit of points (r, e) in atomic units.
 
-    Needs at least four points (the model has four parameters).  The
-    search for a starts from the parabola through the lowest point and
-    its neighbours when that point is interior, and doubles or halves a
+    Needs at least four finite points (the model has four parameters)
+    at distinct bond lengths; ValueError otherwise.  The search for a
+    starts from the parabola through the lowest point and its
+    neighbours when that point is interior, and doubles or halves a
     until the slope of the projected residual changes sign; false
     position then finds the slope's root in that bracket.
     RuntimeError when there is no such change, when false position
@@ -103,6 +108,8 @@ def fit_morse(r, e, mu_amu: float) -> MorseFit:
         raise ValueError("r and e must be 1-d arrays of equal length")
     if len(r) < 4:
         raise ValueError("a four-parameter fit needs at least four points")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(e))):
+        raise ValueError("bond lengths and energies must be finite")
     if len(np.unique(r)) != len(r):
         raise ValueError("bond lengths must be distinct")
     order = np.argsort(r)
@@ -136,9 +143,9 @@ def fit_morse(r, e, mu_amu: float) -> MorseFit:
     (c0, c1, c2), res, _ = _projection(dr, de, a)
     if c2 <= 0 or c1 >= 0:
         raise RuntimeError(_NONPHYSICAL)
-    d_e = c1 * c1 / (4.0 * c2)
+    d_e = float(c1 * c1 / (4.0 * c2))
     r_e = float(r[low] + math.log(-2.0 * c2 / c1) / a)
     e_min = float(e[low] + c0 - d_e)
     omega_e, omega_e_x_e = spectroscopic_constants(d_e, a, mu_amu)
     rms = float(np.sqrt(np.mean(res**2)))
-    return MorseFit(float(d_e), float(a), r_e, e_min, omega_e, omega_e_x_e, rms)
+    return MorseFit(d_e, float(a), r_e, e_min, omega_e, omega_e_x_e, rms)

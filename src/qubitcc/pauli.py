@@ -463,10 +463,7 @@ class ReferenceState:
         """<0|h|0>, only diagonal terms contribute."""
         if h.n != self.n:
             raise ValueError("qubit counts differ")
-        # the diagonal (x = 0) terms lead the canonical order
-        end = int(np.searchsorted(h.x, np.uint64(0), "right"))
-        keys = np.zeros(end, np.intp)
-        return float(_signed_sums(h.z[:end], h.c[:end], keys, self.occupied_mask, 1)[0])
+        return float(_diagonal_at(h, np.array([self.occupied_mask], np.uint64))[0])
 
 
 def conjugate_by_word(h: PauliSum, generator: PauliWord, t: float) -> PauliSum:
@@ -537,9 +534,11 @@ def _half_commutator_rows(
 def half_commutator(generator: PauliWord, h: PauliSum) -> PauliSum:
     """(i/2)[generator, h] as a real-coefficient sum.
 
-    This is the derivative at t = 0 of the conjugation above, and the
-    building block for amplitude gradients.  Its words are distinct,
-    one per anti-commuting term of h.
+    This is the derivative at t = 0 of the conjugation above, whose
+    sin(t) part it is, as it is of ``ilcap.dress_with_combination``'s.
+    Amplitude gradients do not use it: ``qcc`` takes them on the
+    determinant subspace.  Its words are distinct, one per
+    anti-commuting term of h.
     """
     if generator.n != h.n:
         raise ValueError("qubit counts differ")

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .acset import build_anticommuting_set
-from .ilcap import _bw_correct, _en_correct, _solve, dress_with_combination, en_correct
-from .pauli import PauliSum, ReferenceState
+from .ilcap import IlcapSolution, _bw_correct, _en_correct, dress_with_combination, en_correct
+from .pauli import PauliSum, PauliWord, ReferenceState
 from .qcc import run_iqcc
 from .screen import IsingDecomposition, gradients, ising_decompose
 
@@ -32,26 +32,21 @@ class RunConfig:
     truncation_threshold: float = 1e-8
 
 
-def _ilcap_family(dec: IsingDecomposition, ref: ReferenceState, cfg: RunConfig, prefix: str,
-                  with_en: bool = True) -> dict[str, float]:
-    """E_prefix, +BW, and optionally +EN for the combination ansatz on dec.h.
+def _ilcap_family(
+    dec: IsingDecomposition, ref: ReferenceState, cfg: RunConfig, prefix: str
+) -> tuple[dict[str, float], tuple[PauliWord, ...], IlcapSolution]:
+    """E_prefix and E_prefix+BW for the combination ansatz on dec.h.
 
     E_prefix is BW's uncorrected energy, the lowest eigenvalue of the
-    ansatz matrix; EN needs that matrix's solution, its amplitude and
-    weights, which ``solve_ilcap`` would find from the same matrix.
+    ansatz matrix.  Also returns the generators and the ansatz solution,
+    whose amplitude and weights dress h for EN.
     """
-    h = dec.h
     ranked = gradients(dec, ref)
-    acs = build_anticommuting_set(h.n, ranked.masks, cfg.max_generators)
+    acs = build_anticommuting_set(dec.n, ranked.masks, cfg.max_generators)
     used = {g.x for g in acs.generators}
     excluded = [m for m in dec.sectors if m not in used]  # ascending, as bw_correct sorts them
-    bw, mat = _bw_correct(dec, acs.generators, excluded, ref)
-    out = {prefix: bw.uncorrected_energy, f"{prefix}+BW": bw.energy}
-    if with_en:
-        sol = _solve(mat)
-        dressed = dress_with_combination(h, acs.generators, sol.t, sol.alphas)
-        out[f"{prefix}+EN"] = en_correct(dressed, ref).energy
-    return out
+    bw, sol = _bw_correct(dec, acs.generators, excluded, ref)
+    return {prefix: bw.uncorrected_energy, f"{prefix}+BW": bw.energy}, acs.generators, sol
 
 
 def run_scheme(h: PauliSum, ref: ReferenceState, cfg: RunConfig) -> dict[str, float]:
@@ -65,7 +60,9 @@ def run_scheme(h: PauliSum, ref: ReferenceState, cfg: RunConfig) -> dict[str, fl
     if cfg.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {cfg.scheme!r}; pick one of {SCHEMES}")
     if cfg.scheme == "ilcap-pre":
-        return _ilcap_family(ising_decompose(h), ref, cfg, "E_ILCAP")
+        cells, generators, sol = _ilcap_family(ising_decompose(h), ref, cfg, "E_ILCAP")
+        dressed = dress_with_combination(h, generators, sol.t, sol.alphas)
+        return {**cells, "E_ILCAP+EN": en_correct(dressed, ref).energy}
     state = run_iqcc(
         h,
         ref,
@@ -80,5 +77,5 @@ def run_scheme(h: PauliSum, ref: ReferenceState, cfg: RunConfig) -> dict[str, fl
     # EN and the ILCAP family read one decomposition of the dressed Hamiltonian
     dec = ising_decompose(state.hamiltonian)
     en = _en_correct(dec, ref)
-    family = _ilcap_family(dec, ref, cfg, f"{label}+ILCAP", with_en=False)
+    family = _ilcap_family(dec, ref, cfg, f"{label}+ILCAP")[0]
     return {label: state.energy, f"{label}+EN": en.energy, **family}

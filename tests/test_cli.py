@@ -118,7 +118,7 @@ class TestScreen:
     def test_n_elec_required(self, runner, h2_text):
         res = runner.invoke(main, ["screen", h2_text])
         assert res.exit_code == 2
-        assert "--n-elec is required" in res.output
+        assert "Missing option '--n-elec'" in res.output
 
 
 class TestAcset:
@@ -254,6 +254,15 @@ class TestScan:
                                    "-o", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
         assert "comma-separated" in res.output
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", " NaN "])
+    def test_non_finite_radius_is_usage_error(self, runner, tmp_path, token):
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, ["scan", R10, R12, R14, R18, "--radii",
+                                   f"{token},1.2,1.4,1.8", "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"finite numbers, got {token.strip()!r}" in res.output
+        assert not out.exists()
 
     def test_bad_point_leaves_empty_cells(self, runner, tmp_path):
         bad = tmp_path / "broken.fcidump"
@@ -416,6 +425,25 @@ class TestFitMorse:
         assert isinstance(res.exception, SystemExit)  # click's exit, not a traceback
         assert f"Invalid value for 'SCAN_CSV': {src}: " in res.output
         assert message in res.output
+
+    @pytest.mark.parametrize("column", ["r", "E"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_point_is_usage_error(self, runner, tmp_path, column, value):
+        rows = [["1.0", "-1.0"], ["1.4", "-1.1"], ["1.8", "-1.05"], ["2.2", "-1.0"]]
+        rows[2][column == "E"] = value
+        src = tmp_path / "bad.csv"
+        src.write_text("r,E\n" + "".join(f"{r},{e}\n" for r, e in rows), encoding="utf-8")
+        res = runner.invoke(main, ["fit-morse", str(src), "--column", "E", "--mu-amu", "1.0"])
+        assert res.exit_code == 2, res.output
+        assert f"Invalid value for 'SCAN_CSV': {src}: " in res.output
+        assert "must be finite" in res.output
+
+    def test_mu_amu_required(self, runner, tmp_path):
+        src = tmp_path / "scan.csv"
+        src.write_text("r,E_exact\n1.0,-1.0\n", encoding="utf-8")
+        res = runner.invoke(main, ["fit-morse", str(src)])
+        assert res.exit_code == 2
+        assert "Missing option '--mu-amu'" in res.output
 
     def test_failed_fit_is_one_line_error(self, runner, tmp_path):
         src = tmp_path / "flat.csv"
@@ -603,6 +631,28 @@ class TestConfig:
         cfg.write_text("[run]\nn_elec = 2\n", encoding="utf-8")
         res = ok(runner, ["--config", str(cfg), "screen", h2_text])
         assert "X0 X1 X2 X3" in res.output
+
+    @pytest.mark.parametrize("command", ["screen", "acset", "iqcc", "ilcap"])
+    def test_config_n_elec_satisfies_the_required_option(self, runner, tmp_path, h2_text,
+                                                         command):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{command}]\nn_elec = 2\n", encoding="utf-8")
+        res = ok(runner, ["--config", str(cfg), command, h2_text])
+        assert res.output == ok(runner, [command, h2_text, "--n-elec", "2"]).output
+        missing = runner.invoke(main, [command, h2_text])
+        assert missing.exit_code == 2
+        assert "Missing option '--n-elec'" in missing.output
+
+    def test_config_mu_amu_satisfies_the_required_option(self, runner, tmp_path):
+        r = [1.0 + 0.3 * i for i in range(8)]
+        src = tmp_path / "scan.csv"
+        src.write_text("r,E_exact\n" + "".join(
+            f"{ri},{ei:.17g}\n" for ri, ei in zip(r, morse_energy(r, 0.2, 1.1, 1.5, -1.0))),
+            encoding="utf-8")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[fit-morse]\nmu_amu = 0.503913\n", encoding="utf-8")
+        res = ok(runner, ["--config", str(cfg), "fit-morse", str(src)])
+        assert res.output == ok(runner, ["fit-morse", str(src), "--mu-amu", "0.503913"]).output
 
     def test_command_section_beats_run(self, runner, tmp_path, h2_text):
         cfg = tmp_path / "cfg.ini"

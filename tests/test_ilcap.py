@@ -779,6 +779,32 @@ class TestBw:
         assert capped.uncorrected_energy == full.uncorrected_energy
         assert capped.energy != full.energy
 
+    @pytest.mark.parametrize("source", ["h4_r2p0.fcidump", "h6_r1p805.fcidump", "random"])
+    def test_returns_the_ansatz_solution(self, rng, source):
+        # the solution that starts BW is solve_ilcap's on the same generators, bit for bit
+        cases = []
+        if source == "random":
+            for _ in range(20):
+                n = rng.randint(3, 6)
+                cases.append((random_even_sum(rng, n, 30), ReferenceState(n, rng.randint(0, n))))
+        else:
+            data = load_fcidump(str(DATA_DIR / source))
+            cases.append((jw_hamiltonian(data), hf_reference(data)))
+        for h, ref in cases:
+            dec = ising_decompose(h)
+            gens = build_anticommuting_set(h.n, gradients(dec, ref).masks).generators
+            excluded = [m for m in dec.sectors if m not in {g.x for g in gens}]
+            bw, sol = ilcap._bw_correct(dec, gens, excluded, ref)
+            want = solve_ilcap(h, gens, ref)
+            assert type(sol.energy) is float and type(sol.t) is float
+            assert [sol.energy.hex(), sol.t.hex()] == [want.energy.hex(), want.t.hex()]
+            for got, exp in [(sol.coefficients, want.coefficients), (sol.alphas, want.alphas),
+                             (sol.matrix, want.matrix)]:
+                assert got.dtype == exp.dtype and got.shape == exp.shape
+                assert got.tobytes() == exp.tobytes()
+            assert bw.uncorrected_energy.hex() == sol.energy.hex()
+            assert bw == bw_correct(h, gens, excluded, ref)
+
     def test_excluded_mask_validation(self, rng):
         h = random_even_sum(rng, 3, 8)
         ref = ReferenceState(3, 1)

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from qubitcc import morse, qcc
-from qubitcc.constants import AMU_TO_ELECTRON_MASS, HARTREE_TO_INVCM
-from qubitcc.morse import MorseFit, fit_morse, morse_energy, spectroscopic_constants
+from qubitcc.morse import (
+    AMU_TO_ELECTRON_MASS,
+    HARTREE_TO_INVCM,
+    MorseFit,
+    fit_morse,
+    morse_energy,
+    spectroscopic_constants,
+)
 
 
 def noisy_well():
@@ -131,6 +137,26 @@ class TestFit:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             fit_morse([1.0, 1.4, 1.8, 2.2], [0.0, 1.0, 2.0], mu_amu=1.0)
+
+    @pytest.mark.parametrize("which", ["r", "e"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected_before_any_solve(self, monkeypatch, capfd, which,
+                                                         value):
+        r, e = noisy_well()
+        (r if which == "r" else e)[5] = value
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("lstsq reached")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_solve)
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_morse(r, e, mu_amu=0.5)
+        assert capfd.readouterr().err == ""
+
+    def test_fields_are_floats(self):
+        fit = fit_morse(np.array(H4_R), np.array(H4_E), mu_amu=0.5)
+        assert [type(v) for v in (fit.d_e, fit.a, fit.r_e, fit.e_min, fit.omega_e,
+                                  fit.omega_e_x_e, fit.residual_rms)] == [float] * 7
 
     def test_nonphysical_data_raises(self):
         # a repulsive line has no well; the fit either fails to converge
