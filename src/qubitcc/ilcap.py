@@ -17,10 +17,11 @@ once (``IsingDecomposition.at``), and the BW/EN denominators take the
 diagonal at every flipped reference at once (``pauli._diagonal_at``).
 
 ``dress_with_combination`` works on the mask arrays of the
-``PauliSum``: of the M^2 generator pairs it multiplies out only k < j,
-and keeps only the products with a real phase, since T h T is Hermitian
-and the imaginary ones cancel between (k, j) and (j, k).  Its output is
-the same, bit for bit, as the term-by-term expansion.
+``PauliSum``: of the M^2 generator pairs it forms only k < j, and of
+those only the products with a real phase, picked before any product is
+formed, since T h T is Hermitian and the imaginary ones cancel between
+(k, j) and (j, k).  Its output is the same, bit for bit, as the
+term-by-term expansion.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from .pauli import (
     ReferenceState,
     _diagonal_at,
     _group_masks,
-    _half_commutator_rows,
     _mask_product,
     basis_image,
-    commutes,
 )
 from .screen import IsingDecomposition, ising_decompose
 
@@ -71,10 +70,14 @@ def _validate_generators(generators: Sequence[PauliWord], n: int) -> None:
             raise ValueError("generator qubit count differs from the Hamiltonian's")
         if g.y_count() % 2 == 0:
             raise ValueError(f"generator {i} has even Y count; expected odd")
-    for i in range(len(generators)):
-        for j in range(i + 1, len(generators)):
-            if commutes(generators[i], generators[j]):
-                raise ValueError(f"generators {i} and {j} commute; set is not anti-commuting")
+    gx = np.array([g.x for g in generators], np.uint64)
+    gz = np.array([g.z for g in generators], np.uint64)
+    # the symplectic form of every pair at once; the first even one above
+    # the diagonal, in (i, j) order, is the pair named
+    even = (np.bitwise_count((gx[:, None] & gz) ^ (gz[:, None] & gx)) & 1) == 0
+    i, j = np.nonzero(np.triu(even, 1))
+    if len(i):
+        raise ValueError(f"generators {i[0]} and {j[0]} commute; set is not anti-commuting")
 
 
 def _brackets(
@@ -89,7 +92,7 @@ def _brackets(
     states and then X_f|0>.  Each state is i**p |b> for a basis state
     b: p = 0 for |0> and X_f|0>, and p = k + 3 for v_k, with
     T_k|0> = i**k |b_k>.  Entry (i, j) is i**(p_j - p_i) <b_i|h|b_j>;
-    each bra b_i reads its whole row from one pass over the terms.
+    all bras read their rows from one pass over the terms.
     """
     if dec.n != ref.n:
         raise ValueError("qubit counts differ")
@@ -99,7 +102,7 @@ def _brackets(
     bras = [occ, *(b for b, _ in images)]
     kets = np.array(bras + [occ ^ m for m in flips], dtype=np.uint64)
     p = np.array([0, *(k + 3 for _, k in images), *(0 for _ in flips)])
-    rows = np.array([dec.row(b, kets) for b in bras])
+    rows = dec.row(kets[: len(bras)], kets)
     # adding to 0j turns a -0.0 from the phase product into 0.0, as a
     # term-by-term sum from 0j would have it
     return 0j + _I_POWERS[(p - p[: len(bras), None]) & 3] * rows
@@ -204,15 +207,17 @@ def dress_with_combination(
     h - (i/2) sin(t) [h, T] + (1 - cos t)/2 (T h T - h).
 
     T h T sums a_k a_j T_k w T_j over the ordered pairs (k, j) of active
-    generators and the terms w of h.  T_k w T_k is +-w, and only the
-    k < j products T_k w T_j = i**p word are formed: T_j w T_k is their
+    generators and the terms w of h.  T_k w T_k is +-w, and only k < j
+    products T_k w T_j = i**p word are formed: T_j w T_k is their
     Hermitian conjugate, so an odd-p product is imaginary and cancels
-    its mirror, and only the even-p rows are kept, each serving both
-    (k, j) and (j, k).  All words are grouped in one sort, and each
-    word's sums still run over the (k, j, term) rows in that order (an
-    odd row only ever added 0.0), so the result is bit-identical to the
-    term-by-term expansion.  Nothing is pruned here: a caller that
-    wants the result pruned calls ``.truncate`` on it.
+    its mirror.  p is even exactly where w anti-commutes with one of
+    T_k and T_j, so those rows are picked first and only they are
+    multiplied out, each serving both (k, j) and (j, k).  All words are
+    grouped in one sort, and each word's sums still run over the
+    (k, j, term) rows in that order (an odd row only ever added 0.0),
+    so the result is bit-identical to the term-by-term expansion.
+    Nothing is pruned here: a caller that wants the result pruned calls
+    ``.truncate`` on it.
     """
     if len(generators) != len(alphas):
         raise ValueError("one weight per generator required")
@@ -230,50 +235,64 @@ def dress_with_combination(
 
     st = math.sin(t)
     fc = (1.0 - math.cos(t)) / 2.0
-    active = [(a, g) for a, g in zip(alphas, generators) if a != 0.0]
-    m, size = len(active), len(h.c)
-    # the words to group: h's own (its h (1 - fc) rows, and every
-    # T_k w T_k), the half-commutator parts generator by generator, then
-    # the even-p rows of T_k w T_j = i**p (x, z) for k < j in (k, j,
-    # term) order
-    xs, zs, cs = [h.x], [h.z], [h.c * (1.0 - fc)]
-    for a_k, gk in active:
-        _, part_x, part_z, part_c = _half_commutator_rows(gk, h)
-        xs.append(part_x)
-        zs.append(part_z)
-        cs.append(st * a_k * part_c)
-    linear = sum(len(c) for c in cs)
-    x = np.empty(linear + m * (m - 1) // 2 * size, np.uint64)
-    z = np.empty_like(x)
-    x[:linear], z[:linear] = np.concatenate(xs), np.concatenate(zs)
-    blocks = {}  # (k, j) for k <= j: first row of its words, and a_k a_j c i**p
+    on = alphas != 0.0
+    a = alphas[on]
+    gx = np.array([g.x for g in generators], np.uint64)[on]
+    gz = np.array([g.z for g in generators], np.uint64)[on]
+    m, size = len(a), len(h.c)
     sign = _I_POWERS.real
-    start = linear
-    for k, (a_k, gk) in enumerate(active):
-        x1, z1, k1 = _mask_product(np.uint64(gk.x), np.uint64(gk.z), h.x, h.z)
-        # T_k w T_k is -w where they anti-commute
-        blocks[k, k] = 0, a_k * a_k * h.c * sign[2 * (k1 & 1)]
-        for j in range(k + 1, m):
-            a_j, gj = active[j]
-            x2, z2, k2 = _mask_product(x1, z1, np.uint64(gj.x), np.uint64(gj.z))
-            p = (k1 + k2) & 3
-            even = (p & 1) == 0
-            end = start + int(np.count_nonzero(even))
-            x[start:end], z[start:end] = x2[even], z2[even]
-            blocks[k, j] = start, a_k * a_j * h.c[even] * sign[p[even]]
-            start = end
-    ux, uz, inverse = _group_masks(x[:start], z[:start])
-    del x, z
+    # T_k w = i**k1 (x1, z1) for each active T_k (axis 0) and term w of h
+    # (axis 1); k1 is odd where the two anti-commute
+    x1, z1, k1 = _mask_product(gx[:, None], gz[:, None], h.x, h.z)
+    odd = k1 & 1
+    # the half-commutator parts, generator by generator: i T_k w is
+    # i**(k1 + 1) (x1, z1), real on the anti-commuting terms
+    gen, term = np.nonzero(odd)
+    part_c = st * a[gen] * (h.c[term] * sign[(k1[gen, term] + 1) & 3])
+    linear = size + len(gen)
+    # T_k T_j = i**q (x, z) for each pair k < j, in (k, j) order
+    kk, jj = np.triu_indices(m, 1)
+    pair_x, pair_z, q = _mask_product(gx[kk], gz[kk], gx[jj], gz[jj])
+    # T_k w T_j is real exactly where w anti-commutes with one of T_k and
+    # T_j: its adjoint T_j w T_k is -(-1)**(odd_k + odd_j) T_k w T_j, so
+    # the other products are imaginary and cancel their mirror.  Only
+    # these rows are formed, in (k, j, term) order; on them T_k w T_j is
+    # (-1)**odd_k w T_k T_j = i**p (x2, z2)
+    left = odd[kk]
+    real_rows = left != odd[jj]
+    counts = np.count_nonzero(real_rows, axis=1)
+    flat = np.flatnonzero(real_rows)
+    pair = np.repeat(np.arange(len(kk)), counts)
+    pterm = flat - pair * size
+    x2, z2, r = _mask_product(h.x[pterm], h.z[pterm], pair_x[pair], pair_z[pair])
+    p = (q[pair] + r + 2 * left.ravel()[flat]) & 3
+    pair_c = (a[kk] * a[jj])[pair] * h.c[pterm] * sign[p]
+    # the words to group: h's own (its h (1 - fc) rows, and every
+    # T_k w T_k), the half-commutator parts, then the k < j rows
+    ux, uz, inverse = _group_masks(
+        np.concatenate((h.x, x1[gen, term], x2)), np.concatenate((h.z, z1[gen, term], z2))
+    )
+    del x1, z1, x2, z2
 
     # T h T's real part over all ordered pairs, rows in (k, j, term)
-    # order: row (j, k) has row (k, j)'s word and its real weight
-    pairs = [blocks[min(k, j), max(k, j)] for k in range(m) for j in range(m)]
-    rows = np.concatenate([inverse[first : first + len(w)] for first, w in pairs])
-    real = np.bincount(rows, weights=np.concatenate([w for _, w in pairs]), minlength=len(ux))
+    # order: T_k w T_k is -w where they anti-commute, and row (j, k) has
+    # row (k, j)'s word and its real weight
+    diag = (a * a)[:, None] * h.c * sign[2 * (k1 & 1)]
+    stops = np.cumsum(counts).tolist()
+    spans = {}
+    for k, j, lo, hi in zip(kk.tolist(), jj.tolist(), [0, *stops[:-1]], stops):
+        spans[k, j] = spans[j, k] = slice(lo, hi)
+    pair_rows = inverse[linear:]
+    ordered = [(k, j) for k in range(m) for j in range(m)]
+    rows = [inverse[:size] if k == j else pair_rows[spans[k, j]] for k, j in ordered]
+    weights = [diag[k] if k == j else pair_c[spans[k, j]] for k, j in ordered]
+    real = np.bincount(np.concatenate(rows), weights=np.concatenate(weights), minlength=len(ux))
     # each word adds up as from_masks would over h (1 - fc), the
     # half-commutator parts, then fc times T h T's real part; a bincount
     # is never -0.0, so adding fc * 0.0 where T h T is absent is exact
-    total = np.bincount(inverse[:linear], weights=np.concatenate(cs), minlength=len(ux))
+    total = np.bincount(
+        inverse[:linear], weights=np.concatenate((h.c * (1.0 - fc), part_c)), minlength=len(ux)
+    )
     total += fc * real
     return PauliSum._canonical(h.n, ux, uz, total)
 

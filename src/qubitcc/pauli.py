@@ -15,9 +15,10 @@ Sums of words carry real coefficients and keep their terms as mask
 arrays in a canonical order (lexicographic on the ``(x, z)`` pair), so
 any two routes to the same operator accumulate bit-identical results.
 Grouping sorts one packed key ``(x << w) | z`` when the masks fit in
-w <= 32 bits, and lexsorts the two masks above that; an unstable sort
-is exact there, since duplicates are summed in input order by index,
-not in sorted order.  Conjugation by a word does not regroup a sum on
+w <= 32 bits (with the row index packed below it when that fits too),
+and lexsorts the two masks above that; an unstable sort is exact there,
+since duplicates are summed in input order by index, not in sorted
+order.  Conjugation by a word does not regroup a sum on
 up to 32 qubits: it sorts only the new product words by the packed key
 (w the qubit count) and merges them into the terms already in order.
 """
@@ -186,16 +187,28 @@ def _first_of_runs(a: np.ndarray) -> np.ndarray:
 # (term, state) signs that one block of ``_diagonal_at`` holds
 _DIAGONAL_CELLS = 1 << 16
 
+# <b|Z_z|b> by the parity of the set bits b and z share; c times either
+# is exact, the same bits as c or -c
+_SIGNS = np.array([1.0, -1.0])
+_SIGN_BIT = np.uint64(63)
 
-def _signed_sums(z, c, keys, bits: int, size: int) -> np.ndarray:
-    """Per key, the sum over its terms of c times <bits|Z_z|bits>.
+
+def _signed_sums(z, c, keys, states, size: int) -> np.ndarray:
+    """Per state and key, the sum over its terms of c times <b|Z_z|b>.
 
     Z_z is -1 on a basis state that shares an odd number of set bits
-    with z.  ``np.bincount`` adds in input order from 0.0, so each
-    key's total is a left fold over its terms in the order given.
+    with z.  ``states`` is one uint64 basis state or an array of them;
+    the result has its shape plus one axis of ``size`` keys.  One
+    ``np.bincount`` takes every state, each over its own range of keys,
+    and it adds in input order from 0.0, so each key's total at each
+    state is a left fold over its terms in the order given.
     """
-    signed = np.where(np.bitwise_count(z & np.uint64(bits)) & 1, -c, c)
-    return np.bincount(keys, weights=signed, minlength=size)
+    states = np.asarray(states, np.uint64)
+    flat = states.reshape(-1, 1)
+    signed = c * _SIGNS[np.bitwise_count(z & flat) & 1]
+    ranges = keys + size * np.arange(len(flat))[:, None]
+    sums = np.bincount(ranges.ravel(), weights=signed.ravel(), minlength=size * len(flat))
+    return sums.reshape(states.shape + (size,))
 
 
 def _diagonal_at(h: PauliSum, states: np.ndarray) -> np.ndarray:
@@ -207,16 +220,25 @@ def _diagonal_at(h: PauliSum, states: np.ndarray) -> np.ndarray:
     a row has two or more entries (one alone it would sum pairwise, so
     there are never fewer than two columns).  Each state's total is
     therefore the same left fold from 0.0 in ascending z that
-    ``_signed_sums`` takes at one state.
+    ``_signed_sums`` takes at one state.  A sign is applied by moving
+    the parity of z & b into c's sign bit, in one buffer that every
+    block reuses.
     """
     end = int(np.searchsorted(h.x, np.uint64(0), "right"))
     width = len(states)
     rows = max(1, _DIAGONAL_CELLS // max(width, 2))
     block = np.zeros((min(rows, end) + 1, max(width, 2)))
+    bits = block.view(np.uint64)
+    parity = np.empty((min(rows, end), width), np.uint8)
+    c = h.c.view(np.uint64)
     for lo in range(0, end, rows):
-        z, c = h.z[lo:min(lo + rows, end), None], h.c[lo:min(lo + rows, end), None]
-        block[1:len(z) + 1, :width] = np.where(np.bitwise_count(z & states) & 1, -c, c)
-        block[0] = np.add.reduce(block[:len(z) + 1], axis=0)
+        hi = min(lo + rows, end)
+        signed, odd = bits[1 : hi - lo + 1, :width], parity[: hi - lo]
+        np.bitwise_and(h.z[lo:hi, None], states, out=signed)
+        np.bitwise_count(signed, out=odd)
+        np.left_shift(odd, _SIGN_BIT, out=signed)
+        np.bitwise_xor(signed, c[lo:hi, None], out=signed)
+        block[0] = np.add.reduce(block[: hi - lo + 1], axis=0)
     return block[0, :width].copy()
 
 
@@ -224,26 +246,43 @@ def _group_masks(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """Distinct (x, z) pairs in canonical order, and each input's index among them.
 
     When both masks fit in w <= 32 bits, the packed key (x << w) | z
-    orders numerically as (x, z) does lexicographically, so one argsort
-    of it replaces the two-key lexsort.  The sort need not be stable: a
-    row's group index does not depend on how ties are ordered, and the
-    callers add duplicates with ``np.bincount`` in input order.
+    orders numerically as (x, z) does lexicographically.  When the row
+    index also fits in the b = ceil(log2 rows) bits left, ``np.sort`` of
+    (key << b) | row gives the sorted keys and their rows at once, which
+    is faster than an argsort; otherwise one argsort of the key, and
+    above 32 bits the two-key lexsort.  The order of ties does not
+    matter: a row's group index does not depend on it, and the callers
+    add duplicates with ``np.bincount`` in input order.
     """
+    rows = len(x)
     w = int((x | z).max(initial=0)).bit_length()
+    b = max(rows - 1, 0).bit_length()
+    # in-place steps: a fresh array of this size costs as much as a pass
     if 2 * w <= 64:
-        key = (x << np.uint64(w)) | z
-        order = np.argsort(key)
-        ks = key[order]
-        first = _first_of_runs(ks)
-        uk = ks[first]
-        ux, uz = uk >> np.uint64(w), uk & np.uint64((1 << w) - 1)
+        key = x << np.uint64(w)
+        key |= z
+        if 2 * w + b <= 64:
+            key <<= np.uint64(b)
+            key |= np.arange(rows, dtype=np.uint64)
+            key.sort()
+            order = key & np.uint64((1 << b) - 1)
+            key >>= np.uint64(b)
+        else:
+            order = np.argsort(key)
+            key = key[order]
+        first = _first_of_runs(key)
+        ux = key[first]
+        uz = ux & np.uint64((1 << w) - 1)
+        ux >>= np.uint64(w)
     else:
         order = np.lexsort((z, x))
         xs, zs = x[order], z[order]
         first = _first_of_runs(xs) | _first_of_runs(zs)
         ux, uz = xs[first], zs[first]
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
+    runs = np.cumsum(first, dtype=np.int32 if rows < 1 << 31 else np.intp)
+    runs -= 1
+    inverse = np.empty(rows, dtype=np.intp)
+    inverse[order] = runs
     return ux, uz, inverse
 
 
@@ -440,8 +479,27 @@ class PauliSum:
         return cls(n, terms)
 
     def to_text(self) -> str:
-        """Emit the text format, one term per line in canonical order."""
-        return "\n".join(f"{c:.17g} {w.to_text()}" for w, c in self.items())
+        """Emit the text format, one term per line in canonical order.
+
+        Each line is the coefficient as ``f"{c:.17g}"`` and the word as
+        ``PauliWord.to_text`` writes it.  The words are built four qubits
+        at a time: each term's (x, z) nibbles pick a fragment such as
+        " X4 Y6" from a table made for the codes that occur.
+        """
+        words = np.full(len(self.c), "", dtype=object)
+        for lo in range(0, self.n, 4):
+            codes = (((self.x >> lo) & 15) | (((self.z >> lo) & 15) << 4)).astype(np.intp)
+            table = np.empty(256, dtype=object)
+            for code in np.flatnonzero(np.bincount(codes, minlength=256)).tolist():
+                table[code] = "".join(
+                    f" {'IXZY'[(code >> j & 1) + 2 * (code >> (j + 4) & 1)]}{lo + j}"
+                    for j in range(4)
+                    if code >> j & 0x11
+                )
+            words += table[codes]
+        words[(self.x | self.z) == 0] = " I"
+        coefficients = np.array([f"{c:.17g}" for c in self.c.tolist()], dtype=object)
+        return "\n".join((coefficients + words).tolist())
 
 
 @dataclass(frozen=True, slots=True)

@@ -88,7 +88,7 @@ class _Subspace:
         lo, hi = np.searchsorted(h.x, flips, "left"), np.searchsorted(h.x, flips, "right")
         rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
         dec = ising_decompose(PauliSum._canonical(h.n, h.x[rows], h.z[rows], h.c[rows]))
-        self.h = np.array([dec.row(b, states) for b in basis])
+        self.h = dec.row(states, states)
         self.perms = []
         self.phases = []
         for g in generators:

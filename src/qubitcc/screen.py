@@ -11,8 +11,8 @@ mask with z ascending, so each sector is a run of its term arrays, and
 the decomposition is a view of those arrays that copies no term out.
 Every matrix element the estimators need is one sector at one basis
 state, <b| I_m(z) X_m |b ^ m>, and comes from one of two kernels in
-``pauli``: ``_signed_sums`` takes every sector at one state in one
-``np.bincount`` over the terms (``IsingDecomposition.at``), and
+``pauli``: ``_signed_sums`` takes every sector at one or a few states
+in one ``np.bincount`` over the terms (``IsingDecomposition.at``), and
 ``_diagonal_at`` takes the diagonal (m = 0) sector at many states.  At the reference a
 sector's value is the gradient of its canonical generator, which is
 what the screening ranks; the diagonal at flipped references gives the
@@ -56,34 +56,43 @@ class IsingDecomposition:
     def n(self) -> int:
         return self.h.n
 
-    def at(self, bits: int) -> np.ndarray:
-        """<bits| I_m(z) X_m |bits ^ m> for every m in ``masks``, as complex.
+    def at(self, bits) -> np.ndarray:
+        """<b| I_m(z) X_m |b ^ m> for every m in ``masks``, as complex.
 
-        Each sector's even and odd parts add from 0.0 in canonical
-        order, and each (even, odd) pair is read as one complex number.
+        b is the basis state ``bits``, or each of an array of them, which
+        adds their axes in front.  Each sector's even and odd parts add
+        from 0.0 in canonical order, and each (even, odd) pair is read as
+        one complex number.
         """
         sums = _signed_sums(self.h.z, self.coefficients, self.keys, bits, 2 * len(self.masks))
         return sums.view(np.complex128)
 
-    def row(self, bits: int, kets: np.ndarray) -> np.ndarray:
-        """<bits|h|k> for every uint64 basis state k in kets.
+    def row(self, bits, kets: np.ndarray) -> np.ndarray:
+        """<b|h|k> for every uint64 basis state k in kets.
 
-        That is the bits ^ k sector at bits, and 0 where h has none.
+        That is the b ^ k sector at b, and 0 where h has none.  As in
+        ``at``, b is ``bits`` or each of an array of them.
         """
-        flips = np.uint64(bits) ^ kets
+        bits = np.asarray(bits, np.uint64)
+        flips = bits[..., None] ^ kets
         run = np.searchsorted(self.masks, flips).clip(max=len(self.masks) - 1)
-        return np.where(self.masks[run] == flips, self.at(bits)[run], 0j)
+        values = np.take_along_axis(self.at(bits), run, axis=-1)
+        return np.where(self.masks[run] == flips, values, 0j)
+
+
+# (-i)**k for k = 0..3 Y factors is 1, -i, -1, i: its sign, by k
+_Y_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _fold_y_phases(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """Each term's real z-side coefficient and its odd-Y flag.
 
-    (-i)^k is 1, -i, -1, i for k = 0..3 Y factors: the sign goes into
-    the coefficient, and an odd k leaves the one factor of i the odd
-    part of a sector carries.
+    The sign of (-i)^k goes into the coefficient (times +-1.0, exact),
+    and an odd k leaves the one factor of i the odd part of a sector
+    carries.
     """
     k = np.bitwise_count(h.x & h.z) & 3
-    return np.where((k == 1) | (k == 2), -h.c, h.c), k & 1
+    return h.c * _Y_SIGNS[k], k & 1
 
 
 def ising_decompose(h: PauliSum) -> IsingDecomposition:
@@ -93,7 +102,7 @@ def ising_decompose(h: PauliSum) -> IsingDecomposition:
     # each later run of one X mask is the next sector
     new = _first_of_runs(h.x) & (h.x != 0)
     masks = np.concatenate((np.zeros(1, np.uint64), h.x[new]))
-    keys = 2 * np.cumsum(new) + odd
+    keys = 2 * np.cumsum(new, dtype=np.int32) + odd
     return IsingDecomposition(h, c, keys, masks, tuple(masks[1:].tolist()))
 
 

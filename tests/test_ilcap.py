@@ -184,6 +184,32 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             build_h_matrix(h, [a, b], ReferenceState(4, 2))
 
+    def test_names_the_first_commuting_pair(self, rng):
+        # Y0 and Z0 Y1 anti-commute; Y2 and Y3 commute with every other
+        # word here, so four pairs commute and (0, 2) comes first
+        n = 4
+        y0, z0y1, y2, y3 = (PauliWord(n, 1, 1), PauliWord(n, 2, 3), PauliWord(n, 4, 4),
+                            PauliWord(n, 8, 8))
+        h = random_even_sum(rng, n, 6)
+        ref = ReferenceState(n, 2)
+        for gens, pair in (([y0, z0y1, y2, y3], (0, 2)), ([y2, y0, z0y1, y3], (0, 1)),
+                           ([y0, z0y1, y3], (0, 2)), ([z0y1, y0, y2], (0, 2))):
+            with pytest.raises(ValueError, match=f"^generators {pair[0]} and {pair[1]} commute"):
+                build_h_matrix(h, gens, ref)
+        # random odd-Y words: the pair named is the first in (i, j) order
+        for _ in range(100):
+            gens = []
+            while len(gens) < 5:
+                w = random_word(rng, n)
+                if w.y_count() % 2:
+                    gens.append(w)
+            first = next(((i, j) for i in range(5) for j in range(i + 1, 5)
+                          if commutes(gens[i], gens[j])), None)
+            if first is None:
+                continue
+            with pytest.raises(ValueError, match=f"^generators {first[0]} and {first[1]} commute"):
+                dress_with_combination(h, gens, 0.3, unit([1.0] * 5))
+
     def test_rejects_odd_y_hamiltonian(self):
         h = PauliSum.from_text("0.5 Y0\n1.0 Z0\n", 1)
         g = canonical_generator(1, 1)
@@ -604,6 +630,46 @@ class TestDressAdditionOrder:
             assert_same_sum(
                 dress_with_combination(h, gens, t, alphas), _dress_reference(h, gens, t, alphas)
             )
+
+    def test_real_phase_rule(self, rng):
+        # the rule the dressing picks its k < j rows by: the phase of
+        # T_k w T_j is even exactly when w anti-commutes with one of them
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(2, 9)
+            gk, gj = rng.sample(self._generators(rng, n, 2, 4), 2)
+            assert not commutes(gk, gj) and gk.y_count() % 2 == gj.y_count() % 2 == 1
+            w = random_word(rng, n)
+            v, k1 = multiply(gk, w)
+            even = (k1 + multiply(v, gj)[1]) % 2 == 0
+            assert even == (commutes(gk, w) != commutes(gj, w))
+            seen.add(even)
+        assert seen == {True, False}
+
+    def test_pair_block_without_real_rows(self, rng):
+        # every word of h commutes with both of T_0 and T_1 or with
+        # neither, so their block forms no rows, while another block does
+        checked = 0
+        while checked < 10:
+            n = rng.randint(4, 8)
+            gens = self._generators(rng, n, 3, 5)
+            words = [w for w in (random_word(rng, n) for _ in range(60))
+                     if commutes(w, gens[0]) == commutes(w, gens[1])]
+            if not any(commutes(w, gens[0]) != commutes(w, gens[2]) for w in words):
+                continue
+            h = PauliSum(n, [(w, rng.choice(MIXED_VALUES)) for w in words])
+            alphas = unit([rng.choice([1.0, -1.0]) * rng.uniform(0.1, 1.0) for _ in gens])
+            t = rng.uniform(-3.0, 3.0)
+            assert_same_sum(
+                dress_with_combination(h, gens, t, alphas), _dress_reference(h, gens, t, alphas)
+            )
+            # and with T_0 the one active generator
+            one = np.zeros(len(gens))
+            one[0] = -1.0
+            assert_same_sum(
+                dress_with_combination(h, gens, t, one), _dress_reference(h, gens, t, one)
+            )
+            checked += 1
 
 
 def sector_sum(rng, n, n_sectors, n_diag, *, even_y=True):

@@ -242,6 +242,35 @@ class TestGroupMasks:
         self.check(x, z, monkeypatch)
 
 
+    @pytest.mark.parametrize(
+        "width, rows, branch",
+        [
+            (16, 500, "sort"),
+            (28, 256, "sort"),  # 2 * 28 + 8 bits of row index fill the key
+            (28, 257, "argsort"),  # one more row needs a ninth bit
+            (32, 2, "argsort"),
+            (32, 1, "sort"),
+            (33, 50, "lexsort"),
+        ],
+    )
+    def test_each_branch(self, rng, width, rows, branch, monkeypatch):
+        # the packed (key, row) sort, the argsort of the key and the
+        # two-key lexsort, each picked by the mask width and row count
+        x, z = masks_of_width(rng, width, rows, min(rows, 40))
+        want = reference_group_masks(x, z)
+        calls = []
+        for name in ("argsort", "lexsort"):
+            real = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, real=real, name=name, **k: (
+                calls.append(name) or real(*a, **k)))
+        got = _group_masks(x, z)
+        monkeypatch.undo()
+        assert calls == ([] if branch == "sort" else [branch])
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
 class TestPauliSum:
     def test_merges_duplicates_and_drops_zeros(self):
         w = PauliWord(2, 1, 0)
@@ -363,6 +392,17 @@ class TestPauliSum:
         again = PauliSum.from_text(s.to_text(), 64)
         assert again == s
         assert again.to_text() == s.to_text()
+
+    @pytest.mark.parametrize("n", [1, 33, 64])
+    def test_to_text_matches_term_by_term(self, rng, n):
+        # the identity word, negative, subnormal and wide-exponent values
+        values = [1.0, -1.0, 0.1, -2.5e-320, 5e-324, -1.7976931348623157e308, 1e-17, -0.3]
+        for _ in range(20):
+            words = [PauliWord.identity(n), random_word(rng, n), PauliWord(n, 1 << (n - 1), 0)]
+            words += [random_word(rng, n) for _ in range(rng.randint(0, 30))]
+            h = PauliSum(n, [(w, rng.choice(values) * rng.uniform(0.5, 1.0)) for w in words])
+            want = "\n".join(f"{c:.17g} {w.to_text()}" for w, c in h.items())
+            assert h.to_text().encode() == want.encode()
 
     @pytest.mark.parametrize("n", [1, 7, 63, 64])
     def test_arithmetic_matches_dict_reference(self, rng, n):
@@ -567,6 +607,19 @@ class TestDiagonalAt:
         for width in (0, 1, 2, 5, 33):
             h = self.many_diagonal_terms(rng, 10, 30)
             states = np.array([rng.getrandbits(10) for _ in range(width)], dtype=np.uint64)
+            self.assert_same_floats(_diagonal_at(h, states), reference_diagonal_at(h, states))
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_subnormal_and_cancelling_values(self, rng, monkeypatch, cells):
+        # subnormals and pairs of equal magnitude that cancel to 0.0 under
+        # one sign pattern and double under another: each sign is exact
+        monkeypatch.setattr(pauli, "_DIAGONAL_CELLS", cells)
+        values = [5e-324, -5e-324, 2.5e-320, -2.2250738585072014e-308, 1.0, -1.0,
+                  1.0000000000000002, 1e-17]
+        for width in (1, 2, 9):
+            diag = [(PauliWord(8, 0, z), rng.choice(values)) for z in rng.sample(range(256), 40)]
+            h = PauliSum(8, diag) + random_sum(rng, 8, 5)
+            states = np.array([rng.getrandbits(8) for _ in range(width)], dtype=np.uint64)
             self.assert_same_floats(_diagonal_at(h, states), reference_diagonal_at(h, states))
 
     def test_no_diagonal_terms(self, rng):

@@ -98,12 +98,20 @@ class TestDecompose:
             dec = ising_decompose(h)
             assert dec.sectors == tuple(sorted({w.x for w in h.words()} - {0}))
             masks = [0, *dec.sectors]
-            for bits in [0, (1 << n) - 1, rng.getrandbits(n)]:
+            bras = [0, (1 << n) - 1, rng.getrandbits(n)]
+            for bits in bras:
                 want = [reference_sector_value(h, m, bits) for m in masks]
                 assert hexes(dec.at(bits).tolist()) == hexes(want)
                 kets = np.array([bits ^ m for m in xs], dtype=np.uint64)
                 want = [reference_sector_value(h, m, bits) if m in masks else 0j for m in xs]
                 assert hexes(dec.row(bits, kets).tolist()) == hexes(want)
+            # every bra at once: one row per bra, each as it is alone
+            many = np.array(bras, dtype=np.uint64)
+            kets = np.array([bras[2] ^ m for m in xs], dtype=np.uint64)
+            assert [hexes(r) for r in dec.at(many).tolist()] == [
+                hexes(dec.at(b).tolist()) for b in bras]
+            assert [hexes(r) for r in dec.row(many, kets).tolist()] == [
+                hexes(dec.row(b, kets).tolist()) for b in bras]
 
 
 class TestSectorWeight:
