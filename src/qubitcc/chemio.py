@@ -9,13 +9,14 @@ aufbau determinant occupies a contiguous low block of qubits.
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import SUM_QUBIT_CAP, PauliSum, ReferenceState
+from .pauli import SUM_QUBIT_CAP, PauliSum, ReferenceState, _group_masks, _read_only
 
 __all__ = [
     "JW_QUBIT_CAP",
@@ -219,9 +220,16 @@ def load_fcidump(path: str) -> FcidumpData:
 # coefficient is a left fold of its rows in this order: core energy,
 # one-body (p, q) ascending, two-body (p, q, r, s) ascending, then spins,
 # then the X/Y choice of each factor, first factor slowest.
+#
+# Which rows there are, their words and their signs depend only on n_orb
+# and on which weights are nonzero, not on the integral values: a plan
+# holding them is built once per such shape, and a map gathers one
+# point's weights into the rows and adds up each word's rows with one
+# np.bincount, a left fold from 0.0 in row order.
 
 _DROP_THRESHOLD = 1e-12  # mapped terms below this magnitude are dropped
 _HERMITIAN_TOL = 1e-10  # relative to the largest integral, or to 1
+_CACHED_SHAPES = 4  # plans (and direct-CI tables) held per kind, least recently used dropped
 
 _SPIN = np.arange(2)
 _SIGMA, _TAU = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # (s, t) pairs, t fastest
@@ -258,16 +266,16 @@ def _expand(factors: list[_Rows]) -> _Rows:
     return x, z, a
 
 
-def _real_rows(weight: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Re of the sum over b of weight[b] times column b: its real-phase rows, batch slowest.
+def _real_rows(rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The real-phase rows of the columns, batch slowest: x, z, column and sign flip.
 
-    weight carries the 1/2 of each ladder factor.
+    A row's phase i**m is real for even m, and -1 where m = 2 mod 4, so
+    its column's weight enters negated.
     """
     x, z, a = rows
-    m = a - np.bitwise_count(x & z)
-    real = ((m & 1) == 0).T
-    c = np.where(m & 2, -weight, weight)
-    return x.T[real], z.T[real], c.T[real]
+    m = (a - np.bitwise_count(x & z)).T
+    real = (m & 1) == 0
+    return x.T[real], z.T[real], np.nonzero(real)[0], (m[real] & 2) != 0
 
 
 def _check_width(n_orb: int) -> None:
@@ -290,25 +298,82 @@ def _check_hermitian(one: np.ndarray, two: np.ndarray) -> None:
         )
 
 
-def _two_body_orbits(two: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Each orbit's least (p, q, r, s), where its weight is nonzero, and the weights.
+@functools.lru_cache(maxsize=_CACHED_SHAPES)
+def _orbits(n_orb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each two-body orbit's least (p, q, r, s) and its other members, as flat indices.
 
-    An orbit is (p, q, r, s), (r, s, p, q), (q, p, s, r) and (s, r, q, p);
-    its weight is half the sum of the integrals over its distinct members,
-    added in that order.
+    An orbit is (p, q, r, s), (r, s, p, q), (q, p, s, r) and (s, r, q, p).
+    The least members ascend; row k of the second array holds each
+    orbit's (k + 2)-th member, or n_orb**4 where it repeats an earlier one.
     """
-    key = np.arange(two.size).reshape(two.shape)
-    members = [key]
-    total = two.copy()
-    least = np.ones(two.shape, dtype=bool)
+    key = np.arange(n_orb**4).reshape((n_orb,) * 4)
+    members, others = [key], []
+    least = np.ones(key.shape, dtype=bool)
     for axes in ((2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0)):
         image = key.transpose(axes)
         distinct = np.logical_and.reduce([image != m for m in members])
-        total += np.where(distinct, two.transpose(axes), 0.0)
         least &= key <= image
         members.append(image)
-    weight = 0.5 * total
-    return np.nonzero(least & (weight != 0.0)), weight
+        others.append(np.where(distinct, image, key.size).ravel())
+    rep = np.flatnonzero(least)
+    return _read_only(rep, np.stack(others)[:, rep])
+
+
+def _orbit_weights(n_orb: int, two: np.ndarray) -> np.ndarray:
+    """Half the sum of the integrals over each orbit's distinct members, in ``_orbits`` order."""
+    rep, others = _orbits(n_orb)
+    flat = np.append(two, 0.0)  # n_orb**4 reads as a repeated member's 0.0
+    total = flat[rep]
+    for member in others:
+        total += flat[member]
+    return 0.5 * total
+
+
+def _unpack(mask: bytes, count: int) -> np.ndarray:
+    return np.unpackbits(np.frombuffer(mask, np.uint8), count=count).view(bool)
+
+
+@functools.lru_cache(maxsize=_CACHED_SHAPES)
+def _jw_plan(n_orb: int, one_body: bytes, two_body: bytes) -> tuple[np.ndarray, ...]:
+    """The integral-free half of the map: the words, and each row's word and weight.
+
+    one_body and two_body are the packed masks of the nonzero one-body
+    weights (over the n_orb x n_orb matrix, p <= q) and of the orbits
+    with a nonzero weight (in ``_orbits`` order).  The weights are the
+    core energy, then the one-body and the two-body weights in mask
+    order; a row's source indexes (weights, -weights).  The two-body
+    rows are expanded one p block at a time, so the products of one
+    block are held at once, not those of every orbit.
+    """
+    p, q = np.divmod(np.flatnonzero(_unpack(one_body, n_orb * n_orb)), n_orb)
+    rep = _orbits(n_orb)[0]
+    rep = rep[_unpack(two_body, len(rep))]
+    first, negated = 1 + len(p), 1 + len(p) + len(rep)  # first two-body weight, first of -weights
+
+    # core energy on the identity word, then one-body (p <= q) pairs, then spin
+    blocks = [(np.zeros(1, np.uint64), np.zeros(1, np.uint64), np.zeros(1, np.intp))]
+    x, z, column, flip = _real_rows(_expand([
+        _ladder(2 * p[:, None] + _SPIN, True),
+        _ladder(2 * q[:, None] + _SPIN, False),
+    ]))
+    blocks.append((x, z, 1 + column // 2 + negated * flip))
+
+    # two-body: per p, (q, r, s) orbit representatives, then the (s, t) spin pair
+    p, q, r, s = np.unravel_index(rep, (n_orb,) * 4)
+    factors = [
+        _ladder(2 * p[:, None] + _SIGMA, True),
+        _ladder(2 * r[:, None] + _TAU, True),
+        _ladder(2 * s[:, None] + _TAU, False),
+        _ladder(2 * q[:, None] + _SIGMA, False),
+    ]
+    bounds = 4 * np.searchsorted(p, np.arange(n_orb + 1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        x, z, column, flip = _real_rows(_expand([tuple(a[:, lo:hi] for a in f) for f in factors]))
+        blocks.append((x, z, first + (lo + column) // 4 + negated * flip))
+    x, z, source = map(np.concatenate, zip(*blocks))
+    del blocks  # the rows are held once while they are grouped
+    ux, uz, inverse = _group_masks(x, z)
+    return _read_only(ux, uz, inverse, source)
 
 
 def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = _DROP_THRESHOLD) -> PauliSum:
@@ -323,51 +388,31 @@ def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = _DROP_THRESHOLD
     1), else ValueError ("imaginary coefficients").  Coefficients below
     drop_threshold in magnitude are removed.  Capped at JW_QUBIT_CAP
     qubits, the width of a ``PauliSum``'s masks: ValueError above.  The
-    two-body sum expands one p block at a time and adds blocks to the
-    terms so far once their rows outnumber them, so the working set
-    stays below twice the terms so far plus one block.
+    rows are expanded once per n_orb and pattern of nonzero weights and
+    kept for the last _CACHED_SHAPES such shapes; a map of a kept shape
+    only adds up its weights.
     """
     n_orb = data.n_orb
     _check_width(n_orb)
-    n_q = 2 * n_orb
     one, two = data.one_body, data.two_body
     _check_hermitian(one, two)
-
-    # core energy, then one-body (p <= q) pairs, then spin
     f = np.triu(one) + np.triu(one.T, 1)
-    p, q = np.nonzero(f)
-    x, z, c = _real_rows(np.repeat(0.25 * f[p, q], 2), _expand([
-        _ladder(2 * p[:, None] + _SPIN, True),
-        _ladder(2 * q[:, None] + _SPIN, False),
-    ]))
-    identity = np.zeros(1, np.uint64)
-    acc = PauliSum.from_masks(n_q, np.concatenate([identity, x]), np.concatenate([identity, z]),
-                              np.concatenate([[data.e_core], c]))
-
-    # two-body: per p, (q, r, s) orbit representatives, then the (s, t) spin pair
-    (p, q, r, s), weight = _two_body_orbits(two)
-    g = np.repeat(weight[p, q, r, s] / 16.0, 4)
-    factors = [
-        _ladder(2 * p[:, None] + _SIGMA, True),
-        _ladder(2 * r[:, None] + _TAU, True),
-        _ladder(2 * s[:, None] + _TAU, False),
-        _ladder(2 * q[:, None] + _SIGMA, False),
-    ]
-    # blocks join the terms so far once their rows outnumber them, so the
-    # terms so far are sorted again a few times, not once per p
-    bounds = 4 * np.searchsorted(p, np.arange(n_orb + 1))
-    pending = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        pending.append(_real_rows(g[lo:hi], _expand([tuple(a[:, lo:hi] for a in f) for f in factors])))
-        rows = sum(len(block[0]) for block in pending)
-        if rows and (rows >= len(acc) or hi == len(g)):
-            # the terms so far lead, so each word's sum continues one left fold
-            cols = zip((acc.x, acc.z, acc.c), *pending)
-            acc = PauliSum.from_masks(n_q, *map(np.concatenate, cols))
-            pending = []
-    return acc.truncate(drop_threshold)
+    weight = _orbit_weights(n_orb, two)
+    one_on, two_on = f != 0.0, weight != 0.0
+    ux, uz, inverse, source = _jw_plan(n_orb, np.packbits(one_on).tobytes(),
+                                       np.packbits(two_on).tobytes())
+    w = np.concatenate(([data.e_core], 0.25 * f[one_on], weight[two_on] / 16.0))
+    c = np.bincount(inverse, weights=np.concatenate((w, -w))[source], minlength=len(ux))
+    return PauliSum._canonical(2 * n_orb, ux, uz, c).truncate(drop_threshold)
 
 
+def _sixteenths(rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re of 1/16 times the one column of rows: its real-phase rows."""
+    x, z, _, flip = _real_rows(rows)
+    return x, z, np.where(flip, -1 / 16, 1 / 16)
+
+
+@functools.lru_cache(maxsize=_CACHED_SHAPES)
 def spin_penalty(n_orb: int) -> PauliSum:
     """Singlet penalty operator W = S^2 - S_z = S_- S_+ + S_z^2.
 
@@ -375,7 +420,8 @@ def spin_penalty(n_orb: int) -> PauliSum:
     contamination.  Add mu/2 times this to a Hamiltonian to push
     non-singlet states up by mu/2 per unit of W.  Terms below 1e-12
     in magnitude are dropped, and the operator is capped at
-    JW_QUBIT_CAP qubits, as in the mapping.
+    JW_QUBIT_CAP qubits, as in the mapping.  It holds no integrals, so
+    the last _CACHED_SHAPES operators are kept and returned again.
     """
     if n_orb < 1:
         raise ValueError("need at least one spatial orbital")
@@ -386,14 +432,13 @@ def spin_penalty(n_orb: int) -> PauliSum:
     x, z, a = (r.T.reshape(-1, 1) for r in _expand([_ladder(alpha, True), _ladder(alpha + 1, False)]))
     # S_- = S_+ adjoint: (i**a X^x Z^z)+ = i**-a Z^z X^x
     s_minus = (x, z, 2 * np.bitwise_count(x & z) - a)
-    sixteenth = np.full(1, 1 / 16)
-    acc = PauliSum.from_masks(n_q, *_real_rows(sixteenth, _expand([s_minus, (x, z, a)])))
+    acc = PauliSum.from_masks(n_q, *_sixteenths(_expand([s_minus, (x, z, a)])))
     # S_z = sum_p (z_(p beta) - z_(p alpha))/4, beta first within each p
     qubits = np.stack([alpha + 1, alpha], axis=1).reshape(-1, 1).astype(np.uint64)
     sz = (np.zeros_like(qubits), np.left_shift(np.uint64(1), qubits),
           np.tile(np.array([[0], [2]], np.uint8), (n_orb, 1)))
     # S_z^2 sums on its own before it joins, as the summation order matters
-    sz_sq = PauliSum.from_masks(n_q, *_real_rows(sixteenth, _expand([sz, sz])))
+    sz_sq = PauliSum.from_masks(n_q, *_sixteenths(_expand([sz, sz])))
     return (acc + sz_sq).truncate(_DROP_THRESHOLD)
 
 

@@ -13,7 +13,9 @@ so sigma = H C needs only each string's one-particle replacement list,
 E_pq |I> = sign |J>.  D_rs = E_rs C and G_pq = 1/2 sum_rs (pq|rs) D_rs
 are (orbital pairs) x (determinants) arrays, one matrix product apart,
 and sigma = E_core C + sum k_pq D_pq + sum E_pq G_pq.  The CI matrix is
-formed only for small blocks.
+formed only for small blocks.  The replacement lists, and for a small
+block the identity C = I with its D, hold no integrals: they are built
+once per shape and the last _CACHED_SHAPES of each are kept.
 
 Nothing here goes through the Jordan-Wigner mapping or the Pauli-sector
 oracle, so agreement with them checks the mapping too.
@@ -21,12 +23,14 @@ oracle, so agreement with them checks the mapping too.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
 import numpy as np
 
-from .chemio import FcidumpData, _check_hermitian
+from .chemio import _CACHED_SHAPES, FcidumpData, _check_hermitian
+from .pauli import _read_only
 
 __all__ = ["WORK_CAP", "fci_ground_energy"]
 
@@ -35,8 +39,9 @@ __all__ = ["WORK_CAP", "fci_ground_energy"]
 WORK_CAP = 1 << 23
 # the CI matrix is formed as sigma of the identity while that batch
 # stays this small: H4's 16 x 36 x 36, not H6's 36 x 400 x 400.  On one
-# 2-vCPU core H4 takes 0.3-0.5 ms dense against 1.5-1.9 ms by Davidson,
-# and H6 80-100 ms and 138 MB dense against 4.4 ms and 38 MB by Davidson
+# core of a 2-vCPU host H4 takes 0.12 ms dense with its identity images
+# kept (0.34 ms when they are built) against 1.5 ms by Davidson, and
+# H6 32-63 ms dense against 3.4 ms by Davidson
 _DENSE_WORK = 1 << 20
 # Davidson stops once the residual norm |H x - theta x| is below this:
 # theta is then within |r|^2 / gap of the eigenvalue
@@ -62,6 +67,7 @@ def _occupations(strings: np.ndarray, n_orb: int) -> np.ndarray:
     return (strings[:, None] >> np.arange(n_orb, dtype=np.uint64)) & np.uint64(1) == 1
 
 
+@functools.lru_cache(maxsize=_CACHED_SHAPES)
 def _replacements(n_orb: int, n_occ: int) -> _Table:
     """Each string's replacement list: E_pq |I> = sign |J> for q occupied, p empty or q.
 
@@ -83,7 +89,7 @@ def _replacements(n_orb: int, n_occ: int) -> _Table:
     shape = (len(strings), -1)
     pair = (q * np.uint64(n_orb) + p).astype(np.uint32).reshape(shape)
     target = np.searchsorted(strings, image).astype(np.uint32).reshape(shape)
-    return pair, target, sign.reshape(shape)
+    return _read_only(pair, target, sign.reshape(shape))
 
 
 def _excite(d: np.ndarray, c: np.ndarray, table: _Table) -> None:
@@ -99,18 +105,36 @@ def _gather(g: np.ndarray, table: _Table) -> np.ndarray:
     return np.einsum("se,se...->s...", sign, g[pair, target])
 
 
-def _sigma(c: np.ndarray, alpha: _Table, beta: _Table, k: np.ndarray, v: np.ndarray,
-           e_core: float) -> np.ndarray:
-    """H applied to each column of c, shaped (alpha strings, beta strings, columns)."""
-    d = np.zeros((len(k),) + c.shape)
+def _excitations(c: np.ndarray, alpha: _Table, beta: _Table, n_pairs: int) -> np.ndarray:
+    """D_rs = E_rs c for each column of c, shaped (pairs, alpha strings, beta strings, columns)."""
+    d = np.zeros((n_pairs,) + c.shape)
     _excite(d, c, alpha)
     _excite(d.transpose(0, 2, 1, 3), c.transpose(1, 0, 2), beta)
+    return d
+
+
+def _sigma(c: np.ndarray, d: np.ndarray, alpha: _Table, beta: _Table, k: np.ndarray,
+           v: np.ndarray, e_core: float) -> np.ndarray:
+    """H applied to each column of c, shaped (alpha strings, beta strings, columns).
+
+    d is c's D = E_rs c, from ``_excitations``.
+    """
     flat = d.reshape(len(k), -1)
     out = (k @ flat).reshape(c.shape) + e_core * c
     g = (v @ flat).reshape(d.shape)
     out += _gather(g, alpha)
     out += _gather(g.transpose(0, 2, 1, 3), beta).transpose(1, 0, 2)
     return out
+
+
+@functools.lru_cache(maxsize=_CACHED_SHAPES)
+def _identity_images(n_orb: int, n_alpha: int, n_beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense branch's C = I over the block's determinants and its D = E_rs C, read-only."""
+    shape = (math.comb(n_orb, n_alpha), math.comb(n_orb, n_beta))
+    dim = shape[0] * shape[1]
+    c = np.eye(dim).reshape(shape + (dim,))
+    return _read_only(c, _excitations(c, _replacements(n_orb, n_alpha),
+                                      _replacements(n_orb, n_beta), n_orb**2))
 
 
 def _diagonal(n_orb: int, n_alpha: int, n_beta: int, one: np.ndarray, two: np.ndarray,
@@ -197,10 +221,11 @@ def fci_ground_energy(data: FcidumpData) -> float:
     minimum is that of the whole n_elec-electron sector.  Small blocks
     are diagonalized densely, larger ones by Davidson's method on sigma,
     preconditioned by the diagonal H_II, from the lowest determinant and
-    a fixed random vector; no scipy is loaded.  ValueError when the integrals
-    differ from their adjoint's (as in ``jw_hamiltonian``), when n_elec
-    lies outside 0..2 n_orb, and when the block has more than WORK_CAP
-    orbital pairs x determinants.
+    a fixed random vector; no scipy is loaded.  The integral-free tables
+    are kept per shape, so a bond scan builds them once.  ValueError
+    when the integrals differ from their adjoint's (as in
+    ``jw_hamiltonian``), when n_elec lies outside 0..2 n_orb, and when
+    the block has more than WORK_CAP orbital pairs x determinants.
     """
     n_orb, n_elec = data.n_orb, data.n_elec
     one, two = data.one_body, data.two_body
@@ -215,13 +240,17 @@ def fci_ground_energy(data: FcidumpData) -> float:
             f"the {n_elec}-electron S_z block has {dim} determinants on {n_orb} orbitals; "
             f"direct CI is capped at {WORK_CAP} orbital pairs x determinants"
         )
-    alpha = _replacements(n_orb, n_alpha)
-    beta = alpha if n_beta == n_alpha else _replacements(n_orb, n_beta)
+    alpha, beta = _replacements(n_orb, n_alpha), _replacements(n_orb, n_beta)
     k = (one - 0.5 * np.einsum("prrq->pq", two)).ravel()
     v = 0.5 * two.reshape(n_orb**2, n_orb**2)
     args = (alpha, beta, k, v, data.e_core)
     if n_orb**2 * dim * dim <= _DENSE_WORK:
-        mat = _sigma(np.eye(dim).reshape(shape + (dim,)), *args).reshape(dim, dim)
+        mat = _sigma(*_identity_images(n_orb, n_alpha, n_beta), *args).reshape(dim, dim)
         return float(np.linalg.eigvalsh(mat)[0])
     diag = _diagonal(n_orb, n_alpha, n_beta, one, two, data.e_core).ravel()
-    return _davidson(lambda x: _sigma(x.reshape(shape + (1,)), *args).ravel(), diag)[0]
+
+    def apply(x):
+        c = x.reshape(shape + (1,))
+        return _sigma(c, _excitations(c, alpha, beta, len(k)), *args).ravel()
+
+    return _davidson(apply, diag)[0]

@@ -286,6 +286,12 @@ def _group_masks(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return ux, uz, inverse
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _sum_width(n: int) -> int:
     if not 1 <= n <= SUM_QUBIT_CAP:
         raise ValueError(f"a Pauli sum spans 1 to {SUM_QUBIT_CAP} qubits, got {n}")
@@ -343,9 +349,7 @@ class PauliSum:
         keep = c != 0.0
         if not keep.all():
             x, z, c = x[keep], z[keep], c[keep]
-        self.x, self.z, self.c = x, z, c
-        for a in (self.x, self.z, self.c):
-            a.flags.writeable = False
+        self.x, self.z, self.c = _read_only(x, z, c)
 
     def items(self) -> Iterator[tuple[PauliWord, float]]:
         return zip(self.words(), self.c.tolist())

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qubitcc
+from qubitcc import chemio, fci
 from qubitcc.chemio import FcidumpData, _parse_header, parse_fcidump
 from qubitcc.ilcap import EnResult
 from qubitcc.pauli import (
@@ -45,6 +46,13 @@ def fresh_interpreter(code: str) -> str:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def clear_shape_caches() -> None:
+    """Drop every plan and table that chemio and fci keep per shape."""
+    for kept in (chemio._orbits, chemio._jw_plan, chemio.spin_penalty,
+                 fci._replacements, fci._identity_images):
+        kept.cache_clear()
 
 
 def random_word(rng: random.Random, n: int) -> PauliWord:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qubitcc import oracle
+from qubitcc import chemio, oracle
 from qubitcc.chemio import (
     JW_QUBIT_CAP,
     FcidumpData,
@@ -20,6 +21,7 @@ from qubitcc.pauli import PauliSum, PauliWord, ReferenceState
 
 from conftest import (
     DATA_DIR,
+    clear_shape_caches,
     random_fcidump,
     reference_jw_hamiltonian,
     reference_jw_orbits,
@@ -341,6 +343,13 @@ class TestSpinPenalty:
         assert add_spin_penalty(h, data.n_orb, 0.0) == h
 
 
+# five two-body orbits and two one-body pairs on 34 qubits
+SPARSE_17 = (
+    "&FCI NORB=17,NELEC=2 &END\n0.6745 1 1 1 1\n0.1813 17 1 17 1\n0.6636 17 17 1 1\n"
+    "0.6975 17 17 17 17\n-1.2528 1 1 0 0\n-0.4756 17 17 0 0\n"
+)
+
+
 class TestMaskArrayExpansion:
     """The array expansion against the term-by-term references."""
 
@@ -409,10 +418,7 @@ class TestMaskArrayExpansion:
         assert bitwise_terms(spin_penalty(17)) == bitwise_terms(reference_spin_penalty(17))
 
     def test_jw_orbit_order_bit_identical_above_32_qubits(self):
-        data = parse_fcidump(
-            "&FCI NORB=17,NELEC=2 &END\n0.6745 1 1 1 1\n0.1813 17 1 17 1\n0.6636 17 17 1 1\n"
-            "0.6975 17 17 17 17\n-1.2528 1 1 0 0\n-0.4756 17 17 0 0\n"
-        )
+        data = parse_fcidump(SPARSE_17)
         got = jw_hamiltonian(data)
         assert int(np.max(got.z)).bit_length() == 34
         assert bitwise_terms(got) == bitwise_terms(reference_jw_orbits(data))
@@ -431,3 +437,84 @@ class TestMaskArrayExpansion:
             jw_hamiltonian(data)
         with pytest.raises(ValueError, match="capped at 64 qubits"):
             spin_penalty(n_orb)
+
+
+class TestShapePlans:
+    """The integral-free half of the map, built once per shape and kept."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_shape_caches()
+        yield
+        clear_shape_caches()
+
+    @staticmethod
+    def rescaled(data, scale):
+        # every orbit's members are equal, so scaling keeps each weight's zero or nonzero
+        return dataclasses.replace(data, one_body=scale * data.one_body,
+                                   two_body=scale * data.two_body, e_core=data.e_core - scale)
+
+    def test_same_shape_reuses_the_plan(self, rng):
+        a = random_fcidump(rng, 4, 4, 0.7131)
+        b = self.rescaled(a, 0.37)
+        for data in (a, b, a):
+            assert bitwise_terms(jw_hamiltonian(data)) == bitwise_terms(reference_jw_orbits(data))
+        assert chemio._jw_plan.cache_info()[:2] == (2, 1)  # hits, misses
+
+    def test_a_zeroed_integral_is_a_new_shape(self, rng):
+        a = random_fcidump(rng, 4, 4, 0.7131)
+        b = self.rescaled(a, 0.37)
+        p, q, r, s = (int(i[0]) for i in np.nonzero(b.two_body))
+        for perm in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                     (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p)):
+            b.two_body[perm] = 0.0
+        for data in (a, b):
+            assert bitwise_terms(jw_hamiltonian(data)) == bitwise_terms(reference_jw_orbits(data))
+        assert chemio._jw_plan.cache_info()[:2] == (0, 2)
+
+    def test_cache_holds_at_most_its_bound(self, rng):
+        for n_orb in range(1, chemio._CACHED_SHAPES + 3):
+            data = random_fcidump(rng, n_orb, n_orb, 0.0)
+            assert bitwise_terms(jw_hamiltonian(data)) == bitwise_terms(reference_jw_orbits(data))
+            spin_penalty(n_orb)
+        for kept in (chemio._jw_plan, chemio._orbits, chemio.spin_penalty):
+            assert kept.cache_info().currsize == chemio._CACHED_SHAPES
+
+    def test_returned_terms_are_read_only(self, rng):
+        data = random_fcidump(rng, 3, 2, -1.5)
+        h = jw_hamiltonian(data)
+        want = bitwise_terms(h)
+        for a in (h.x, h.z, h.c):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert bitwise_terms(jw_hamiltonian(data)) == want
+
+    def test_sparse_input_plans_only_its_nonzero_orbits(self, monkeypatch):
+        plans = []
+        build = chemio._jw_plan
+
+        def recorded(*shape):
+            plans.append(build(*shape))
+            return plans[-1]
+
+        monkeypatch.setattr(chemio, "_jw_plan", recorded)
+        data = parse_fcidump(SPARSE_17)
+        assert bitwise_terms(jw_hamiltonian(data)) == bitwise_terms(reference_jw_orbits(data))
+        (ux, uz, inverse, source), = plans
+        # the core energy, 2 one-body and 5 two-body weights ((17 1|17 1) and
+        # (1 17|17 1) are two orbits), and their negatives
+        assert int(source.max()) == 2 * (1 + 2 + 5) - 1
+        # a pair has 2 spins x 4 products, an orbit 4 spin pairs x 16, before the real ones are kept
+        assert len(source) <= 1 + 2 * 8 + 5 * 64
+        assert all(not a.flags.writeable for a in (ux, uz, inverse, source))
+
+    @pytest.mark.parametrize("n_orb", [1, 3, 17])
+    def test_spin_penalty_is_kept_and_equals_a_fresh_build(self, n_orb):
+        kept = spin_penalty(n_orb)
+        assert spin_penalty(n_orb) is kept
+        chemio.spin_penalty.cache_clear()
+        fresh = spin_penalty(n_orb)
+        assert fresh is not kept
+        for a, b in zip((kept.x, kept.z, kept.c), (fresh.x, fresh.z, fresh.c)):
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable

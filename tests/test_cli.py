@@ -8,7 +8,7 @@ from qubitcc.cli import RunConfig, main, run_scheme
 from qubitcc.morse import morse_energy
 from qubitcc.pauli import PauliSum, ReferenceState
 
-from conftest import DATA_DIR, HUND_FCIDUMP, fresh_interpreter
+from conftest import DATA_DIR, HUND_FCIDUMP, clear_shape_caches, fresh_interpreter
 
 R10 = str(DATA_DIR / "h2_r1.fcidump")
 R12 = str(DATA_DIR / "h2_r1p2.fcidump")
@@ -242,6 +242,21 @@ class TestScan:
         ok(runner, args + ["-o", str(serial)])
         ok(runner, args + ["-o", str(parallel), "--workers", "2"])
         assert serial.read_text() == parallel.read_text()
+
+    def test_kept_plans_leave_the_csv_unchanged(self, runner, tmp_path):
+        h4 = str(DATA_DIR / "h4_r2p0.fcidump")
+        args = ["scan", R10, R12, R14, R18, R24, h4, "--radii", "1.0,1.2,1.4,1.8,2.4,2.0"]
+        runs = []
+        # cold, then warm in this process; then two worker processes that start
+        # with nothing kept and build their own plans and tables; then cold again
+        for extra, cold in (([], True), ([], False), (["--workers", "2"], True), ([], True)):
+            if cold:
+                clear_shape_caches()
+            out = tmp_path / f"scan{len(runs)}.csv"
+            ok(runner, args + ["-o", str(out)] + extra)
+            runs.append(out.read_bytes())
+        clear_shape_caches()
+        assert runs[1:] == runs[:1] * 3
 
     def test_radii_count_mismatch(self, runner, tmp_path):
         res = runner.invoke(main, ["scan", R10, "--radii", "1.0,1.4",

@@ -8,7 +8,7 @@ from qubitcc import chemio, fci, oracle
 from qubitcc.chemio import add_spin_penalty, jw_hamiltonian, load_fcidump, parse_fcidump
 from qubitcc.fci import fci_ground_energy
 
-from conftest import DATA_DIR, HUND_FCIDUMP, fresh_interpreter, random_fcidump
+from conftest import DATA_DIR, HUND_FCIDUMP, clear_shape_caches, fresh_interpreter, random_fcidump
 
 FIXTURES = sorted(p.name for p in DATA_DIR.glob("*.fcidump"))
 
@@ -179,6 +179,40 @@ class TestSolver:
         data.one_body[0, 1] += 0.1
         with pytest.raises(ValueError, match="differ from their adjoint's"):
             fci_ground_energy(data)
+
+
+class TestKeptTables:
+    """Replacement lists and the dense branch's identity images, built once per shape."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(30)
+        fixtures = [load_fcidump(str(DATA_DIR / f"{name}.fcidump")) for name in ("h2_r1p4", "h4_r2p0")]
+        # odd N: n_alpha = n_beta + 1
+        return fixtures + [random_fcidump(rng, n_orb, n_elec, rng.uniform(-1.0, 1.0))
+                           for n_orb, n_elec in ((3, 3), (4, 4), (4, 3), (5, 5))]
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_cold_and_warm_agree_bit_for_bit(self, monkeypatch, dense):
+        if not dense:
+            monkeypatch.setattr(fci, "_DENSE_WORK", 0)
+        cases = self.cases()
+        cold = []
+        for data in cases:
+            clear_shape_caches()
+            cold.append(fci_ground_energy(data).hex())
+        assert fci._identity_images.cache_info().currsize == (1 if dense else 0)
+        for _ in range(2):
+            assert [fci_ground_energy(data).hex() for data in cases] == cold
+        assert fci._replacements.cache_info().currsize <= fci._CACHED_SHAPES
+        assert fci._identity_images.cache_info().currsize <= fci._CACHED_SHAPES
+        clear_shape_caches()
+
+    def test_tables_are_read_only(self):
+        data = load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump"))
+        fci_ground_energy(data)
+        for a in (*fci._replacements(4, 2), *fci._identity_images(4, 2, 2)):
+            assert not a.flags.writeable
 
 
 class TestReplacementLists:
