@@ -343,7 +343,10 @@ def _jw_plan(n_orb: int, one_body: bytes, two_body: bytes) -> tuple[np.ndarray, 
     core energy, then the one-body and the two-body weights in mask
     order; a row's source indexes (weights, -weights).  The two-body
     rows are expanded one p block at a time, so the products of one
-    block are held at once, not those of every orbit.
+    block are held at once, not those of every orbit; but the real rows
+    of every block are held together while they are grouped, about 75
+    bytes each at the peak, and a kept plan holds 8 bytes per row and
+    16 per word.
     """
     p, q = np.divmod(np.flatnonzero(_unpack(one_body, n_orb * n_orb)), n_orb)
     rep = _orbits(n_orb)[0]
@@ -372,8 +375,10 @@ def _jw_plan(n_orb: int, one_body: bytes, two_body: bytes) -> tuple[np.ndarray, 
         blocks.append((x, z, first + (lo + column) // 4 + negated * flip))
     x, z, source = map(np.concatenate, zip(*blocks))
     del blocks  # the rows are held once while they are grouped
+    # 32 orbitals have at most 64 n_orb**4 < 2**31 rows, so int32 halves what a kept plan holds
+    source = source.astype(np.int32)
     ux, uz, inverse = _group_masks(x, z)
-    return _read_only(ux, uz, inverse, source)
+    return _read_only(ux, uz, inverse.astype(np.int32), source)
 
 
 def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = _DROP_THRESHOLD) -> PauliSum:
@@ -402,7 +407,8 @@ def jw_hamiltonian(data: FcidumpData, *, drop_threshold: float = _DROP_THRESHOLD
     ux, uz, inverse, source = _jw_plan(n_orb, np.packbits(one_on).tobytes(),
                                        np.packbits(two_on).tobytes())
     w = np.concatenate(([data.e_core], 0.25 * f[one_on], weight[two_on] / 16.0))
-    c = np.bincount(inverse, weights=np.concatenate((w, -w))[source], minlength=len(ux))
+    signed = np.concatenate((w, -w))[source.astype(np.intp)]  # an int32 index gathers ~3x slower
+    c = np.bincount(inverse, weights=signed, minlength=len(ux))
     return PauliSum._canonical(2 * n_orb, ux, uz, c).truncate(drop_threshold)
 
 
@@ -412,7 +418,6 @@ def _sixteenths(rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, z, np.where(flip, -1 / 16, 1 / 16)
 
 
-@functools.lru_cache(maxsize=_CACHED_SHAPES)
 def spin_penalty(n_orb: int) -> PauliSum:
     """Singlet penalty operator W = S^2 - S_z = S_- S_+ + S_z^2.
 
@@ -420,8 +425,7 @@ def spin_penalty(n_orb: int) -> PauliSum:
     contamination.  Add mu/2 times this to a Hamiltonian to push
     non-singlet states up by mu/2 per unit of W.  Terms below 1e-12
     in magnitude are dropped, and the operator is capped at
-    JW_QUBIT_CAP qubits, as in the mapping.  It holds no integrals, so
-    the last _CACHED_SHAPES operators are kept and returned again.
+    JW_QUBIT_CAP qubits, as in the mapping.
     """
     if n_orb < 1:
         raise ValueError("need at least one spatial orbital")

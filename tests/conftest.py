@@ -50,8 +50,7 @@ def fresh_interpreter(code: str) -> str:
 
 def clear_shape_caches() -> None:
     """Drop every plan and table that chemio and fci keep per shape."""
-    for kept in (chemio._orbits, chemio._jw_plan, chemio.spin_penalty,
-                 fci._replacements, fci._identity_images):
+    for kept in (chemio._orbits, chemio._jw_plan, fci._replacements, fci._identity_images):
         kept.cache_clear()
 
 

@@ -476,8 +476,7 @@ class TestShapePlans:
         for n_orb in range(1, chemio._CACHED_SHAPES + 3):
             data = random_fcidump(rng, n_orb, n_orb, 0.0)
             assert bitwise_terms(jw_hamiltonian(data)) == bitwise_terms(reference_jw_orbits(data))
-            spin_penalty(n_orb)
-        for kept in (chemio._jw_plan, chemio._orbits, chemio.spin_penalty):
+        for kept in (chemio._jw_plan, chemio._orbits):
             assert kept.cache_info().currsize == chemio._CACHED_SHAPES
 
     def test_returned_terms_are_read_only(self, rng):
@@ -507,14 +506,4 @@ class TestShapePlans:
         # a pair has 2 spins x 4 products, an orbit 4 spin pairs x 16, before the real ones are kept
         assert len(source) <= 1 + 2 * 8 + 5 * 64
         assert all(not a.flags.writeable for a in (ux, uz, inverse, source))
-
-    @pytest.mark.parametrize("n_orb", [1, 3, 17])
-    def test_spin_penalty_is_kept_and_equals_a_fresh_build(self, n_orb):
-        kept = spin_penalty(n_orb)
-        assert spin_penalty(n_orb) is kept
-        chemio.spin_penalty.cache_clear()
-        fresh = spin_penalty(n_orb)
-        assert fresh is not kept
-        for a, b in zip((kept.x, kept.z, kept.c), (fresh.x, fresh.z, fresh.c)):
-            assert a.tobytes() == b.tobytes()
-            assert not a.flags.writeable
+        assert inverse.dtype == source.dtype == np.int32
