@@ -287,7 +287,16 @@ def _check_width(n_orb: int) -> None:
 
 
 def _check_hermitian(one: np.ndarray, two: np.ndarray) -> None:
-    """Integrals whose operator is not Hermitian would map to imaginary coefficients."""
+    """Integrals whose operator is not Hermitian would map to imaginary coefficients.
+
+    A nan or inf integral is rejected first: nan compares false with the
+    tolerance below, and its terms would be dropped by ``truncate``.
+    """
+    for name, a in (("one_body", one), ("two_body", two)):
+        finite = np.isfinite(a)
+        if not finite.all():
+            index = np.unravel_index(np.argmin(finite), a.shape)
+            raise ValueError(f"{name}[{', '.join(map(str, index))}] is {a[index]}, not finite")
     worst = max(np.max(np.abs(one - one.T), initial=0.0),
                 np.max(np.abs(two - two.transpose(1, 0, 3, 2)), initial=0.0))
     scale = max(1.0, np.max(np.abs(one), initial=0.0), np.max(np.abs(two), initial=0.0))

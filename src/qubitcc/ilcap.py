@@ -14,7 +14,10 @@ states i**p |b>: the reference (p = 0), each -i T_k|0> (p from
 entry is i**(p_w - p_v) <b_v|h|b_w>, the b_v ^ b_w sector of
 ``screen.ising_decompose`` at b_v; each bra takes all its sectors at
 once (``IsingDecomposition.at``), and the BW/EN denominators take the
-diagonal at every flipped reference at once (``pauli._diagonal_at``).
+diagonal at every flipped reference at once (``pauli._diagonal_at``):
+a left fold over the T diagonal terms at the S flipped references, bit
+for bit the sum term by term, or, when n 2**n < T S, one Walsh-Hadamard
+transform over all 2**n states, equal to the fold to rounding.
 
 ``dress_with_combination`` works on the mask arrays of the
 ``PauliSum``: of the M^2 generator pairs it forms only k < j, and of

@@ -12,11 +12,14 @@ the decomposition is a view of those arrays that copies no term out.
 Every matrix element the estimators need is one sector at one basis
 state, <b| I_m(z) X_m |b ^ m>, and comes from one of two kernels in
 ``pauli``: ``_signed_sums`` takes every sector at one or a few states
-in one ``np.bincount`` over the terms (``IsingDecomposition.at``), and
-``_diagonal_at`` takes the diagonal (m = 0) sector at many states.  At the reference a
-sector's value is the gradient of its canonical generator, which is
-what the screening ranks; the diagonal at flipped references gives the
-Epstein-Nesbet and Brillouin-Wigner denominators.
+in one ``np.bincount`` over the terms per block of states
+(``IsingDecomposition.at``), and ``_diagonal_at`` takes the diagonal
+(m = 0) sector at many states, by a left fold over its T terms or, when
+n 2**n < T S for S states, by one Walsh-Hadamard transform of it.  Only
+the transform adds in another order than term by term.  At the
+reference a sector's value is the gradient of its canonical generator,
+which is what the screening ranks; the diagonal at flipped references
+gives the Epstein-Nesbet and Brillouin-Wigner denominators.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qubitcc
-from qubitcc import chemio, fci
+from qubitcc import chemio, fci, pauli
 from qubitcc.chemio import FcidumpData, _parse_header, parse_fcidump
 from qubitcc.ilcap import EnResult
 from qubitcc.pauli import (
@@ -301,6 +301,14 @@ def reference_en_correct(h, ref, *, singular_tol=1e-8):
 def reference_diagonal_at(h, states):
     """``pauli._diagonal_at`` one state at a time, by ``reference_sector_value``."""
     return np.array([reference_sector_value(h, 0, b).real for b in states.tolist()])
+
+
+def walsh_calls(monkeypatch):
+    """A list of transform lengths, one more each time ``_diagonal_at`` takes the transform."""
+    calls = []
+    walsh = pauli._walsh_hadamard
+    monkeypatch.setattr(pauli, "_walsh_hadamard", lambda a: calls.append(len(a)) or walsh(a))
+    return calls
 
 
 def assert_same_sum(got, want):

@@ -429,6 +429,14 @@ class TestMaskArrayExpansion:
         with pytest.raises(ValueError, match="imaginary coefficients"):
             jw_hamiltonian(data)
 
+    def test_non_finite_integral_raises(self, rng):
+        # nan passes a tolerance test, and truncate would drop its terms
+        for name, index, value in (("one_body", (1, 1), np.nan), ("two_body", (0, 2, 1, 1), np.inf)):
+            data = random_fcidump(rng, 3, 2, 0.0)
+            getattr(data, name)[index] = value
+            with pytest.raises(ValueError, match=rf"{name}\[{', '.join(map(str, index))}\] is {value}"):
+                jw_hamiltonian(data)
+
     def test_qubit_cap(self):
         # placeholder integrals: the cap must trip before they are read
         n_orb = JW_QUBIT_CAP // 2 + 1

@@ -180,6 +180,13 @@ class TestSolver:
         with pytest.raises(ValueError, match="differ from their adjoint's"):
             fci_ground_energy(data)
 
+    def test_rejects_non_finite_integrals(self):
+        for name, index in (("one_body", (0, 1)), ("two_body", (1, 1, 0, 1))):
+            data = random_fcidump(random.Random(3), 2, 2, 0.0)
+            getattr(data, name)[index] = np.nan
+            with pytest.raises(ValueError, match=rf"{name}\[{', '.join(map(str, index))}\] is nan"):
+                fci_ground_energy(data)
+
 
 class TestKeptTables:
     """Replacement lists and the dense branch's identity images, built once per shape."""

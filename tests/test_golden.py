@@ -7,7 +7,8 @@ for H2 and for a seeded 6-qubit random Hamiltonian.  A refactor that
 keeps the arithmetic order must leave every byte unchanged.  The
 eigensolver and polynomial-root (two-generator iQCC) lines depend on
 the LAPACK build, so regenerate the file only when the platform
-changes, never to absorb a code change:
+changes or a change states that it reorders additions (and shows each
+moved line old and new), never to absorb a code change silently:
 
     PYTHONPATH=src:tests python -c "import test_golden as g; g.GOLDEN.write_text(g.render())"
 """

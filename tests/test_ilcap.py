@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qubitcc import oracle
+from qubitcc import oracle, pauli
 from qubitcc.acset import build_anticommuting_set, canonical_generator
 from qubitcc.chemio import hf_reference, jw_hamiltonian, load_fcidump
 from qubitcc.ilcap import (
@@ -24,6 +24,7 @@ from qubitcc.pauli import (
     half_commutator,
     multiply,
 )
+from qubitcc.pipeline import RunConfig, run_scheme
 from qubitcc.qcc import optimize_amplitudes, qcc_energy_and_gradient
 from qubitcc.screen import gradients, ising_decompose
 
@@ -39,6 +40,7 @@ from conftest import (
     reference_half_commutator,
     reference_sector_value,
     reference_terms,
+    walsh_calls,
 )
 
 
@@ -743,6 +745,26 @@ class TestBw:
             f"sector {singular:#x} skipped: denominator within 1e-08 of the current energy"
         ]
 
+    def test_state_blocks_keep_every_bit(self, monkeypatch):
+        # one bra per _signed_sums block: each (state, key) bin still gets
+        # only its own state's terms, in the same order
+        data = load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump"))
+        h, ref = jw_hamiltonian(data), hf_reference(data)
+        dec = ising_decompose(h)
+        gens = build_anticommuting_set(h.n, gradients(dec, ref).masks).generators
+        excluded = [m for m in dec.sectors if m not in {g.x for g in gens}]
+        states = np.array([[ref.occupied_mask ^ m for m in dec.sectors[:3]], [0, 1, 2]], np.uint64)
+
+        def both():
+            at = dec.at(states)
+            return [v.hex() for v in at.view(float).ravel().tolist()], outcome(
+                bw_correct, h, gens, excluded, ref)
+
+        want = both()
+        monkeypatch.setattr(pauli, "_SIGNED_CELLS", 1)
+        assert both() == want
+        assert len(gens) >= 2 and want[1][2]
+
     def test_no_excluded_sectors_is_plain_eigenvalue(self, rng):
         n = 4
         h = random_even_sum(rng, n, 10)
@@ -1027,6 +1049,19 @@ class TestEn:
         assert res == outcome(reference_en_correct, h, ref)
         assert res[1] == (-1.5).hex()
         assert dict(res[2])[0b010] == "-0x0.0p+0"
+
+    @pytest.mark.parametrize("name", ["h4_r2p0", "h6_r1p805"])
+    def test_walsh_denominators_match_the_fold(self, monkeypatch, name):
+        # ilcap-pre's EN takes the transform on these fixtures, its BW the fold
+        data = load_fcidump(str(DATA_DIR / f"{name}.fcidump"))
+        h, ref = jw_hamiltonian(data), hf_reference(data)
+        calls = walsh_calls(monkeypatch)
+        cfg = RunConfig(scheme="ilcap-pre")
+        got = [run_scheme(h, ref, cfg)["E_ILCAP+EN"] for _ in range(2)]
+        assert calls == [2**h.n] * 2 and got[0].hex() == got[1].hex()
+        monkeypatch.setattr(pauli, "_WALSH_QUBIT_CAP", 0)
+        assert abs(run_scheme(h, ref, cfg)["E_ILCAP+EN"] - got[0]) <= 1e-12
+        assert len(calls) == 2
 
     def test_degenerate_sector_skipped(self):
         h = PauliSum.from_text("0.2 X0\n1.0 Z1\n", 2)

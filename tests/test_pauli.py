@@ -32,6 +32,7 @@ from conftest import (
     reference_group_masks,
     reference_half_commutator,
     reference_terms,
+    walsh_calls,
     word_expectation,
 )
 
@@ -625,3 +626,50 @@ class TestDiagonalAt:
     def test_no_diagonal_terms(self, rng):
         h = PauliSum(3, [(PauliWord(3, 1, 0), 0.5)])
         assert _diagonal_at(h, np.array([0, 5], dtype=np.uint64)).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_walsh_side_matches_reference(self, rng, monkeypatch, n):
+        # more states than n 2**n / T, drawn from a few distinct ones so
+        # the term-by-term reference stays cheap; the tree of additions
+        # agrees with the left fold to rounding
+        calls = walsh_calls(monkeypatch)
+        values = [5e-324, -5e-324, 2.5e-320, -2.2250738585072014e-308, 1.0, -1.0,
+                  1.0000000000000002, 1e-17]
+        sums = [
+            self.many_diagonal_terms(rng, n, 3 * n),
+            PauliSum(n, [(PauliWord(n, 0, rng.getrandbits(n)), rng.choice(values))
+                         for _ in range(3 * n)]) + random_sum(rng, n, 5),
+            PauliSum(n, [(PauliWord.identity(n), -0.75)]),
+        ]
+        for h in sums:
+            end = np.count_nonzero(h.x == 0)
+            distinct = np.array([rng.getrandbits(n) for _ in range(16)], dtype=np.uint64)
+            pick = np.array([rng.randrange(16) for _ in range(n * 2**n // end + 1)])
+            got = _diagonal_at(h, distinct[pick])
+            want = reference_diagonal_at(h, distinct)[pick]
+            bound = 1e-12 * max(1.0, float(np.abs(h.c[:end]).sum()))
+            assert np.abs(got - want).max() <= bound
+        assert calls == [2**n] * len(sums)
+
+    def test_side_by_cost(self, rng, monkeypatch):
+        # n 2**n = 64 against T S = 8 S: the transform from 9 states on
+        calls = walsh_calls(monkeypatch)
+        h = PauliSum(4, [(PauliWord(4, 0, z), rng.uniform(-1.0, 1.0)) for z in range(8)])
+        h = h + PauliSum(4, [(PauliWord(4, 3, 1), 0.5)])
+        for width, walsh in ((8, 0), (9, 1)):
+            states = np.array([rng.getrandbits(4) for _ in range(width)], dtype=np.uint64)
+            got = _diagonal_at(h, states)
+            assert len(calls) == walsh
+            want = reference_diagonal_at(h, states)
+            if walsh:
+                assert np.abs(got - want).max() <= 1e-12 * 8
+            else:
+                self.assert_same_floats(got, want)
+        # no diagonal term costs nothing to fold; above the cap the fold runs
+        # whatever the cost
+        empty = PauliSum(4, [(PauliWord(4, 3, 1), 0.5)])
+        assert _diagonal_at(empty, np.zeros(100, np.uint64)).tolist() == [0.0] * 100
+        monkeypatch.setattr(pauli, "_WALSH_QUBIT_CAP", 3)
+        states = np.arange(16, dtype=np.uint64)
+        self.assert_same_floats(_diagonal_at(h, states), reference_diagonal_at(h, states))
+        assert len(calls) == 1
