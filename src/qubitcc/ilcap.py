@@ -20,11 +20,14 @@ for bit the sum term by term, or, when n 2**n < T S, one Walsh-Hadamard
 transform over all 2**n states, equal to the fold to rounding.
 
 ``dress_with_combination`` works on the mask arrays of the
-``PauliSum``: of the M^2 generator pairs it forms only k < j, and of
-those only the products with a real phase, picked before any product is
-formed, since T h T is Hermitian and the imaginary ones cancel between
-(k, j) and (j, k).  Its output is the same, bit for bit, as the
-term-by-term expansion.
+``PauliSum`` and sums T h T in closed form: the k = j half scales each
+word of h once, by (1 - A) + A cos t with A the weight of the
+generators it anti-commutes with, and of the other generator pairs it
+forms only k < j, and of those only the products with a real phase,
+picked before any product is formed.  T_j w T_k is the adjoint of
+T_k w T_j, so a real product counts twice and an imaginary one cancels
+its mirror.  Each word adds its own row, its half-commutator rows and
+its pair rows in that order, in one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -210,16 +213,20 @@ def dress_with_combination(
     h - (i/2) sin(t) [h, T] + (1 - cos t)/2 (T h T - h).
 
     T h T sums a_k a_j T_k w T_j over the ordered pairs (k, j) of active
-    generators and the terms w of h.  T_k w T_k is +-w, and only k < j
-    products T_k w T_j = i**p word are formed: T_j w T_k is their
-    Hermitian conjugate, so an odd-p product is imaginary and cancels
-    its mirror.  p is even exactly where w anti-commutes with one of
-    T_k and T_j, so those rows are picked first and only they are
-    multiplied out, each serving both (k, j) and (j, k).  All words are
-    grouped in one sort, and each word's sums still run over the
-    (k, j, term) rows in that order (an odd row only ever added 0.0),
-    so the result is bit-identical to the term-by-term expansion.
-    Nothing is pruned here: a caller that wants the result pruned calls
+    generators and the terms w of h.  T_k w T_k is -w where w
+    anti-commutes with T_k and w elsewhere, so with A the sum of a_k^2
+    over the T_k that w anti-commutes with, added in generator order,
+    and the weights of unit norm, w's own coefficient c becomes
+    c ((1 - A) + A cos t).  T_j w T_k is the adjoint of T_k w T_j: a
+    k < j product is real exactly where w anti-commutes with one of T_k
+    and T_j, and then it stands for both orders, with weight
+    (1 - cos t) a_k a_j; the others are imaginary and cancel their
+    mirror, so they are never formed.  Each word adds its own row, then
+    the half-commutator rows sin(t) a_k i T_k w in generator order, then
+    the real k < j rows in (k, j) order.  A word that commutes with
+    every active generator keeps its coefficient, and one generator of
+    weight +-1 gives ``conjugate_by_word``'s sum at angle +-t.  Nothing
+    is pruned here: a caller that wants the result pruned calls
     ``.truncate`` on it.
     """
     if len(generators) != len(alphas):
@@ -229,74 +236,43 @@ def dress_with_combination(
     alphas = np.asarray(alphas, dtype=float)
     if not np.all(np.isfinite(alphas)):
         raise ValueError(f"combination weights must be finite, got {alphas.tolist()}")
-    if t == 0.0 or len(generators) == 0 or not np.any(alphas):
+    _validate_generators(generators, h.n)
+    if t == 0.0 or not np.any(alphas):
         return h
     norm = float(np.sum(alphas**2))
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"combination weights have norm {norm:.6f}, need 1")
-    _validate_generators(generators, h.n)
 
-    st = math.sin(t)
-    fc = (1.0 - math.cos(t)) / 2.0
+    st, ct = math.sin(t), math.cos(t)
     on = alphas != 0.0
     a = alphas[on]
     gx = np.array([g.x for g in generators], np.uint64)[on]
     gz = np.array([g.z for g in generators], np.uint64)[on]
-    m, size = len(a), len(h.c)
     sign = _I_POWERS.real
-    # T_k w = i**k1 (x1, z1) for each active T_k (axis 0) and term w of h
-    # (axis 1); k1 is odd where the two anti-commute
-    x1, z1, k1 = _mask_product(gx[:, None], gz[:, None], h.x, h.z)
-    odd = k1 & 1
-    # the half-commutator parts, generator by generator: i T_k w is
-    # i**(k1 + 1) (x1, z1), real on the anti-commuting terms
+    # odd[k, i] is 1 where term i of h anti-commutes with active T_k
+    odd = np.bitwise_count((gx[:, None] & h.z) ^ (gz[:, None] & h.x)) & 1
     gen, term = np.nonzero(odd)
-    part_c = st * a[gen] * (h.c[term] * sign[(k1[gen, term] + 1) & 3])
-    linear = size + len(gen)
-    # T_k T_j = i**q (x, z) for each pair k < j, in (k, j) order
-    kk, jj = np.triu_indices(m, 1)
+    anti = np.bincount(term, weights=(a * a)[gen], minlength=len(h.c))
+    own = h.c * ((1.0 - anti) + anti * ct)
+    # on these rows T_k w = i**k1 (x1, z1) with k1 odd, so i T_k w is real
+    x1, z1, k1 = _mask_product(gx[gen], gz[gen], h.x[term], h.z[term])
+    part_c = st * a[gen] * (h.c[term] * sign[(k1 + 1) & 3])
+    # T_k T_j = i**q (x, z) for each pair k < j, in (k, j) order; on a
+    # real row T_k w T_j is (-1)**odd_k w T_k T_j = i**p (x2, z2)
+    kk, jj = np.triu_indices(len(a), 1)
     pair_x, pair_z, q = _mask_product(gx[kk], gz[kk], gx[jj], gz[jj])
-    # T_k w T_j is real exactly where w anti-commutes with one of T_k and
-    # T_j: its adjoint T_j w T_k is -(-1)**(odd_k + odd_j) T_k w T_j, so
-    # the other products are imaginary and cancel their mirror.  Only
-    # these rows are formed, in (k, j, term) order; on them T_k w T_j is
-    # (-1)**odd_k w T_k T_j = i**p (x2, z2)
     left = odd[kk]
     real_rows = left != odd[jj]
-    counts = np.count_nonzero(real_rows, axis=1)
     flat = np.flatnonzero(real_rows)
-    pair = np.repeat(np.arange(len(kk)), counts)
-    pterm = flat - pair * size
+    pair = np.repeat(np.arange(len(kk)), np.count_nonzero(real_rows, axis=1))
+    pterm = flat - pair * len(h.c)
     x2, z2, r = _mask_product(h.x[pterm], h.z[pterm], pair_x[pair], pair_z[pair])
     p = (q[pair] + r + 2 * left.ravel()[flat]) & 3
-    pair_c = (a[kk] * a[jj])[pair] * h.c[pterm] * sign[p]
-    # the words to group: h's own (its h (1 - fc) rows, and every
-    # T_k w T_k), the half-commutator parts, then the k < j rows
-    ux, uz, inverse = _group_masks(
-        np.concatenate((h.x, x1[gen, term], x2)), np.concatenate((h.z, z1[gen, term], z2))
-    )
+    pair_c = ((1.0 - ct) * a[kk] * a[jj])[pair] * h.c[pterm] * sign[p]
+    del flat, pair, pterm  # freed before the grouping, whose sort is the peak
+    ux, uz, inverse = _group_masks(np.concatenate((h.x, x1, x2)), np.concatenate((h.z, z1, z2)))
     del x1, z1, x2, z2
-
-    # T h T's real part over all ordered pairs, rows in (k, j, term)
-    # order: T_k w T_k is -w where they anti-commute, and row (j, k) has
-    # row (k, j)'s word and its real weight
-    diag = (a * a)[:, None] * h.c * sign[2 * (k1 & 1)]
-    stops = np.cumsum(counts).tolist()
-    spans = {}
-    for k, j, lo, hi in zip(kk.tolist(), jj.tolist(), [0, *stops[:-1]], stops):
-        spans[k, j] = spans[j, k] = slice(lo, hi)
-    pair_rows = inverse[linear:]
-    ordered = [(k, j) for k in range(m) for j in range(m)]
-    rows = [inverse[:size] if k == j else pair_rows[spans[k, j]] for k, j in ordered]
-    weights = [diag[k] if k == j else pair_c[spans[k, j]] for k, j in ordered]
-    real = np.bincount(np.concatenate(rows), weights=np.concatenate(weights), minlength=len(ux))
-    # each word adds up as from_masks would over h (1 - fc), the
-    # half-commutator parts, then fc times T h T's real part; a bincount
-    # is never -0.0, so adding fc * 0.0 where T h T is absent is exact
-    total = np.bincount(
-        inverse[:linear], weights=np.concatenate((h.c * (1.0 - fc), part_c)), minlength=len(ux)
-    )
-    total += fc * real
+    total = np.bincount(inverse, weights=np.concatenate((own, part_c, pair_c)), minlength=len(ux))
     return PauliSum._canonical(h.n, ux, uz, total)
 
 
@@ -413,25 +389,21 @@ def en_correct(h: PauliSum, ref: ReferenceState) -> EnResult:
     one term per nonzero X sector.  Denominators within 1e-8 of zero
     are skipped with a warning.
     """
-    return _en_correct(ising_decompose(h), ref)
-
-
-def _en_correct(dec: IsingDecomposition, ref: ReferenceState) -> EnResult:
-    """``en_correct`` on a decomposition."""
-    if dec.n != ref.n:
+    if h.n != ref.n:
         raise ValueError("qubit counts differ")
+    dec = ising_decompose(h)
     occ = ref.occupied_mask
     values = dec.at(occ)
     e0 = float(values[0].real)
     masks = dec.masks[1:]
     weights = np.hypot(values.real[1:], values.imag[1:])  # as abs(complex) rounds
-    gaps = e0 - _diagonal_at(dec.h, np.uint64(occ) ^ masks)
+    gaps = e0 - _diagonal_at(h, np.uint64(occ) ^ masks)
     skip = np.abs(gaps) < _SINGULAR_TOL
     skipped = masks[skip].tolist()
     for m, gap in zip(skipped, gaps[skip].tolist()):
         warnings.warn(
             f"sector {m:#x} skipped: degenerate diagonal gap {gap:.3e}",
-            stacklevel=3,
+            stacklevel=2,
         )
     terms = (weights * weights)[~skip] / gaps[~skip]
     # cumsum adds left to right, the sum e0 + term_1 + term_2 + ...

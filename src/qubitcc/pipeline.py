@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .acset import build_anticommuting_set
-from .ilcap import IlcapSolution, _bw_correct, _en_correct, dress_with_combination, en_correct
+from .ilcap import IlcapSolution, _bw_correct, dress_with_combination, en_correct
 from .pauli import PauliSum, PauliWord, ReferenceState
 from .qcc import run_iqcc
 from .screen import IsingDecomposition, gradients, ising_decompose
@@ -74,8 +74,6 @@ def run_scheme(h: PauliSum, ref: ReferenceState, cfg: RunConfig) -> dict[str, fl
     label = f"E_QCC({cfg.iterations})"
     if cfg.scheme == "iqcc":
         return {label: state.energy}
-    # EN and the ILCAP family read one decomposition of the dressed Hamiltonian
-    dec = ising_decompose(state.hamiltonian)
-    en = _en_correct(dec, ref)
-    family = _ilcap_family(dec, ref, cfg, f"{label}+ILCAP")[0]
+    en = en_correct(state.hamiltonian, ref)
+    family = _ilcap_family(ising_decompose(state.hamiltonian), ref, cfg, f"{label}+ILCAP")[0]
     return {label: state.energy, f"{label}+EN": en.energy, **family}

@@ -55,37 +55,37 @@ def _dress_reference(h, generators, t, alphas, *, truncation_threshold=0.0):
     """dress_with_combination term by term, the check for the array version.
 
     Each product goes through ``multiply`` and the sums through dicts, in
-    the order the array version must reproduce bit for bit.
+    the order the array version must reproduce bit for bit: every word's
+    own row c ((1 - A) + A cos t), the half-commutator rows generator by
+    generator, then the real T_k w T_j rows (k < j), each standing for
+    itself and its (j, k) mirror.
     """
     alphas = np.asarray(alphas, dtype=float)
     if t == 0.0 or len(generators) == 0 or not np.any(alphas):
         return h.truncate(truncation_threshold) if truncation_threshold > 0 else h
-    st = math.sin(t)
-    fc = (1.0 - math.cos(t)) / 2.0
-    terms = [(w, c * (1.0 - fc)) for w, c in h.items()]
-    for a_k, gen in zip(alphas, generators):
-        if a_k == 0.0:
-            continue
-        for w, c in reference_half_commutator(gen, h).items():
-            terms.append((w, st * a_k * c))
-
-    tht = {}
-    for a_k, gk in zip(alphas, generators):
-        if a_k == 0.0:
-            continue
-        for a_j, gj in zip(alphas, generators):
-            if a_j == 0.0:
-                continue
+    st, ct = math.sin(t), math.cos(t)
+    active = [(a, g) for a, g in zip(alphas, generators) if a != 0.0]
+    terms = []
+    for w, c in h.items():
+        anti = 0.0
+        for a, g in active:
+            if not commutes(g, w):
+                anti += a * a
+        terms.append((w, c * ((1.0 - anti) + anti * ct)))
+    for a, g in active:
+        for w, c in reference_half_commutator(g, h).items():
+            terms.append((w, st * a * c))
+    for k, (a_k, gk) in enumerate(active):
+        for a_j, gj in active[k + 1 :]:
             for w, c in h.items():
                 v1, k1 = multiply(gk, w)
                 v2, k2 = multiply(v1, gj)
-                tht[v2] = tht.get(v2, 0j) + a_k * a_j * c * I_POWERS[(k1 + k2) % 4]
-    scale = max(1.0, h.max_abs_coefficient())
-    for w, val in tht.items():
-        if abs(val.imag) > 1e-10 * scale:
-            raise ValueError("T h T has a non-negligible imaginary term")
-        if val.real:
-            terms.append((w, fc * val.real))
+                phase = I_POWERS[(k1 + k2) % 4]
+                u1, m1 = multiply(gj, w)
+                u2, m2 = multiply(u1, gk)  # the (j, k) mirror is the adjoint
+                assert u2 == v2 and I_POWERS[(m1 + m2) % 4] == phase.conjugate()
+                if phase.imag == 0.0:
+                    terms.append((v2, (1.0 - ct) * a_k * a_j * c * phase.real))
     out = PauliSum(h.n, reference_terms(h.n, terms))
     return out.truncate(truncation_threshold) if truncation_threshold > 0 else out
 
@@ -381,6 +381,57 @@ class TestDressWithCombination:
         gens = random_generators(rng, 3, 2)
         assert dress_with_combination(h, gens, 0.0, [1.0, 0.0]) == h
 
+    def test_generators_checked_before_the_identity_shortcut(self):
+        # t = 0 or all-zero weights return h itself, but only for a valid set
+        h = PauliSum(2, [(PauliWord(2, 1, 0), 0.5), (PauliWord(2, 0, 3), -0.25)])
+        with pytest.raises(ValueError, match="qubit count"):
+            dress_with_combination(h, [PauliWord(5, 1, 1)], 0.0, [1.0])
+        with pytest.raises(ValueError, match="even Y"):
+            dress_with_combination(h, [PauliWord(2, 3, 3)], 0.0, [1.0])
+        with pytest.raises(ValueError, match="commute"):  # Y_0 and Y_1
+            dress_with_combination(h, [PauliWord(2, 1, 1), PauliWord(2, 2, 2)], 0.7, [0.0, 0.0])
+        # solve_ilcap's answer at t = 0 has zero weights, which pass the norm check
+        assert dress_with_combination(h, [PauliWord(2, 1, 1)], 0.0, [0.0]) is h
+
+    @pytest.mark.parametrize("n", [*range(2, 10), 33, 40])
+    def test_one_generator_is_conjugate_by_word(self, rng, n):
+        # T = s g with s = +-1 is the rotation exp(+i s t g/2) h exp(-i s t g/2),
+        # to the bit: each word's own row c cos t (or c), then its
+        # half-commutator row, as conjugate_by_word adds them
+        for _ in range(25):
+            g = random_word(rng, n)
+            while g.y_count() % 2 == 0:
+                g = random_word(rng, n)
+            words = [random_word(rng, n) for _ in range(rng.randint(1, 3 * n))]
+            words += [multiply(g, w)[0] for w in words[: len(words) // 2]]
+            h = PauliSum(n, [(w, rng.uniform(-1.0, 1.0)) for w in words])
+            s, t = rng.choice([1.0, -1.0]), rng.uniform(-3.0, 3.0)
+            want = pauli.conjugate_by_word(h, g, s * t)
+            assert_same_sum(dress_with_combination(h, [g], t, [s]), want)
+
+    def test_commuting_words_keep_their_coefficients(self, rng):
+        # a word that commutes with every active generator has A = 0.0, so
+        # its own row is c (1.0 + 0.0 cos t) = c, and no other row reaches
+        # it when every word of h commutes with them; an inactive generator
+        # may anti-commute with it
+        checked = 0
+        while checked < 30:
+            n = rng.randint(3, 9)
+            gens = random_generators(rng, n, rng.randint(2, n + 1))
+            if len(gens) < 2:
+                continue
+            weights = [rng.uniform(-1.0, 1.0) for _ in gens]
+            weights[rng.randrange(len(gens))] = 0.0
+            alphas = unit(weights)
+            active = [g for g, a in zip(gens, alphas) if a]
+            words = [w for w in (random_word(rng, n) for _ in range(60))
+                     if all(commutes(w, g) for g in active)]
+            if not words:
+                continue
+            h = PauliSum(n, [(w, rng.uniform(-1.0, 1.0)) for w in words])
+            assert_same_sum(dress_with_combination(h, gens, rng.uniform(-3.0, 3.0), alphas), h)
+            checked += 1
+
     def test_norm_validation(self, rng):
         h = random_even_sum(rng, 3, 8)
         gens = random_generators(rng, 3, 2)
@@ -492,8 +543,8 @@ def _shifted(word, *gens):
 def pair_linked_sum(rng, n, gens):
     """h holding words w and w ^ g_k ^ g_j for several pairs (k, j).
 
-    T_k (w ^ g_k ^ g_j) T_j and its mirror land on w, next to the
-    diagonal T_k w T_k, so w collects rows from several blocks.
+    T_k (w ^ g_k ^ g_j) T_j lands on w, next to w's own row, so w
+    collects rows from several pair blocks.
     """
     terms = []
     for _ in range(rng.randint(2, 6)):
@@ -549,9 +600,10 @@ class TestDressAdditionOrder:
             )
 
     def test_tht_part_cancels_exactly(self, rng):
-        # w commutes with g0 and anti-commutes with g1: with equal weights
-        # T h T's real part on w is a^2 c - a^2 c = 0.0, and only the
-        # h (1 - fc) row stays
+        # w commutes with g0 and anti-commutes with g1: T_0 w T_0 = w and
+        # T_1 w T_1 = -w, so with equal weights the k = j half of T h T on
+        # w cancels.  That half is never formed: w's own row is
+        # c ((1 - A) + A cos t), with A summed over g1 alone
         n = 4
         gens = self._generators(rng, n, 2, 2)
         g0, g1 = gens[:2]
@@ -560,15 +612,17 @@ class TestDressAdditionOrder:
             if commutes(cand, g0) and not commutes(cand, g1)
         )
         h = PauliSum(n, [(w, 0.7)])
-        t, alphas = 1.1, [math.sqrt(0.5), math.sqrt(0.5)]
-        got = dress_with_combination(h, [g0, g1], t, alphas)
-        assert_same_sum(got, _dress_reference(h, [g0, g1], t, alphas))
-        fc = (1.0 - math.cos(t)) / 2.0
-        assert got.coefficient(w).hex() == (0.7 * (1.0 - fc)).hex()
+        t = 1.1
+        for alphas in ([math.sqrt(0.5), math.sqrt(0.5)], [0.6, -0.8], [0.8, 0.6]):
+            got = dress_with_combination(h, [g0, g1], t, alphas)
+            assert_same_sum(got, _dress_reference(h, [g0, g1], t, alphas))
+            anti = alphas[1] * alphas[1]
+            assert got.coefficient(w).hex() == (0.7 * ((1.0 - anti) + anti * math.cos(t))).hex()
 
     def test_linear_part_cancels_exactly(self, rng):
-        # v = g u: its h (1 - fc) row and its half-commutator row cancel
-        # to 0.0, and fc times T h T's real part -c_v is all that is left
+        # v = g u: v's own row c_v cos t and u's half-commutator row land
+        # on v and cancel to 0.0, so v drops out, as conjugate_by_word
+        # drops it
         n, t = 4, 0.9
         g = self._generators(rng, n, 1, 1)[0]
         u = next(
@@ -577,16 +631,17 @@ class TestDressAdditionOrder:
         )
         v, _ = multiply(g, u)
         sign = half_commutator(g, PauliSum(n, [(u, 1.0)])).coefficient(v)
-        st, fc = math.sin(t), (1.0 - math.cos(t)) / 2.0
+        st = math.sin(t)
         c_v = 0.3
-        target = -c_v * (1.0 - fc)
+        target = -c_v * math.cos(t)
         q = target / st
         while st * q != target:  # a neighbour of the quotient hits it
             q = np.nextafter(q, math.inf if st * q < target else -math.inf)
         h = PauliSum(n, [(v, c_v), (u, sign * float(q))])
         got = dress_with_combination(h, [g], t, [1.0])
         assert_same_sum(got, _dress_reference(h, [g], t, [1.0]))
-        assert got.coefficient(v).hex() == (fc * -c_v).hex()
+        assert_same_sum(got, pauli.conjugate_by_word(h, g, t))
+        assert v not in got
 
     def test_groups_only_even_phase_pair_rows(self, rng, monkeypatch):
         # an odd-phase T_k w T_j (k < j) is imaginary and cancels its
@@ -1066,8 +1121,9 @@ class TestEn:
     def test_degenerate_sector_skipped(self):
         h = PauliSum.from_text("0.2 X0\n1.0 Z1\n", 2)
         ref = ReferenceState(2, 0)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             res = en_correct(h, ref)
+        assert caught[0].filename == __file__  # the warning names the caller
         assert res.skipped_sectors == (0b01,)
         assert res.energy == pytest.approx(res.reference_energy)
 
