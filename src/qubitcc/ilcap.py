@@ -28,6 +28,17 @@ picked before any product is formed.  T_j w T_k is the adjoint of
 T_k w T_j, so a real product counts twice and an imaginary one cancels
 its mirror.  Each word adds its own row, its half-commutator rows and
 its pair rows in that order, in one ``np.bincount``.
+
+ilcap-pre's EN (``_en_from_state``) is EN on U+ h U, U = exp(-i t T/2),
+without that sum.  The state psi = U|0> lives on the M + 1 states
+occ ^ g_i (g_0 = 0 and the M generators of nonzero weight), so each
+dressed coupling <psi|h U|occ ^ m> is read from h's sectors at those
+M + 1 bras: M + 1 candidates per nonzero value, against the rows of a
+full dressing and its decomposition.  Only e0 and the gaps need the
+dressed diagonal, which the dressing of h's terms in the sectors
+g_i ^ g_j gives alone.  ``en_correct`` and this route share their
+tail: a degenerate gap skips its sector, with a warning unless its
+weight is 0.0.
 """
 
 from __future__ import annotations
@@ -387,26 +398,97 @@ def en_correct(h: PauliSum, ref: ReferenceState) -> EnResult:
 
     E = <0|h|0> + sum_m |<0|I_m|0>|^2 / (<0|h|0> - <0|X_m h X_m|0>),
     one term per nonzero X sector.  Denominators within 1e-8 of zero
-    are skipped with a warning.
+    are skipped, with a warning where the sector's weight is nonzero.
     """
     if h.n != ref.n:
         raise ValueError("qubit counts differ")
     dec = ising_decompose(h)
-    occ = ref.occupied_mask
-    values = dec.at(occ)
-    e0 = float(values[0].real)
-    masks = dec.masks[1:]
-    weights = np.hypot(values.real[1:], values.imag[1:])  # as abs(complex) rounds
-    gaps = e0 - _diagonal_at(h, np.uint64(occ) ^ masks)
+    values = dec.at(ref.occupied_mask)
+    return _en_sum(h, ref, float(values[0].real), dec.masks[1:], values[1:])
+
+
+def _en_sum(
+    diagonal: PauliSum, ref: ReferenceState, e0: float, masks: np.ndarray, values: np.ndarray
+) -> EnResult:
+    """EN's sum from e0 over the sectors ``masks`` with couplings ``values``.
+
+    The gaps are e0 minus the diagonal of ``diagonal`` at each flipped
+    reference.  A gap within 1e-8 of zero skips its sector, with a
+    warning that names the caller of this function's caller unless the
+    weight is 0.0, and the terms add left to right from e0.
+    """
+    weights = np.hypot(values.real, values.imag)  # as abs(complex) rounds
+    gaps = e0 - _diagonal_at(diagonal, np.uint64(ref.occupied_mask) ^ masks)
     skip = np.abs(gaps) < _SINGULAR_TOL
-    skipped = masks[skip].tolist()
-    for m, gap in zip(skipped, gaps[skip].tolist()):
+    coupled = skip & (weights != 0.0)
+    skipped = masks[coupled].tolist()
+    for m, gap in zip(skipped, gaps[coupled].tolist()):
         warnings.warn(
             f"sector {m:#x} skipped: degenerate diagonal gap {gap:.3e}",
-            stacklevel=2,
+            stacklevel=3,
         )
     terms = (weights * weights)[~skip] / gaps[~skip]
     # cumsum adds left to right, the sum e0 + term_1 + term_2 + ...
     total = float(np.cumsum(np.concatenate(([e0], terms)))[-1])
     contributions = dict(zip(masks[~skip].tolist(), terms.tolist()))
     return EnResult(total, e0, contributions, tuple(skipped))
+
+
+def _en_from_state(
+    dec: IsingDecomposition,
+    generators: Sequence[PauliWord],
+    t: float,
+    alphas: np.ndarray,
+    ref: ReferenceState,
+) -> EnResult:
+    """EN on h dressed by the combination, read from the state U|0>.
+
+    The same sum as ``en_correct(dress_with_combination(h, generators,
+    t, alphas), ref)``, from h's decomposition, without the dressed sum.
+    With U = exp(-i t T/2), the active generators g_1..g_M (nonzero
+    weight) and g_0 = 0, U|b> = sum_j beta_j(b) |b ^ g_j>: beta_0 =
+    cos(t/2) and beta_j = sin(t/2) a_j (-i) i**k, with T_j|b> = i**k
+    |b ^ g_j> (``basis_image``).  The dressed coupling of sector m is
+    <0|U+ h U|occ ^ m>, the sum over i, j of conj(psi_i) beta_j(occ ^ m)
+    <occ ^ g_i|h|occ ^ m ^ g_j> with psi_i = beta_i(occ), and the
+    bracket is h's sector s = m ^ g_i ^ g_j at the bra occ ^ g_i.  So
+    each nonzero (bra i, sector s) value gives M + 1 candidates, in
+    (i, s, j) order and added per m in that order, and a sector whose
+    candidates sum to exactly 0.0 drops out.  The dressed diagonal words
+    come only from h's terms in the sectors g_i ^ g_j, by the same rows
+    in the same order, so dressing those terms alone gives e0 and the
+    gaps of the full dressing to the bit.  At t = 0, or with no nonzero
+    weight, this is ``en_correct(h, ref)`` bit for bit.
+    """
+    occ = ref.occupied_mask
+    on = alphas != 0.0
+    if t == 0.0 or not on.any():  # U is the identity
+        values = dec.at(occ)
+        return _en_sum(dec.h, ref, float(values[0].real), dec.masks[1:], values[1:])
+    h = dec.h
+    active = [g for g, o in zip(generators, on) if o]
+    gx = np.array([0, *(g.x for g in active)], np.uint64)
+    gz = np.array([0, *(g.z for g in active)], np.uint64)
+    near = np.isin(h.x, gx[:, None] ^ gx)
+    diagonal = dress_with_combination(
+        PauliSum._canonical(h.n, h.x[near], h.z[near], h.c[near]), generators, t, alphas
+    )
+    amp = np.concatenate(([math.cos(t / 2.0)], math.sin(t / 2.0) * alphas[on]))
+    # beta_j(b) is amp_j i**p: p = 0 for j = 0, else 3 + k with k from basis_image
+    base = np.array([0, *(3 * g.y_count() + 3 for g in active)])
+
+    def beta(bits: np.ndarray) -> np.ndarray:  # bits[..., j] is the b that beta_j reads
+        return amp * _I_POWERS[(base + 2 * np.bitwise_count(gz & (bits ^ gx))) & 3]
+
+    psi = beta(np.full(len(gx), occ, np.uint64))
+    brackets = dec.at(np.uint64(occ) ^ gx)  # row i: every sector of h at bra i
+    i, s = np.nonzero(brackets)
+    m = (dec.masks[s] ^ gx[i])[:, None] ^ gx
+    candidates = (psi.conj()[i] * brackets[i, s])[:, None] * beta(np.uint64(occ) ^ m)
+    masks, inverse = np.unique(m, return_inverse=True)
+    re = np.bincount(inverse.ravel(), candidates.real.ravel(), len(masks))
+    im = np.bincount(inverse.ravel(), candidates.imag.ravel(), len(masks))
+    keep = ((re != 0.0) | (im != 0.0)) & (masks != 0)
+    return _en_sum(
+        diagonal, ref, ref.expectation(diagonal), masks[keep], re[keep] + 1j * im[keep]
+    )

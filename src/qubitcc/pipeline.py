@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .acset import build_anticommuting_set
-from .ilcap import IlcapSolution, _bw_correct, dress_with_combination, en_correct
+from .ilcap import IlcapSolution, _bw_correct, _en_from_state, en_correct
 from .pauli import PauliSum, PauliWord, ReferenceState
 from .qcc import run_iqcc
 from .screen import IsingDecomposition, gradients, ising_decompose
@@ -56,13 +56,25 @@ def run_scheme(h: PauliSum, ref: ReferenceState, cfg: RunConfig) -> dict[str, fl
     the combination ansatz and its corrections to the bare Hamiltonian;
     'ilcap-post' runs the iterative solver first and applies the
     corrections to the dressed Hamiltonian it leaves behind.
+
+    ilcap-pre's EN is EN on h dressed by the ILCAP rotation U, but it
+    reads the dressed couplings from the state U|0> and h's own
+    decomposition (with M generators of nonzero weight, M + 1
+    candidates per nonzero sector of h at each of M + 1 bras), and
+    dresses only the terms of h that make the dressed diagonal.  It
+    equals ``en_correct`` on the full dressing to rounding.  A sector
+    that the dressed sum lacks, or whose dressed words cancel exactly,
+    can warn here, since its coupling is a roundoff residue; a sector
+    of zero weight warns in neither.  Both EN warnings name this
+    function.
     """
     if cfg.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {cfg.scheme!r}; pick one of {SCHEMES}")
     if cfg.scheme == "ilcap-pre":
-        cells, generators, sol = _ilcap_family(ising_decompose(h), ref, cfg, "E_ILCAP")
-        dressed = dress_with_combination(h, generators, sol.t, sol.alphas)
-        return {**cells, "E_ILCAP+EN": en_correct(dressed, ref).energy}
+        dec = ising_decompose(h)
+        cells, generators, sol = _ilcap_family(dec, ref, cfg, "E_ILCAP")
+        en = _en_from_state(dec, generators, sol.t, sol.alphas, ref)
+        return {**cells, "E_ILCAP+EN": en.energy}
     state = run_iqcc(
         h,
         ref,

@@ -286,11 +286,12 @@ def reference_en_correct(h, ref, *, singular_tol=1e-8):
         weight = abs(reference_sector_value(h, m, occ))
         gap = e0 - reference_sector_value(h, 0, occ ^ m).real
         if abs(gap) < singular_tol:
-            skipped.append(m)
-            warnings.warn(
-                f"sector {m:#x} skipped: degenerate diagonal gap {gap:.3e}",
-                stacklevel=2,
-            )
+            if weight != 0.0:  # a sector with nothing to add is left out silently
+                skipped.append(m)
+                warnings.warn(
+                    f"sector {m:#x} skipped: degenerate diagonal gap {gap:.3e}",
+                    stacklevel=2,
+                )
             continue
         term = weight * weight / gap
         contributions[m] = term

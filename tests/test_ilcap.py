@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qubitcc import oracle, pauli
+from qubitcc import oracle, pauli, pipeline
 from qubitcc.acset import build_anticommuting_set, canonical_generator
 from qubitcc.chemio import hf_reference, jw_hamiltonian, load_fcidump
 from qubitcc.ilcap import (
@@ -1118,6 +1118,14 @@ class TestEn:
         assert abs(run_scheme(h, ref, cfg)["E_ILCAP+EN"] - got[0]) <= 1e-12
         assert len(calls) == 2
 
+    def test_zero_weight_degenerate_sector_is_silent(self):
+        # X1's two terms cancel at the reference, and no diagonal word reads bit 1
+        h = PauliSum.from_text("1.0 Z0\n0.2 X1\n-0.2 Z0 X1\n", 2)
+        ref = ReferenceState(2, 0)
+        res = outcome(en_correct, h, ref)
+        assert res == outcome(reference_en_correct, h, ref)
+        assert res[2] == [] and res[3] == () and res[4] == []
+
     def test_degenerate_sector_skipped(self):
         h = PauliSum.from_text("0.2 X0\n1.0 Z1\n", 2)
         ref = ReferenceState(2, 0)
@@ -1137,3 +1145,103 @@ class TestEn:
             res = en_correct(h, ref)
             exact = oracle.ground_energy(h)
             assert abs(res.energy - exact) < 50 * c**4 + 1e-12
+
+
+class TestEnFromState:
+    """ilcap-pre's EN from the state U|0> against EN on the dressed sum."""
+
+    def test_matches_dressed_route_on_random_sums(self, rng):
+        checked = 0
+        for n in range(2, 10):
+            for _ in range(26):
+                h = random_even_sum(rng, n, rng.randint(1, 5 * n))
+                ref = ReferenceState(n, rng.randint(0, n))
+                gens = random_generators(rng, n, rng.randint(1, n + 1))
+                alphas = np.array([rng.uniform(-1.0, 1.0) for _ in gens])
+                alphas[[rng.random() < 0.3 for _ in gens]] = 0.0
+                alphas[rng.randrange(len(gens))] = rng.choice([-1.0, 1.0])
+                alphas /= math.sqrt(float(np.sum(alphas**2)))
+                t = rng.uniform(-3.0, 3.0)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    want = en_correct(dress_with_combination(h, gens, t, alphas), ref)
+                    got = ilcap._en_from_state(ising_decompose(h), gens, t, alphas, ref)
+                assert got.reference_energy == want.reference_energy
+                assert abs(got.energy - want.energy) <= 1e-12 * max(1.0, abs(want.energy))
+                checked += 1
+        assert checked == 208
+
+    def test_identity_rotations_are_en_correct(self, rng):
+        # t = 0, all-zero weights and no generators leave h: en_correct's
+        # result and warnings, bit for bit
+        degenerate = PauliSum.from_text(
+            "0.2 X0\n-0.7 X0 Z3\n1.0 Z1\n0.4 Z1 Z2\n0.3 X1\n0.6 X2 Z3\n0.5 X3\n", 4
+        )
+        cases = [(degenerate, ReferenceState(4, 2))]
+        cases += [(random_even_sum(rng, n, 4 * n), ReferenceState(n, rng.randint(0, n)))
+                  for n in range(2, 9)]
+        for h, ref in cases:
+            gens = random_generators(rng, h.n, 3)
+            alphas = unit([rng.uniform(-1.0, 1.0) for _ in gens])
+            want = outcome(en_correct, h, ref)
+            dec = ising_decompose(h)
+            for args in ((gens, 0.0, alphas), (gens, 0.7, np.zeros(len(gens))),
+                         ((), 0.7, np.zeros(0))):
+                assert outcome(ilcap._en_from_state, dec, *args, ref) == want
+        assert len(outcome(en_correct, *cases[0])[4]) == 2
+
+    @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.fcidump")), ids=lambda p: p.stem)
+    def test_run_scheme_matches_dressed_route_on_fixtures(self, path):
+        data = load_fcidump(str(path))
+        h, ref = jw_hamiltonian(data), hf_reference(data)
+        gens = build_anticommuting_set(h.n, gradients(ising_decompose(h), ref).masks).generators
+        sol = solve_ilcap(h, gens, ref)
+        want = en_correct(dress_with_combination(h, gens, sol.t, sol.alphas), ref)
+        row = run_scheme(h, ref, RunConfig(scheme="ilcap-pre"))
+        assert row["E_ILCAP+EN"].hex() == want.energy.hex()
+
+    def test_ilcap_pre_dresses_only_the_generator_sectors(self, monkeypatch):
+        data = load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump"))
+        h, ref = jw_hamiltonian(data), hf_reference(data)
+        want = run_scheme(h, ref, RunConfig(scheme="ilcap-pre"))
+
+        def refused(*args):
+            raise AssertionError("ilcap-pre called en_correct")
+
+        dressed = []
+        real = ilcap.dress_with_combination
+
+        def recorded(op, gens, t, alphas):
+            dressed.append((op, gens, alphas))
+            return real(op, gens, t, alphas)
+
+        for module in (pipeline, ilcap):
+            monkeypatch.setattr(module, "en_correct", refused)
+        monkeypatch.setattr(ilcap, "dress_with_combination", recorded)
+        got = run_scheme(h, ref, RunConfig(scheme="ilcap-pre"))
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+        [(op, gens, alphas)] = dressed
+        g = [0, *(g.x for g, a in zip(gens, alphas) if a != 0.0)]
+        assert len(g) > 2
+        near = {a ^ b for a in g for b in g}
+        assert_same_sum(op, PauliSum(h.n, [(w, c) for w, c in h.items() if w.x in near]))
+        assert 0 < len(op) < len(h)
+
+    def test_degenerate_sector_warning_names_the_caller(self):
+        # X2 flips a bit that no diagonal word reads, before or after the
+        # Y0 rotation, and couples to the reference through both states;
+        # with one generator, ilcap-pre's set is Y0 and leaves X2 to EN
+        h = PauliSum.from_text("1.0 Z0\n0.5 X0\n0.3 X2\n", 3)
+        ref = ReferenceState(3, 0)
+        gen = PauliWord.from_factors(3, [("Y", 0)])
+        with pytest.warns(UserWarning) as caught:
+            res = ilcap._en_from_state(ising_decompose(h), [gen], 0.8, np.array([1.0]), ref)
+        assert [str(w.message) for w in caught] == [
+            "sector 0x4 skipped: degenerate diagonal gap 0.000e+00"]
+        assert caught[0].filename == __file__
+        assert res.skipped_sectors == (0b100,) and 0b100 not in res.contributions
+        with pytest.warns(UserWarning) as caught:
+            run_scheme(h, ref, RunConfig(scheme="ilcap-pre", max_generators=1))
+        assert [str(w.message) for w in caught] == [
+            "sector 0x4 skipped: degenerate diagonal gap 0.000e+00"]
+        assert caught[0].filename == pipeline.__file__

@@ -128,7 +128,8 @@ def test_ilcap_energies_are_the_ilcap_solutions():
 @pytest.mark.parametrize("scheme", ["ilcap-pre", "ilcap-post"])
 def test_ilcap_family_decomposes_each_hamiltonian_once(monkeypatch, scheme):
     # the family's cells are the public functions' energies, to the bit, from one
-    # decomposition per Hamiltonian and one bracket table; ilcap-post's EN goes
+    # decomposition per Hamiltonian and one bracket table; ilcap-pre's EN reads
+    # h's decomposition and dresses no full Hamiltonian, and ilcap-post's EN goes
     # through the public en_correct, which takes its own decomposition
     data = load_fcidump(str(DATA_DIR / "h4_r2p0.fcidump"))
     h, ref = jw_hamiltonian(data), hf_reference(data)
@@ -155,7 +156,7 @@ def test_ilcap_family_decomposes_each_hamiltonian_once(monkeypatch, scheme):
         row = run_scheme(h, ref, cfg)
         assert [row["E_ILCAP"].hex(), row["E_ILCAP+BW"].hex(), row["E_ILCAP+EN"].hex()] == [
             bw.uncorrected_energy.hex(), bw.energy.hex(), dressed_en.energy.hex()]
-        assert len(seen) == 2 and seen[0] is h  # h, then the dressed Hamiltonian
+        assert seen == [h]
     else:
         row = run_scheme(h, ref, cfg)  # run_iqcc's own decompositions go through qcc
         assert [row["E_QCC(2)+EN"].hex(), row["E_QCC(2)+ILCAP+BW"].hex()] == [

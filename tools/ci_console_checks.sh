@@ -35,8 +35,9 @@ grep '^# generators: .* | ' "$out/ckpt_h4/iteration_001.txt"
 qubitcc ilcap "$out/h4.txt" --n-elec 4 --scheme ilcap-post --gens 2 --iterations 2
 # three generators per step run exact coordinate sweeps (no bench workload does)
 qubitcc iqcc "$out/h4.txt" --n-elec 4 --gens 3 --iterations 2
-# 34 qubits: iqcc conjugates masks too wide for a packed key; the same
-# integrals on orbitals 1 and 2 (4 qubits) reach the same energy
+# 34 qubits: iqcc conjugates masks too wide for a packed key, and ilcap-pre's
+# EN reads its couplings at bras that wide; the same integrals on orbitals 1
+# and 2 (4 qubits) reach the same energies
 printf '&FCI NORB=17,NELEC=2 &END\n0.6745 1 1 1 1\n0.1813 17 1 17 1\n0.6636 17 17 1 1\n0.6975 17 17 17 17\n-1.2528 1 1 0 0\n-0.4756 17 17 0 0\n' \
     > "$out/norb17.fcidump"
 sed 's/\<17\>/2/g' "$out/norb17.fcidump" > "$out/norb2.fcidump"
@@ -44,6 +45,7 @@ for norb in 17 2; do
   qubitcc transform "$out/norb$norb.fcidump" -o "$out/norb$norb.txt"
   qubitcc iqcc "$out/norb$norb.txt" --n-elec 2 --iterations 3 \
       | grep '^energy:' > "$out/norb$norb.energy"
+  qubitcc ilcap "$out/norb$norb.txt" --n-elec 2 --scheme ilcap-pre >> "$out/norb$norb.energy"
 done
 cat "$out/norb17.energy"
 cmp "$out/norb17.energy" "$out/norb2.energy"
