@@ -79,6 +79,7 @@ _SINGULAR_TOL = 1e-8  # BW and EN skip a sector whose denominator is smaller
 _BW_TOL = 1e-12  # a BW step that moves E by less has converged
 _BW_MAX_ITERATIONS = 200
 _WEIGHT_FLOOR = 1e-12  # solved combination weights below this are set to 0.0
+_RESIDUE_TOL = 1e-14  # EN from the state drops a coupling this small against its candidates
 
 
 def _validate_generators(generators: Sequence[PauliWord], n: int) -> None:
@@ -453,11 +454,13 @@ def _en_from_state(
     <occ ^ g_i|h|occ ^ m ^ g_j> with psi_i = beta_i(occ), and the
     bracket is h's sector s = m ^ g_i ^ g_j at the bra occ ^ g_i.  So
     each nonzero (bra i, sector s) value gives M + 1 candidates, in
-    (i, s, j) order and added per m in that order, and a sector whose
-    candidates sum to exactly 0.0 drops out.  The dressed diagonal words
-    come only from h's terms in the sectors g_i ^ g_j, by the same rows
-    in the same order, so dressing those terms alone gives e0 and the
-    gaps of the full dressing to the bit.  At t = 0, or with no nonzero
+    (i, s, j) order and added per m in that order.  A sector whose sum is
+    at most 1e-14 times the sum of its candidates' sizes drops out: the
+    dressing never forms a product that cancels its adjoint mirror, and
+    here such a pair adds to a roundoff residue.  The dressed diagonal
+    words come only from h's terms in the sectors g_i ^ g_j, by the same
+    rows in the same order, so dressing those terms alone gives e0 and
+    the gaps of the full dressing to the bit.  At t = 0, or with no nonzero
     weight, this is ``en_correct(h, ref)`` bit for bit.
     """
     occ = ref.occupied_mask
@@ -488,7 +491,8 @@ def _en_from_state(
     masks, inverse = np.unique(m, return_inverse=True)
     re = np.bincount(inverse.ravel(), candidates.real.ravel(), len(masks))
     im = np.bincount(inverse.ravel(), candidates.imag.ravel(), len(masks))
-    keep = ((re != 0.0) | (im != 0.0)) & (masks != 0)
+    size = np.bincount(inverse.ravel(), np.abs(candidates).ravel(), len(masks))
+    keep = (np.hypot(re, im) > _RESIDUE_TOL * size) & (masks != 0)
     return _en_sum(
         diagonal, ref, ref.expectation(diagonal), masks[keep], re[keep] + 1j * im[keep]
     )

@@ -5,9 +5,9 @@ with u = exp(-a (r - r0)) for any fixed r0, so at a fixed range
 parameter a the best well is one linear least-squares solve.  The
 four-parameter fit is then a root find in a alone, on the slope of the
 projected residual (variable projection: Golub and Pereyra, SIAM J.
-Numer. Anal. 10, 413 (1973)), by the false position that also solves
-the iQCC pair step (``qcc._false_position``).  D_e = c1^2 / (4 c2),
-r_e = r0 + ln(-2 c2 / c1) / a and E_min = c0 - D_e follow from c.  The
+Numer. Anal. 10, 413 (1973)), by Illinois false position
+(``_false_position``).  D_e = c1^2 / (4 c2), r_e = r0 +
+ln(-2 c2 / c1) / a and E_min = c0 - D_e follow from c.  The
 harmonic frequency and anharmonicity follow from the well parameters:
 omega = a sqrt(2 D_e / mu) in atomic units, omega x = omega^2 / (4 D_e),
 both reported as wavenumbers.  No scipy is loaded.
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcc import _false_position
-
 __all__ = ["MorseFit", "morse_energy", "spectroscopic_constants", "fit_morse"]
 
 # CODATA 2018: the hartree as a wavenumber, E_h / (h c), in cm^-1, and
@@ -32,6 +30,7 @@ AMU_TO_ELECTRON_MASS = 1822.888486209
 _NONPHYSICAL = "Morse fit landed on a non-physical well"
 _BRACKET_STEPS = 12  # times a may be doubled or halved in search of a sign change
 _SPAN_MAX = 300.0  # largest a (r_max - r_min): u^2 stays finite
+_ROOT_STEPS = 100  # most false-position steps for one root
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +86,37 @@ def _projection(dr: np.ndarray, e: np.ndarray, a: float):
     c = np.linalg.lstsq(basis, e, rcond=None)[0]
     res = basis @ c - e
     return c, res, float(res @ (-dr * u * (c[1] + 2.0 * c[2] * u)))
+
+
+def _false_position(f, a: float, b: float, fa: float, fb: float) -> float:
+    """The root of f in [a, b], a < b, where f(a) and f(b) differ in sign.
+
+    False position with the Illinois rule (Dowell and Jarratt, BIT 11,
+    168 (1971)), run until the bracket is as narrow as the floats allow;
+    an end where f is 0 is returned as the root.  RuntimeError after
+    _ROOT_STEPS evaluations of f.
+    """
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    side = 0
+    for _ in range(_ROOT_STEPS):
+        x = (a * fb - b * fa) / (fb - fa)
+        if not a < x < b:  # the bracket is as narrow as the floats allow
+            return x
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = x, fx
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    raise RuntimeError(f"false position did not converge in {_ROOT_STEPS} steps")
 
 
 def fit_morse(r, e, mu_amu: float) -> MorseFit:

@@ -63,10 +63,9 @@ def run_scheme(h: PauliSum, ref: ReferenceState, cfg: RunConfig) -> dict[str, fl
     candidates per nonzero sector of h at each of M + 1 bras), and
     dresses only the terms of h that make the dressed diagonal.  It
     equals ``en_correct`` on the full dressing to rounding.  A sector
-    that the dressed sum lacks, or whose dressed words cancel exactly,
-    can warn here, since its coupling is a roundoff residue; a sector
-    of zero weight warns in neither.  Both EN warnings name this
-    function.
+    that the dressed sum lacks leaves a coupling at roundoff of its own
+    candidates, which drops out, so it does not warn; a sector of zero
+    weight warns in neither.  Both EN warnings name this function.
     """
     if cfg.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {cfg.scheme!r}; pick one of {SCHEMES}")

@@ -13,14 +13,15 @@ conjugation is used only to dress the Hamiltonian between iterations,
 where truncation happens.  One generator gives E(t) = A + B cos t +
 C sin t, minimized in closed form; two give a 4 x 4 quadratic form in
 the half-angle products, minimized exactly through a one-angle
-reduction; three or more by sweeps of the one-generator closed form
-over each amplitude in turn, with Newton steps on the exact Hessian.
+reduction whose stationary angles are the arguments of the roots of a
+degree-8 polynomial in exp(i t2); three or more by sweeps of the
+one-generator closed form over each amplitude in turn, with Newton
+steps on the exact Hessian.
 No scipy is loaded and no random number is drawn.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -52,13 +53,6 @@ _GTOL = 1e-9  # the gradient norm at which sweeps stop, or a pair step counts as
 _MAX_SWEEPS = 1000  # optimize_amplitudes, L >= 3: most coordinate sweeps in one call
 _MAX_ESCAPES = 8  # and most moves off a stationary point along negative curvature
 _NEWTON_STEPS = 8  # most Newton steps polishing the stationary angles of a pair step
-_ROOT_STEPS = 100  # most false-position steps for one root (pair steps and Morse fits)
-# row k + 4: the coefficients, by ascending power of u = tan(t/2), of
-# (1 + i u)^(4 + k) (1 - i u)^(4 - k) = exp(i k t) (1 + u^2)^4
-_HALF_TANGENT = np.array([
-    functools.reduce(np.convolve, [[1.0, 1j]] * (4 + k) + [[1.0, -1j]] * (4 - k), [1.0 + 0j])
-    for k in range(-4, 5)
-])
 
 
 class _Subspace:
@@ -243,89 +237,6 @@ def _stationary_harmonics(curves) -> np.ndarray:
     return conv(conv(dx[0], dx[0]), rr) - conv(rdr, rdr)
 
 
-def _horner(p, x: float) -> float:
-    """p (ascending coefficients) at x."""
-    value = 0.0
-    for c in reversed(p):
-        value = value * x + c
-    return value
-
-
-def _false_position(f, a: float, b: float, fa: float, fb: float) -> float:
-    """The root of f in [a, b], a < b, where f(a) and f(b) differ in sign.
-
-    False position with the Illinois rule (Dowell and Jarratt, BIT 11,
-    168 (1971)), run until the bracket is as narrow as the floats allow;
-    an end where f is 0 is returned as the root.  RuntimeError after
-    _ROOT_STEPS evaluations of f.
-    """
-    if fa == 0.0 or fb == 0.0:
-        return a if fa == 0.0 else b
-    side = 0
-    for _ in range(_ROOT_STEPS):
-        x = (a * fb - b * fa) / (fb - fa)
-        if not a < x < b:  # the bracket is as narrow as the floats allow
-            return x
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == (fa < 0.0):
-            a, fa = x, fx
-            if side < 0:
-                fb *= 0.5
-            side = -1
-        else:
-            b, fb = x, fx
-            if side > 0:
-                fa *= 0.5
-            side = 1
-    raise RuntimeError(f"false position did not converge in {_ROOT_STEPS} steps")
-
-
-def _real_roots(p, lo: float, hi: float) -> tuple[list[float], list[float]]:
-    """Roots in [lo, hi] of the real polynomial p (ascending coefficients), and of p'.
-
-    The roots of p', found the same way, split [lo, hi] into pieces on
-    which p is monotone, so each piece holds at most one root of p, and
-    only where p changes sign.  A root of even multiplicity changes no
-    sign, but it is a root of p', so those are returned too.
-    """
-    while p and p[-1] == 0.0:
-        p = p[:-1]
-    if len(p) <= 1:
-        return [], []
-    critical = _real_roots([k * c for k, c in enumerate(p)][1:], lo, hi)[0]
-    ends = [lo, *critical, hi]
-    roots = []
-    f = functools.partial(_horner, p)
-    fa = f(lo)
-    for a, b in zip(ends, ends[1:]):
-        fb = f(b)
-        if fa == 0.0 or fa * fb < 0.0:
-            roots.append(_false_position(f, a, b, fa, fb))
-        fa = fb
-    if fa == 0.0:
-        roots.append(hi)
-    return roots, critical
-
-
-def _stationary_angles(harmonics: np.ndarray) -> list[float]:
-    """Every t2 at which g, or g', vanishes, from its harmonics on k = -4..4.
-
-    On the arc |t2 - shift| <= 2 atan 2, for shift 0 and pi,
-    (1 + u^2)^4 g is a real polynomial of degree <= 8 in
-    u = tan((t2 - shift)/2) on [-2, 2]; the two arcs overlap, so every
-    angle lies inside one of them.  No eigenvalue solver is needed.
-    """
-    angles = []
-    # exp(i k t2) = (-1)^k exp(i k (t2 - pi))
-    for shift, signs in ((0.0, 1.0), (math.pi, (-1.0) ** np.arange(-4, 5))):
-        poly = (harmonics * signs) @ _HALF_TANGENT
-        roots, critical = _real_roots(poly.real.tolist(), -2.0, 2.0)
-        angles += [shift + 2.0 * math.atan(u) for u in roots + critical]
-    return angles
-
-
 def _reduced(curves, t2: float) -> tuple[float, float, float, float, float]:
     """A, B, C at t2, and f' and f'' of f = A - hypot(B, C) (nan where B = C = 0)."""
     cos, sin = math.cos(t2), math.sin(t2)
@@ -356,26 +267,28 @@ def _pair_step(space: _Subspace) -> AmplitudeOptimization:
     one-generator step.  No minimum of f is missed: at one, either
     r = hypot(B, C) > 0 and f' = A' - r' = 0, or r = 0 (a cusp, where -r
     kinks downwards, so in general a maximum); both are zeros of
-    g = r^2 (A'^2 - r'^2), a trigonometric polynomial of degree 4 with at
-    most 8 zeros per period, found with those of g' as real roots of
-    polynomials in tan(t2/2) (``_stationary_angles``).  If g vanishes
-    identically, then r = 0 everywhere or A' = +-r' throughout, and f is
-    constant, or 2A plus a constant wherever it is below its maximum:
-    t2 = 0 or argmin A is a minimum, and both are always candidates,
-    unpolished.  Each angle is polished by Newton steps on f', taken only
-    where f'' > 0 and at most 0.25 long.  Of the points (t1*, t2) and
-    (0, t2), the latter for an energy that t1 moves only by roundoff, the
-    one nearest zero (smallest t1^2 + t2^2 on (-pi, pi]^2, then the
-    lexicographic order) among those within 1e-12 max(1, |E|) of the
-    lowest energy and stationary to 1e-9 wins: of mirror minima, the one
-    a descent from a zero start usually ends in.  So (0, 0) does not
-    stand in for a minimum a small gradient away from it.  If none of
-    them is stationary, the lowest wins, reported unconverged.
+    g = r^2 (A'^2 - r'^2), a trigonometric polynomial of degree 4, so
+    z^4 g is a polynomial of degree 8 in z = exp(i t2), and the arguments
+    of all its roots are the candidate angles (``np.roots``, whose
+    companion-matrix search is backward stable: Edelman and Murakami,
+    Math. Comp. 64, 763 (1995)).  If g vanishes identically, then r = 0
+    everywhere or A' = +-r' throughout, and f is constant, or 2A plus a
+    constant wherever it is below its maximum: t2 = 0 or argmin A is a
+    minimum, and both are always candidates, unpolished.  Each angle is
+    polished by Newton steps on f', taken only where f'' > 0 and at most
+    0.25 long.  Of the points (t1*, t2) and (0, t2), the latter for an
+    energy that t1 moves only by roundoff, the one nearest zero (smallest
+    t1^2 + t2^2 on (-pi, pi]^2, then the lexicographic order) among those
+    within 1e-12 max(1, |E|) of the lowest energy and stationary to 1e-9
+    wins: of mirror minima, the one a descent from a zero start usually
+    ends in.  So (0, 0) does not stand in for a minimum a small gradient
+    away from it.  If none of them is stationary, the lowest wins,
+    reported unconverged.
     """
     curves = _pair_curves(space)
     (_, a1, a2), _, _ = curves
     polished = []
-    for t2 in _stationary_angles(_stationary_harmonics(curves)):
+    for t2 in np.angle(np.roots(_stationary_harmonics(curves)[::-1])).tolist():
         for _ in range(_NEWTON_STEPS):
             *_, df, ddf = _reduced(curves, t2)
             if not ddf > 0.0:

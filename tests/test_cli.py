@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -514,7 +515,7 @@ class TestBadInput:
                          "does not conserve the electron count")
 
     def test_malformed_fcidump_line(self, runner, tmp_path):
-        lines = open(R14, encoding="utf-8").read().splitlines()
+        lines = Path(R14).read_text(encoding="utf-8").splitlines()
         lines.insert(-1, "0.5 1 x 0 0")
         path = tmp_path / "bad.fcidump"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -524,7 +525,7 @@ class TestBadInput:
     @staticmethod
     def non_finite_fcidump(tmp_path, value):
         """The r = 1.4 fixture with its (11|11) integral, file line 5, replaced by value."""
-        lines = open(R14, encoding="utf-8").read().splitlines()
+        lines = Path(R14).read_text(encoding="utf-8").splitlines()
         at = next(i for i, line in enumerate(lines) if line.split()[1:] == ["1", "1", "1", "1"])
         lines[at] = f"{value} 1 1 1 1"
         path = tmp_path / f"{value}.fcidump"
@@ -569,7 +570,7 @@ class TestBadInput:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_text_coefficient(self, runner, tmp_path, h2_text, command, value):
         path = tmp_path / "bad.txt"
-        text = open(h2_text, encoding="utf-8").read()
+        text = Path(h2_text).read_text(encoding="utf-8")
         path.write_text(text + f"{value} Z0 Z1\n", encoding="utf-8")
         line = len(text.splitlines()) + 1
         self.usage_error(runner, [command, str(path), "--n-elec", "2"],

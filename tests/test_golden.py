@@ -20,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from qubitcc.acset import build_anticommuting_set
@@ -93,7 +94,10 @@ def render() -> str:
 
 
 def test_outputs_match_golden_file():
-    got = render()
+    # the seeded 6-qubit Hamiltonian's ilcap-post EN meets one degenerate
+    # gap, in the sector that flips qubit 1
+    with pytest.warns(UserWarning, match="sector 0x2 skipped"):
+        got = render()
     want = GOLDEN.read_text(encoding="utf-8")
     if got != want:
         for i, (a, b) in enumerate(zip(got.splitlines(), want.splitlines()), start=1):

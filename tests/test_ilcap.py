@@ -1168,6 +1168,7 @@ class TestEnFromState:
                     got = ilcap._en_from_state(ising_decompose(h), gens, t, alphas, ref)
                 assert got.reference_energy == want.reference_energy
                 assert abs(got.energy - want.energy) <= 1e-12 * max(1.0, abs(want.energy))
+                assert got.skipped_sectors == want.skipped_sectors
                 checked += 1
         assert checked == 208
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qubitcc import morse, qcc
+from qubitcc import morse
 from qubitcc.morse import (
     AMU_TO_ELECTRON_MASS,
     HARTREE_TO_INVCM,
@@ -167,8 +167,8 @@ class TestFit:
             fit_morse(r, e, mu_amu=1.0)
 
     def test_root_step_cap_raises(self, monkeypatch):
-        # the root in a comes from qcc's false position, under its step cap
-        monkeypatch.setattr(qcc, "_ROOT_STEPS", 1)
+        # the root in a comes from false position, under its step cap
+        monkeypatch.setattr(morse, "_ROOT_STEPS", 1)
         with pytest.raises(RuntimeError, match="did not converge in 1 steps"):
             fit_morse(*noisy_well(), mu_amu=0.5)
 
@@ -243,3 +243,20 @@ class TestLeastSquares:
         # pinned: a change of root finder moves omega_e by rounding only
         fit = fit_morse(*noisy_well(), mu_amu=0.5)
         assert fit.omega_e == pytest.approx(4239.786216163004, rel=1e-12)
+
+
+class TestFalsePosition:
+    """The Morse fit's bracketed root finder."""
+
+    def test_cube_root(self):
+        def f(x):
+            return x**3 - 2.0
+
+        assert morse._false_position(f, 1.0, 2.0, -1.0, 6.0) == pytest.approx(2.0 ** (1 / 3), rel=4e-16)
+
+    def test_root_at_either_end(self):
+        def f(x):
+            raise AssertionError("an end with f = 0 needs no evaluation")
+
+        assert morse._false_position(f, 0.1, 0.7, 0.0, 3.0) == 0.1
+        assert morse._false_position(f, 0.1, 0.7, -3.0, 0.0) == 0.7

@@ -409,6 +409,52 @@ def pair_form(h, generators, ref):
     return (v.conj().T @ oracle.to_dense(h) @ v).real
 
 
+Y_PAIR = [PauliWord.from_factors(2, [("Y", 0)]), PauliWord.from_factors(2, [("Y", 1)])]
+
+
+def pair_hamiltonian(a, b, c):
+    """h on two qubits whose pair energy on Y0, Y1 and |00> has rows A, B, C.
+
+    The rows are coefficients on (1, cos t2, sin t2) of E(t1, t2) =
+    A + B cos t1 + C sin t1.  With T1 = Y0, T2 = Y1 and the empty
+    reference, V's columns are |00>, |10>, |01>, |11> (bit k is qubit k),
+    so M is h's matrix on those states, and h is its Pauli expansion.
+    """
+
+    def block(x0, x1, x2):  # (c2, s2) X (c2, s2)^T = x0 + x1 cos t2 + x2 sin t2
+        return np.array([[x0 + x1, x2], [x2, x0 - x1]])
+
+    r = block(*c)
+    m = np.block([[block(*np.add(a, b)), r], [r, block(*np.subtract(a, b))]])
+    states = [0b00, 0b10, 0b01, 0b11]
+    dense = np.zeros((4, 4))
+    dense[np.ix_(states, states)] = m
+    terms = []
+    for factors in itertools.product("IXYZ", repeat=2):
+        w = PauliWord.from_factors(2, [(f, k) for k, f in enumerate(factors) if f != "I"])
+        terms.append((w, float(np.trace(oracle.to_dense(w).conj().T @ dense).real) / 4.0))
+    h = PauliSum(2, [(w, x) for w, x in terms if x])
+    assert np.allclose(pair_form(h, Y_PAIR, ReferenceState(2, 0)), m, rtol=0.0, atol=1e-15)
+    return h
+
+
+# rows A, B, C of pair energies where a companion-matrix root search is weakest
+EDGE_PAIRS = {
+    # E symmetric about t2 = acos 0.6, its minimum: A' = r' = 0 there, a double root of g
+    "double_root": ((0.0, 0.15, 0.2), (0.625, 0.6, 0.8), (0.125, 0.0, 0.0)),
+    # the same about t2 = pi, while argmin A = 0
+    "double_root_at_pi": ((0.0, -0.25, 0.0), (0.625, -1.0, 0.0), (0.125, 0.0, 0.0)),
+    # a simple root of g at t2 = pi, the minimum
+    "root_at_pi": ((0.0, 0.25, 0.5), (1.0, 0.125, 0.5), (0.0, 0.0, 0.25)),
+    # B = 1/8 + cos t2 and C = sin t2: r^2 is first-harmonic, so g's k = +-4 terms are 0
+    "zero_leading_harmonic": ((0.25, 0.375, -0.5), (0.125, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    # B = C = 0: no t1 dependence, g = 0
+    "flat_in_t1": ((0.25, 0.5, -0.75), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    # A = B = cos t2, C = 0: A' = r' wherever B > 0, so g = 0, minimum at argmin A
+    "g_zero": ((0.0, 1.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
+}
+
+
 def brute_force_minimum(h, generators, ref):
     """Best point of a 721 x 721 grid on [-pi, pi)^2, refined by BFGS."""
     m = pair_form(h, generators, ref)
@@ -447,14 +493,21 @@ def partner(rng, g, kind):
 class TestPairStep:
     """Two generators: every minimum of E(t1, t2) is found without BFGS."""
 
-    @pytest.mark.parametrize("kind", ["random", "same_x", "commuting", "anticommuting"])
-    def test_matches_brute_force(self, rng, kind):
+    @staticmethod
+    def cases(rng, kind):
+        if kind == "edge":
+            for rows in EDGE_PAIRS.values():
+                yield pair_hamiltonian(*rows), Y_PAIR, ReferenceState(2, 0)
+            return
         for case in range(50):
             n = rng.randint(1, 5)
-            h = random_sum(rng, n, 12)
             gens = [random_word(rng, n)]
             gens.append(partner(rng, gens[0], kind))
-            ref = ReferenceState(n, (0, n, rng.randint(0, n))[case % 3])
+            yield random_sum(rng, n, 12), gens, ReferenceState(n, (0, n, rng.randint(0, n))[case % 3])
+
+    @pytest.mark.parametrize("kind", ["random", "same_x", "commuting", "anticommuting", "edge"])
+    def test_matches_brute_force(self, rng, kind):
+        for h, gens, ref in self.cases(rng, kind):
             ts = [rng.uniform(-math.pi, math.pi) for _ in range(2)]
             w = np.kron(*([math.cos(0.5 * t), math.sin(0.5 * t)] for t in ts))
             assert abs(w @ pair_form(h, gens, ref) @ w
@@ -467,6 +520,24 @@ class TestPairStep:
             assert (opt.converged, opt.iterations, opt.restarts_used) == (True, 0, 0)
             assert opt.amplitudes.shape == (2,)
             assert all(-math.pi < t <= math.pi for t in opt.amplitudes)
+
+    def test_edge_pairs_are_what_they_claim(self):
+        ref = ReferenceState(2, 0)
+
+        def harmonics(name):
+            space = qcc._Subspace(pair_hamiltonian(*EDGE_PAIRS[name]), Y_PAIR, ref)
+            return qcc._stationary_harmonics(qcc._pair_curves(space))
+
+        def g(name, t2):  # z^-4 times z^4 g at z = exp(i t2)
+            return np.polyval(harmonics(name)[::-1], np.exp(1j * t2)) * np.exp(-4j * t2)
+
+        for name, t2 in [("double_root", math.acos(0.6)), ("double_root_at_pi", math.pi)]:
+            dg = (g(name, t2 + 1e-4) - g(name, t2 - 1e-4)) / 2e-4
+            assert abs(g(name, t2)) < 1e-15 and abs(dg) < 1e-12
+        assert abs(g("root_at_pi", math.pi)) < 1e-15
+        assert harmonics("zero_leading_harmonic")[[0, -1]].tolist() == [0.0, 0.0]
+        for name in ("flat_in_t1", "g_zero"):
+            assert not harmonics(name).any()
 
     def test_flat_energy_stays_at_zero(self, rng):
         # H commutes with both generators, so U leaves every energy at the reference's
@@ -519,28 +590,6 @@ class TestPairStep:
         assert abs(qcc_energy_and_gradient(h, gens, mirror, ref)[0] - opt.energy) <= 1e-12
         assert t1 * t1 + t2 * t2 < mirror[0] ** 2 + mirror[1] ** 2 - 0.1
 
-
-
-class TestFalsePosition:
-    """The package's one bracketed root finder: pair-step polynomials and the Morse fit."""
-
-    def test_cube_root(self):
-        def f(x):
-            return x**3 - 2.0
-
-        assert qcc._false_position(f, 1.0, 2.0, -1.0, 6.0) == pytest.approx(2.0 ** (1 / 3), rel=4e-16)
-
-    def test_root_at_either_end(self):
-        def f(x):
-            raise AssertionError("an end with f = 0 needs no evaluation")
-
-        assert qcc._false_position(f, 0.1, 0.7, 0.0, 3.0) == 0.1
-        assert qcc._false_position(f, 0.1, 0.7, -3.0, 0.0) == 0.7
-
-    def test_step_cap_raises_in_the_pair_step(self, monkeypatch):
-        monkeypatch.setattr(qcc, "_ROOT_STEPS", 1)
-        with pytest.raises(RuntimeError, match="did not converge in 1 steps"):
-            qcc._real_roots([-2.0, 0.0, 0.0, 1.0], 1.0, 2.0)
 
 class TestDress:
     def test_expectation_identity(self, rng):
